@@ -62,6 +62,7 @@ from .covers import (
     growth_linear_bound,
     kernel_control_bound,
     lebesgue_ok,
+    max_diameter,
     pullback_cover,
     r_components,
     vz_closure_constant,

@@ -25,6 +25,7 @@ from .covers import (
     component_diameters,
     cover_of,
     kernel_control_bound,
+    max_diameter,
     pullback_cover,
     r_components,
 )
@@ -35,7 +36,7 @@ from .cubes import (
 )
 from .errors import BudgetExceededError, ConfigError
 from .groups import LengthOracle, word_length
-from .suite import CHECKS, run_suite
+from .suite import run_suite
 from .wreath import WreathContext, WreathElement, kernel_window
 
 
@@ -199,18 +200,18 @@ def _cmd_length(args: argparse.Namespace) -> int:
 def _window_view(
     run: _Run, ctx: Any, window_radius: Fraction, kernel: bool
 ) -> GroupWindowView:
+    if kernel and not isinstance(ctx, WreathContext):
+        raise ConfigError("--kernel only applies to wreath contexts")
     oracle = LengthOracle(ctx, store=run.store, budget=run.setup.budget)
-    if kernel:
-        if not isinstance(ctx, WreathContext):
-            raise ConfigError("--kernel only applies to wreath contexts")
-        points = kernel_window(ctx, window_radius, budget=run.setup.budget, store=run.store)
-    else:
-        points = oracle.ball(window_radius).elements
     if 2 * window_radius - 1 > window_radius:
         try:  # prefilling the length table is an optimization; per-pair search works too
             oracle.ball(2 * window_radius - 1)
         except BudgetExceededError:
             pass
+    if kernel:
+        points = kernel_window(ctx, window_radius, oracle=oracle)
+    else:
+        points = oracle.ball(window_radius).elements
     return GroupWindowView(ctx, points, oracle)
 
 
@@ -222,11 +223,7 @@ def _cmd_components(args: argparse.Namespace) -> int:
     rows = []
     for r in _radii(args, run):
         comps = r_components(view, None, r)
-        worst = 0
-        for comp in comps:
-            for i, a in enumerate(comp):
-                for b in comp[i + 1 :]:
-                    worst = max(worst, view.dist(a, b))
+        worst = max_diameter(view, comps)
         rows.append(
             {
                 "name": args.name,
@@ -254,11 +251,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
         rows = []
         for r in _radii(args, run):
             bound = kernel_control_bound(ctx, r, base_oracle=base_oracle)
-            worst = 0
-            for comp in r_components(view, None, r):
-                for i, a in enumerate(comp):
-                    for b in comp[i + 1 :]:
-                        worst = max(worst, view.dist(a, b))
+            worst = max_diameter(view, r_components(view, None, r))
             rows.append(
                 {
                     "radius": str(r),
@@ -359,10 +352,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     wanted = args.checks.split(",") if args.checks else None
     if wanted is None and run.setup.checks is not None:
         wanted = list(run.setup.checks)
-    if wanted is not None:
-        for name in wanted:
-            if name not in CHECKS:
-                raise ConfigError(f"unknown check {name!r}; available: {', '.join(CHECKS)}")
     results = run_suite(run.setup, store=run.store, checks=wanted)
     rows = [
         {

@@ -203,20 +203,25 @@ class ControlMeasurement:
     value: int | Fraction
 
 
+def max_diameter(view: MetricView, components: Iterable[Sequence[Any]]) -> int | Fraction:
+    """Largest distance between two points of one component (0 if there is none)."""
+    worst: int | Fraction = 0
+    for comp in components:
+        for i, a in enumerate(comp):
+            for b in comp[i + 1 :]:
+                d = view.dist(a, b)
+                if d > worst:
+                    worst = d
+    return worst
+
+
 def component_diameters(view: MetricView, cover: Cover, r: Radius) -> ControlMeasurement:
     radius = as_radius(r)
     cover.require_covers(view.points)
     per_part = []
     for part in cover.parts:
         part_pts = [x for x in view.points if x in part]
-        worst: int | Fraction = 0
-        for comp in r_components(view, part_pts, radius):
-            for i, a in enumerate(comp):
-                for b in comp[i + 1 :]:
-                    d = view.dist(a, b)
-                    if d > worst:
-                        worst = d
-        per_part.append(worst)
+        per_part.append(max_diameter(view, r_components(view, part_pts, radius)))
     value = max(per_part) if per_part else 0
     return ControlMeasurement(radius, tuple(per_part), value)
 

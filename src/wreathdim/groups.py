@@ -949,10 +949,11 @@ def ball(
             return BallTable(ctx, radius, elements, lengths)
     space = ctx._search_space()
     dist = _bfs_lengths(space, max_length_below(radius), budget)
-    pairs = sorted(
-        ((ctx.encode(space.value_of(s)), space.value_of(s), l) for s, l in dist.items()),
-        key=lambda item: item[0],
-    )
+    pairs = []
+    for state, l in dist.items():
+        value = space.value_of(state)
+        pairs.append((ctx.encode(value), value, l))
+    pairs.sort()  # encodings are unique, so values are never compared
     elements = tuple(value for _, value, _ in pairs)
     lengths = {value: l for _, value, l in pairs}
     table = BallTable(ctx, radius, elements, lengths)

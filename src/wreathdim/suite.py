@@ -23,6 +23,7 @@ from .covers import (
     cover_of,
     growth_linear_bound,
     kernel_control_bound,
+    max_diameter,
     pullback_cover,
     r_components,
     vz_closure_constant,
@@ -169,17 +170,13 @@ class _Suite:
     def check_kernel_component_control(self) -> tuple[bool, dict]:
         """Kernel window components stay inside the (2r+1)*growth(r) diameter bound."""
         ctx = self.L2
-        window = kernel_window(ctx, 10, budget=self.budget, store=self.oracle_L2.store)
+        window = kernel_window(ctx, 10, oracle=self.oracle_L2)
         view = GroupWindowView(ctx, window, self.oracle_L2)
         rows = []
         for r in (1, 2, 3):
             bound = kernel_control_bound(ctx, r, base_oracle=self.oracle_Z)
-            worst = 0
             comps = r_components(view, None, r)
-            for comp in comps:
-                for i, a in enumerate(comp):
-                    for b in comp[i + 1 :]:
-                        worst = max(worst, view.dist(a, b))
+            worst = max_diameter(view, comps)
             rows.append(
                 {
                     "r": r,
@@ -246,7 +243,7 @@ class _Suite:
     def check_kernel_closure_cosets(self) -> tuple[bool, dict]:
         """Short-ball closures in the kernel stay below 8r and split components by coset."""
         ctx = self.L2
-        window = kernel_window(ctx, 10, budget=self.budget, store=self.oracle_L2.store)
+        window = kernel_window(ctx, 10, oracle=self.oracle_L2)
         view = GroupWindowView(ctx, window, self.oracle_L2)
         scale = vz_closure_constant(self.z_structure)
         if scale != 8:

@@ -11,6 +11,9 @@ indices are the kernel normal form, and the three word-length facts about
 them (a lower bound counting indices, a decomposition of arbitrary words,
 and an explicit short word through a virtually-Z structure on the base) are
 implemented here.
+
+Searches over every finite fiber run on one packed lamp state: an integer
+holding a fixed-width field per visited base position, plus the cursor.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from .encoding import EncodingError, read_uvarint, write_uvarint
 from .errors import StructureError
 from .groups import (
     Element,
+    LengthOracle,
     MarkedGroup,
     VirtuallyZStructure,
-    ball,
     vz_decompose,
 )
 
@@ -71,7 +74,6 @@ class WreathContext:
         self._base_id = base.identity()
         self._lamp_values = tuple(h for h in fiber.elements() if h != self._fiber_id)
         self._spec_hash: str | None = None
-        self._force_general_space = False
 
     # -- group structure ----------------------------------------------------
 
@@ -237,10 +239,8 @@ class WreathContext:
 
     # -- search ------------------------------------------------------------------------
 
-    def _search_space(self) -> Any:
-        if self.fiber.order() == 2 and not self._force_general_space:
-            return _PackedLampSpace(self)
-        return _LampSpace(self)
+    def _search_space(self) -> "_PackedLampSpace":
+        return _PackedLampSpace(self)
 
 
 def _split_top_level(text: str, sep: str) -> list[str]:
@@ -259,150 +259,76 @@ def _split_top_level(text: str, sep: str) -> list[str]:
     return parts
 
 
-class _PositionRegistry:
-    """Stable small-int ids for base positions discovered during one search."""
-
-    __slots__ = ("index", "positions")
-
-    def __init__(self) -> None:
-        self.index: dict[Element, int] = {}
-        self.positions: list[Element] = []
-
-    def id_of(self, pos: Element) -> int:
-        idx = self.index.get(pos)
-        if idx is None:
-            idx = len(self.positions)
-            self.index[pos] = idx
-            self.positions.append(pos)
-        return idx
-
-
 class _PackedLampSpace:
-    """BFS states for an order-2 fiber: (lamp bitmask, cursor value)."""
+    """BFS states for any finite fiber: (packed lamp fields, cursor value).
+
+    Each base position met during the search gets the next small-int id and
+    owns the ``width``-bit field at ``id * width`` of the mask.  The field holds
+    the index of the lamp's value in ``(identity, *lamp values)``, so an unlit
+    lamp is field 0 and the empty configuration is mask 0.
+    """
 
     def __init__(self, ctx: WreathContext):
         self.ctx = ctx
-        self.registry = _PositionRegistry()
-        self._moves = tuple(ctx.base.symmetric_generators())
-        self._h = ctx._lamp_values[0]
-        self._lamp_letter = WreathElement(((ctx._base_id, self._h),), ctx._base_id)
-        self._cursor_letters = tuple(WreathElement((), g) for g in self._moves)
+        fiber = ctx.fiber
+        self._values = (ctx._fiber_id, *ctx._lamp_values)
+        self._value_index = {v: i for i, v in enumerate(self._values)}
+        self._width = (len(self._values) - 1).bit_length()
+        self._full = (1 << self._width) - 1
+        # the k-th lamp letter turns field i into i ^ _flips[k][i]
+        self._flips = tuple(
+            tuple(i ^ self._value_index[fiber.multiply(v, h)] for i, v in enumerate(self._values))
+            for h in ctx._lamp_values
+        )
+        self._moves = ctx.base.symmetric_generators()
+        self._letters = ctx.symmetric_generators()  # lamp letters, then cursor moves
+        self._ids: dict[Element, int] = {}
+        self._positions: list[Element] = []
+        self._keys: list[bytes] = []
+
+    def _id_of(self, pos: Element) -> int:
+        idx = self._ids.get(pos)
+        if idx is None:
+            idx = self._ids[pos] = len(self._positions)
+            self._positions.append(pos)
+            self._keys.append(self.ctx.base.sort_key(pos))
+        return idx
 
     def identity_state(self) -> tuple[int, Element]:
         return (0, self.ctx._base_id)
 
     def state_of(self, value: WreathElement) -> tuple[int, Element]:
         mask = 0
-        for pos, _val in value.lamps:
-            mask |= 1 << self.registry.id_of(pos)
+        for pos, val in value.lamps:
+            mask |= self._value_index[val] << (self._id_of(pos) * self._width)
         return (mask, value.cursor)
 
     def value_of(self, state: tuple[int, Element]) -> WreathElement:
         mask, cursor = state
-        positions = []
+        width, full = self._width, self._full
+        lit = []
         idx = 0
         while mask:
-            if mask & 1:
-                positions.append(self.registry.positions[idx])
-            mask >>= 1
+            field = mask & full
+            if field:
+                lit.append((self._keys[idx], idx, field))
+            mask >>= width
             idx += 1
-        lamps = tuple(
-            sorted(
-                ((pos, self._h) for pos in positions),
-                key=lambda lamp: self.ctx.base.sort_key(lamp[0]),
-            )
-        )
+        lit.sort()
+        lamps = tuple((self._positions[idx], self._values[field]) for _, idx, field in lit)
         return WreathElement(lamps, cursor)
 
     def neighbors(self, state: tuple[int, Element]) -> list[tuple[int, Element]]:
         mask, cursor = state
-        base = self.ctx.base
-        out = [(mask ^ (1 << self.registry.id_of(cursor)), cursor)]
-        for g in self._moves:
-            out.append((mask, base.multiply(cursor, g)))
+        shift = self._id_of(cursor) * self._width
+        field = (mask >> shift) & self._full
+        out = [(mask ^ (flip[field] << shift), cursor) for flip in self._flips]
+        mul = self.ctx.base.multiply
+        out.extend((mask, mul(cursor, g)) for g in self._moves)
         return out
 
     def moves(self, state: tuple[int, Element]) -> list[tuple[WreathElement, tuple[int, Element]]]:
-        mask, cursor = state
-        base = self.ctx.base
-        out = [(self._lamp_letter, (mask ^ (1 << self.registry.id_of(cursor)), cursor))]
-        for letter, g in zip(self._cursor_letters, self._moves):
-            out.append((letter, (mask, base.multiply(cursor, g))))
-        return out
-
-
-class _LampSpace:
-    """BFS states for a general finite fiber: (sorted (pos id, value) tuple, cursor)."""
-
-    def __init__(self, ctx: WreathContext):
-        self.ctx = ctx
-        self.registry = _PositionRegistry()
-        self._moves = tuple(ctx.base.symmetric_generators())
-        self._lamp_letters = tuple(
-            (h, WreathElement(((ctx._base_id, h),), ctx._base_id)) for h in ctx._lamp_values
-        )
-        self._cursor_letters = tuple(WreathElement((), g) for g in self._moves)
-
-    def identity_state(self) -> tuple[tuple[tuple[int, Element], ...], Element]:
-        return ((), self.ctx._base_id)
-
-    def state_of(self, value: WreathElement) -> tuple[tuple[tuple[int, Element], ...], Element]:
-        lamps = tuple(
-            sorted((self.registry.id_of(pos), val) for pos, val in value.lamps)
-        )
-        return (lamps, value.cursor)
-
-    def value_of(self, state: tuple[tuple[tuple[int, Element], ...], Element]) -> WreathElement:
-        lamps, cursor = state
-        decoded = tuple(
-            sorted(
-                ((self.registry.positions[idx], val) for idx, val in lamps),
-                key=lambda lamp: self.ctx.base.sort_key(lamp[0]),
-            )
-        )
-        return WreathElement(decoded, cursor)
-
-    def _toggle(
-        self,
-        lamps: tuple[tuple[int, Element], ...],
-        idx: int,
-        h: Element,
-    ) -> tuple[tuple[int, Element], ...]:
-        fiber = self.ctx.fiber
-        out = list(lamps)
-        for k, (pos_id, val) in enumerate(out):
-            if pos_id == idx:
-                new = fiber.multiply(val, h)
-                if new == self.ctx._fiber_id:
-                    del out[k]
-                else:
-                    out[k] = (pos_id, new)
-                return tuple(out)
-            if pos_id > idx:
-                out.insert(k, (idx, h))
-                return tuple(out)
-        out.append((idx, h))
-        return tuple(out)
-
-    def neighbors(self, state: Any) -> list[Any]:
-        lamps, cursor = state
-        base = self.ctx.base
-        idx = self.registry.id_of(cursor)
-        out = [(self._toggle(lamps, idx, h), cursor) for h, _ in self._lamp_letters]
-        for g in self._moves:
-            out.append((lamps, base.multiply(cursor, g)))
-        return out
-
-    def moves(self, state: Any) -> list[tuple[WreathElement, Any]]:
-        lamps, cursor = state
-        base = self.ctx.base
-        idx = self.registry.id_of(cursor)
-        out = [
-            (letter, (self._toggle(lamps, idx, h), cursor)) for h, letter in self._lamp_letters
-        ]
-        for letter, g in zip(self._cursor_letters, self._moves):
-            out.append((letter, (lamps, base.multiply(cursor, g))))
-        return out
+        return list(zip(self._letters, self.neighbors(state)))
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +466,15 @@ def kernel_window(
     ctx: WreathContext,
     r: Any,
     *,
-    budget: int | None = None,
-    store: Any = None,
+    oracle: LengthOracle | None = None,
 ) -> tuple[WreathElement, ...]:
-    """Kernel elements of the open ball of radius ``r``, in canonical order."""
-    table = ball(ctx, r, budget=budget, store=store)
-    return tuple(w for w in table.elements if w.cursor == ctx._base_id)
+    """Kernel elements of the open ball of radius ``r``, in canonical order.
+
+    The ball comes from ``oracle`` (a fresh one for ``ctx`` if omitted), so a
+    larger ball the oracle already holds is filtered instead of searched again.
+    """
+    if oracle is None:
+        oracle = LengthOracle(ctx)
+    elif oracle.ctx is not ctx and oracle.ctx.spec_string() != ctx.spec_string():
+        raise StructureError("the oracle measures a different marked group than the window")
+    return tuple(w for w in oracle.ball(r).elements if w.cursor == ctx._base_id)

@@ -11,12 +11,18 @@ import hashlib
 import pytest
 
 from wreathdim import (
+    DEFAULT_BUDGET,
     CyclicGroup,
     EncodingError,
+    IntegerGroup,
+    LengthOracle,
+    ProductGroup,
     StructureError,
+    TableGroup,
     VirtuallyZStructure,
     WreathContext,
     WreathElement,
+    as_radius,
     ball,
     bulb,
     bulb_decompose,
@@ -27,10 +33,12 @@ from wreathdim import (
     growth,
     kernel_bulbs,
     kernel_window,
+    max_length_below,
     minimal_word,
     word_length,
 )
 from wreathdim.encoding import encode_uvarint
+from wreathdim.groups import _bfs_lengths, _CayleySpace
 
 
 # -- construction -----------------------------------------------------------
@@ -222,14 +230,47 @@ def test_two_bulb_product_length(lamplighter):
     assert word_length(lamplighter, g) == 6
 
 
-def test_packed_and_general_state_spaces_agree(c2, z):
-    reference = WreathContext(c2, z)
-    general = WreathContext(c2, z)
-    general._force_general_space = True
-    a = ball(reference, 6)
-    b = ball(general, 6)
-    assert a.elements == b.elements
-    assert all(a.lengths[g] == b.lengths[g] for g in a.elements)
+def _s3_identity_not_row_0() -> TableGroup:
+    # S3 as permutations of 0..2, listed so the identity is row 1
+    perms = [(1, 0, 2), (0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0)]
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[k]] for k in range(3))] for q in perms] for p in perms]
+    return TableGroup(table, (0, 2))
+
+
+@pytest.mark.parametrize(
+    ("make_ctx", "r", "small_r"),
+    [
+        pytest.param(lambda: WreathContext(CyclicGroup(2), IntegerGroup()), 7, 5, id="C2-Z"),
+        pytest.param(lambda: WreathContext(CyclicGroup(3), IntegerGroup()), 5, 4, id="C3-Z"),
+        pytest.param(
+            lambda: WreathContext(_s3_identity_not_row_0(), IntegerGroup()), 4, 3, id="S3-Z"
+        ),
+        pytest.param(
+            lambda: WreathContext(CyclicGroup(3), ProductGroup(IntegerGroup(), IntegerGroup())),
+            4,
+            3,
+            id="C3-Z2",
+        ),
+    ],
+)
+def test_packed_space_matches_cayley_bfs(make_ctx, r, small_r):
+    ctx = make_ctx()
+    reference = _bfs_lengths(_CayleySpace(ctx), max_length_below(as_radius(r)), DEFAULT_BUDGET)
+    table = ball(ctx, r)
+    assert table.elements == tuple(sorted(reference, key=ctx.encode))
+    assert table.lengths == reference
+    space = ctx._search_space()
+    for g in ball(ctx, small_r).elements:
+        assert word_length(ctx, g) == reference[g]
+        word = minimal_word(ctx, g)
+        assert len(word) == reference[g]
+        assert evaluate_word(ctx, word) == g
+        state = space.state_of(g)
+        assert space.value_of(state) == g
+        assert [(letter, space.value_of(other)) for letter, other in space.moves(state)] == [
+            (s, ctx.multiply(g, s)) for s in ctx.symmetric_generators()
+        ]
 
 
 def test_minimal_word_round_trip(lamplighter):
@@ -365,6 +406,14 @@ def test_kernel_window_frozen_small(lamplighter):
 def test_kernel_window_counts(lamplighter):
     assert len(kernel_window(lamplighter, 3)) == 2
     assert len(kernel_window(lamplighter, 10)) == 38
+
+
+def test_kernel_window_filters_a_larger_oracle_ball(lamplighter, plane_lamplighter):
+    oracle = LengthOracle(lamplighter)
+    oracle.ball(9)
+    assert kernel_window(lamplighter, 6, oracle=oracle) == kernel_window(lamplighter, 6)
+    with pytest.raises(StructureError):
+        kernel_window(lamplighter, 6, oracle=LengthOracle(plane_lamplighter))
 
 
 def test_kernel_window_has_identity_cursor(plane_lamplighter):
