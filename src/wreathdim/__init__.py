@@ -82,10 +82,8 @@ from .cubes import (
     l1,
     lattice_cover_witness,
     lattice_points,
-    max_cube_spread,
     sampled_lattice_search,
     verify_cube_edges,
-    verify_unit_lipschitz,
 )
 from .ballstore import BallRecord, BallStore, default_store
 from .config import DEFAULT_CONFIG, ExperimentSetup, default_setup, load_config, parse_config

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .covers import Cover, ExplicitMetricView, MetricView, lebesgue_ok, r_components
+from .covers import Cover, MetricView, lebesgue_ok
 from .groups import Element, LengthOracle, as_radius
-from .wreath import BulbProduct, WreathContext, bulb_product, kernel_bulbs
+from .wreath import WreathContext, bulb_product, kernel_bulbs
 
 Point = tuple[int, ...]
 
@@ -34,10 +35,6 @@ def lattice_points(n: int, k: int) -> tuple[Point, ...]:
     return tuple(itertools.product(range(k + 1), repeat=n))
 
 
-def lattice_view(n: int, k: int) -> ExplicitMetricView:
-    return ExplicitMetricView(lattice_points(n, k), l1)
-
-
 @dataclass(frozen=True)
 class LatticeOutcome:
     """Result of the cover-witness search on one lattice cover."""
@@ -45,6 +42,84 @@ class LatticeOutcome:
     hypothesis_ok: bool
     violator: Point | None
     witness: tuple[int, Point, Point] | None
+
+
+def _bits(indices: Iterable[int]) -> int:
+    mask = 0
+    for j in indices:
+        mask |= 1 << j
+    return mask
+
+
+def _members(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _LatticeScanner:
+    """The lattice {0..k}^n with point sets held as index bitsets.
+
+    Bit j stands for ``points[j]`` (lexicographic order).  Built once per
+    sweep, it judges one cover per call, given as one point bitset per part.
+    """
+
+    def __init__(self, n: int, k: int, num_parts: int):
+        if num_parts > n:
+            raise ValueError(
+                f"the witness claim pairs parts with coordinates; at most {n} parts allowed"
+            )
+        self.num_parts = num_parts
+        self.radix = (1 << num_parts) - 1
+        self.digit_parts = [
+            [i for i in range(num_parts) if (d + 1) >> i & 1] for d in range(self.radix)
+        ]
+        self.points = pts = lattice_points(n, k)
+        self.balls = [_bits(j for j, y in enumerate(pts) if l1(x, y) <= n) for x in pts]
+        self.steps = [_bits(j for j, y in enumerate(pts) if l1(x, y) == 1) for x in pts]
+        # far[i][j]: the points whose i-th coordinate is k away from that of points[j]
+        self.far = [
+            [_bits(b for b, y in enumerate(pts) if abs(x[i] - y[i]) == k) for x in pts]
+            for i in range(num_parts)
+        ]
+
+    def parts_of(self, code: int) -> list[int]:
+        # Base (2**p - 1) digits, one per point; digit + 1 is the point's part bitmask.
+        parts = [0] * self.num_parts
+        for j in range(len(self.points)):
+            code, digit = divmod(code, self.radix)
+            for i in self.digit_parts[digit]:
+                parts[i] |= 1 << j
+        return parts
+
+    def outcome(self, parts: Sequence[int]) -> LatticeOutcome:
+        """Check the open-(n+1)-ball hypothesis, then find the first k-spread pair."""
+        for j, ball in enumerate(self.balls):
+            if not any(ball & part == ball for part in parts):
+                return LatticeOutcome(False, self.points[j], None)
+        for i, part in enumerate(parts):
+            unseen = part
+            while unseen:
+                comp = self._component(unseen & -unseen, part)
+                unseen ^= comp
+                for a in _members(comp):
+                    later = comp & self.far[i][a] & ~((2 << a) - 1)
+                    if later:
+                        b = (later & -later).bit_length() - 1
+                        return LatticeOutcome(True, None, (i + 1, self.points[a], self.points[b]))
+        return LatticeOutcome(True, None, None)
+
+    def _component(self, seed: int, part: int) -> int:
+        # The 2-component of ``part`` holding ``seed``: chains of unit steps.
+        comp = frontier = seed
+        while frontier:
+            reach = 0
+            for j in _members(frontier):
+                reach |= self.steps[j]
+            frontier = reach & part & ~comp
+            comp |= frontier
+        return comp
 
 
 def lattice_cover_witness(n: int, k: int, parts: Sequence[Iterable[Point]]) -> LatticeOutcome:
@@ -55,29 +130,13 @@ def lattice_cover_witness(n: int, k: int, parts: Sequence[Iterable[Point]]) -> L
     (part, component, lex) order is returned.  A missing witness on a
     hypothesis-satisfying cover would refute the underlying fact.
     """
-    points = lattice_points(n, k)
-    part_sets = [frozenset(p) for p in parts]
-    if len(part_sets) > n:
-        raise ValueError(
-            f"the witness claim pairs parts with coordinates; at most {n} parts allowed"
-        )
-    covered = set().union(*part_sets) if part_sets else set()
-    for x in points:
-        if x not in covered:
+    scanner = _LatticeScanner(n, k, len(parts))
+    index = {x: j for j, x in enumerate(scanner.points)}
+    masks = [_bits(index[x] for x in part if x in index) for part in parts]
+    for j, x in enumerate(scanner.points):
+        if not any(mask >> j & 1 for mask in masks):
             raise ValueError(f"parts do not cover the lattice point {x}")
-    for x in points:
-        ball = [y for y in points if l1(x, y) <= n]
-        if not any(all(y in part for y in ball) for part in part_sets):
-            return LatticeOutcome(False, x, None)
-    view = lattice_view(n, k)
-    for index, part in enumerate(part_sets, start=1):
-        part_pts = [x for x in points if x in part]
-        for comp in r_components(view, part_pts, 2):
-            for a in comp:
-                for b in comp:
-                    if a < b and abs(a[index - 1] - b[index - 1]) == k:
-                        return LatticeOutcome(True, None, (index, a, b))
-    return LatticeOutcome(True, None, None)
+    return scanner.outcome(masks)
 
 
 @dataclass(frozen=True)
@@ -93,57 +152,27 @@ class LatticeSearchReport:
     failures: tuple[int, ...]  # assignment codes passing the hypothesis without a witness
 
 
-def _decode_assignment(code: int, num_points: int, num_parts: int) -> list[int]:
-    # Base (2**p - 1) digits, one per point; digit + 1 is the part bitmask.
-    radix = (1 << num_parts) - 1
-    masks = []
-    for _ in range(num_points):
-        code, digit = divmod(code, radix)
-        masks.append(digit + 1)
-    return masks
-
-
 def _scan_lattice_codes(
-    args: tuple[int, int, int, int, int]
+    task: tuple[_LatticeScanner, Iterable[int]]
 ) -> tuple[int, int, list[int]]:
-    n, k, num_parts, start, stop = args
-    points = lattice_points(n, k)
-    num_points = len(points)
-    balls = [
-        tuple(j for j, y in enumerate(points) if l1(x, y) <= n) for x in points
-    ]
-    view = lattice_view(n, k)
-    hypothesis_count = 0
-    witness_count = 0
+    scanner, codes = task
+    hypothesis_count = witness_count = 0
     failures: list[int] = []
-    for code in range(start, stop):
-        masks = _decode_assignment(code, num_points, num_parts)
-        ok = True
-        for j in range(num_points):
-            ball = balls[j]
-            if not any(
-                all(masks[m] & (1 << i) for m in ball) for i in range(num_parts)
-            ):
-                ok = False
-                break
-        if not ok:
+    for code in codes:
+        outcome = scanner.outcome(scanner.parts_of(code))
+        if not outcome.hypothesis_ok:
             continue
         hypothesis_count += 1
-        found = False
-        for index in range(1, min(n, num_parts) + 1):
-            part_pts = [points[j] for j in range(num_points) if masks[j] & (1 << (index - 1))]
-            for comp in r_components(view, part_pts, 2):
-                coords = [p[index - 1] for p in comp]
-                if max(coords) - min(coords) == k:
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            witness_count += 1
-        else:
+        if outcome.witness is None:
             failures.append(code)
+        else:
+            witness_count += 1
     return hypothesis_count, witness_count, failures
+
+
+def _pool_size(workers: int, cpus: int, chunks: int) -> int:
+    """Processes worth starting: no more than requested, than CPUs, or than chunks."""
+    return max(1, min(workers, cpus, chunks))
 
 
 def exhaustive_lattice_search(
@@ -155,45 +184,32 @@ def exhaustive_lattice_search(
     witness; assignment codes that do not are reported as failures.  The
     report is identical for any worker count.
     """
-    if num_parts > n:
-        raise ValueError(f"at most {n} parts allowed for the witness claim")
-    num_points = (k + 1) ** n
-    radix = (1 << num_parts) - 1
-    total = radix**num_points
-    if workers <= 1:
-        h, w, failures = _scan_lattice_codes((n, k, num_parts, 0, total))
+    scanner = _LatticeScanner(n, k, num_parts)
+    total = scanner.radix ** len(scanner.points)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    size = _pool_size(workers, cpus or 1, total)
+    chunk = max(1, -(-total // size))
+    tasks = [(scanner, range(lo, min(lo + chunk, total))) for lo in range(0, total, chunk)]
+    if size == 1:
+        results = list(map(_scan_lattice_codes, tasks))
     else:
-        chunk = -(-total // workers)
-        tasks = [
-            (n, k, num_parts, lo, min(lo + chunk, total))
-            for lo in range(0, total, chunk)
-        ]
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(size) as pool:
             results = pool.map(_scan_lattice_codes, tasks)
-        h = sum(res[0] for res in results)
-        w = sum(res[1] for res in results)
-        failures = [code for res in results for code in res[2]]
-    return LatticeSearchReport(
-        n, k, num_parts, total, h, w, tuple(sorted(failures))
-    )
+    h = sum(res[0] for res in results)
+    w = sum(res[1] for res in results)
+    failures = [code for res in results for code in res[2]]
+    return LatticeSearchReport(n, k, num_parts, total, h, w, tuple(sorted(failures)))
 
 
 def sampled_lattice_search(
     n: int, k: int, num_parts: int, samples: int, *, seed: int = 0
 ) -> LatticeSearchReport:
     """Same tally over a seeded random sample of assignment codes."""
-    num_points = (k + 1) ** n
-    radix = (1 << num_parts) - 1
-    total = radix**num_points
+    scanner = _LatticeScanner(n, k, num_parts)
+    total = scanner.radix ** len(scanner.points)
     rng = random.Random(seed)
-    h = w = 0
-    failures: list[int] = []
-    for _ in range(samples):
-        code = rng.randrange(total)
-        dh, dw, df = _scan_lattice_codes((n, k, num_parts, code, code + 1))
-        h += dh
-        w += dw
-        failures.extend(df)
+    codes = (rng.randrange(total) for _ in range(samples))
+    h, w, failures = _scan_lattice_codes((scanner, codes))
     return LatticeSearchReport(n, k, num_parts, samples, h, w, tuple(sorted(failures)))
 
 
@@ -284,17 +300,6 @@ def cube_obstruction(view: MetricView, cover: Cover, cube: RCube) -> CubeObstruc
     index, a, b = outcome.witness
     separation = view.dist(cube.vertices[a], cube.vertices[b])
     return CubeObstruction(index, a, b, cube.k, separation)
-
-
-def max_cube_spread(control_value: int | Fraction, lip_inv: int | Fraction) -> int:
-    """Largest k an r-cube with inverse-Lipschitz constant ``lip_inv`` can have.
-
-    k <= control_value * lip_inv, rounded down.
-    """
-    bound = Fraction(control_value) * Fraction(lip_inv)
-    if bound < 0:
-        raise ValueError("control value and Lipschitz constant must be nonnegative")
-    return bound.numerator // bound.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +403,6 @@ def lipschitz_pairs(
         diff = kernel_bulbs(ctx, ctx.multiply(ctx.inverse(ga), gb))
         out.append((a, b, l1(a, b), len(diff.bulbs)))
     return out
-
-
-def verify_unit_lipschitz(kcube: KernelCube, **kwargs: Any) -> None:
-    """Raise unless every checked vertex pair has separation >= its l1 distance."""
-    for a, b, want, got in lipschitz_pairs(kcube, **kwargs):
-        if got < want:
-            raise ValueError(
-                f"vertex pair {a}, {b} separates only {got} indices; needs {want}"
-            )
 
 
 @dataclass

@@ -86,7 +86,6 @@ class _Suite:
         """Every product of n <= 4 bulbs at distinct positions |e| <= 3 has length >= n."""
         ctx = self.L2
         lamp = ctx.fiber.elements()[1]
-        self.oracle_L2.ball(17)  # prefill: every product below has length <= 16
         checked = 0
         worst_margin = None
         max_len = 0

@@ -192,6 +192,14 @@ def test_lattice_sampled(capsys):
     assert res["failures"] == []
 
 
+def test_lattice_sampled_rejects_more_parts_than_coordinates(capsys):
+    rc = main(["lattice", "--n", "1", "--k", "2", "--parts", "2", "--samples", "200"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "at most 1 parts" in captured.err
+
+
 # -- verify --------------------------------------------------------------------
 
 

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
+import os
+import random
 from fractions import Fraction
 
 import pytest
 
 from wreathdim import (
+    ExplicitMetricView,
     GroupWindowView,
+    LatticeOutcome,
     LengthOracle,
     ProductGroup,
     RCube,
@@ -20,12 +26,12 @@ from wreathdim import (
     l1,
     lattice_cover_witness,
     lattice_points,
-    max_cube_spread,
+    r_components,
     sampled_lattice_search,
     verify_cube_edges,
-    verify_unit_lipschitz,
     word_length,
 )
+from wreathdim.cubes import _pool_size
 
 
 # -- lattice geometry ---------------------------------------------------------
@@ -78,6 +84,54 @@ def test_witness_rejects_more_parts_than_coordinates():
         lattice_cover_witness(1, 2, [[(0,), (1,)], [(1,), (2,)]])
 
 
+def _cover(n, k, num_parts, code):
+    # Base (2**p - 1) digits, one per lattice point; digit + 1 is its part bitmask.
+    radix = (1 << num_parts) - 1
+    parts = [[] for _ in range(num_parts)]
+    for x in lattice_points(n, k):
+        code, digit = divmod(code, radix)
+        for i in range(num_parts):
+            if (digit + 1) >> i & 1:
+                parts[i].append(x)
+    return parts
+
+
+def _reference_outcome(n, k, parts):
+    """The lattice lemma's check straight from its definitions, for comparison."""
+    points = lattice_points(n, k)
+    view = ExplicitMetricView(points, l1)
+    part_sets = [set(part) for part in parts]
+    for x in points:
+        ball = {y for y in points if l1(x, y) <= n}
+        if not any(ball <= part for part in part_sets):
+            return LatticeOutcome(False, x, None)
+    for i, part in enumerate(part_sets, start=1):
+        for comp in r_components(view, [x for x in points if x in part], 2):
+            for a, b in itertools.combinations(comp, 2):
+                if abs(a[i - 1] - b[i - 1]) == k:
+                    return LatticeOutcome(True, None, (i, a, b))
+    return LatticeOutcome(True, None, None)
+
+
+def test_witness_matches_reference_on_every_small_cover():
+    for code in range(81):
+        parts = _cover(2, 1, 2, code)
+        assert lattice_cover_witness(2, 1, parts) == _reference_outcome(2, 1, parts), code
+
+
+def test_witness_matches_reference_on_seeded_covers():
+    rng = random.Random(0)
+    outcomes = []
+    for _ in range(300):
+        # Points in both parts are drawn more often, so the hypothesis often holds.
+        digits = rng.choices(range(3), weights=(1, 1, 4), k=9)
+        parts = _cover(2, 2, 2, sum(d * 3**j for j, d in enumerate(digits)))
+        outcome = lattice_cover_witness(2, 2, parts)
+        assert outcome == _reference_outcome(2, 2, parts), parts
+        outcomes.append(outcome)
+    assert any(o.witness for o in outcomes) and any(o.violator for o in outcomes)
+
+
 # -- exhaustive sweeps -----------------------------------------------------------
 
 
@@ -98,6 +152,16 @@ def test_exhaustive_search_trivial_line():
     assert report.witness_count == 1
 
 
+def test_exhaustive_search_tallies_single_cover_outcomes():
+    outcomes = [lattice_cover_witness(2, 1, _cover(2, 1, 2, code)) for code in range(81)]
+    report = exhaustive_lattice_search(2, 1, 2)
+    assert report.hypothesis_count == sum(o.hypothesis_ok for o in outcomes)
+    assert report.witness_count == sum(o.witness is not None for o in outcomes)
+    assert report.failures == tuple(
+        code for code, o in enumerate(outcomes) if o.hypothesis_ok and o.witness is None
+    )
+
+
 def test_exhaustive_search_worker_count_is_immaterial():
     assert exhaustive_lattice_search(2, 1, 2, workers=2) == exhaustive_lattice_search(
         2, 1, 2
@@ -109,12 +173,37 @@ def test_exhaustive_search_rejects_excess_parts():
         exhaustive_lattice_search(1, 2, 2)
 
 
+def test_pool_size_is_bounded_by_cpus_and_chunks():
+    assert _pool_size(10**9, 2, 10**12) == 2
+    assert _pool_size(10**9, 10**6, 3) == 3
+    assert _pool_size(4, 10**6, 10**12) == 4
+    assert _pool_size(10**9, 10**6, 0) == 1
+    assert _pool_size(0, 8, 8) == 1
+
+
+def test_huge_worker_count_on_one_cpu_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-CPU sweep must run in this process")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert exhaustive_lattice_search(2, 1, 2, workers=10**9) == exhaustive_lattice_search(
+        2, 1, 2
+    )
+
+
 def test_sampled_search_is_seeded():
     a = sampled_lattice_search(2, 2, 2, 50, seed=7)
     b = sampled_lattice_search(2, 2, 2, 50, seed=7)
     assert a == b
     assert a.assignments == 50
     assert a.failures == ()
+
+
+def test_sampled_search_rejects_excess_parts():
+    with pytest.raises(ValueError, match="at most 1 parts"):
+        sampled_lattice_search(1, 2, 2, 200, seed=0)
 
 
 # -- r-cubes ---------------------------------------------------------------------
@@ -186,12 +275,6 @@ def test_cube_obstruction_rejects_excess_parts():
         cube_obstruction(view, two_parts, cube)
 
 
-def test_max_cube_spread_floor():
-    assert max_cube_spread(Fraction(15, 2), 2) == 15
-    assert max_cube_spread(3, 1) == 3
-    assert max_cube_spread(Fraction(1, 2), 1) == 0
-
-
 # -- kernel cubes -------------------------------------------------------------------
 
 
@@ -250,11 +333,6 @@ def test_build_kernel_cube_exact_fit(lamplighter):
     assert (kcube.cube.n, kcube.cube.k) == (3, 1)
 
 
-def test_verify_unit_lipschitz_on_built_cubes(lamplighter, plane_lamplighter):
-    verify_unit_lipschitz(build_kernel_cube(lamplighter, 1, 3))
-    verify_unit_lipschitz(build_kernel_cube(plane_lamplighter, 2, 2))
-
-
 # -- certificates --------------------------------------------------------------------
 
 
@@ -289,3 +367,11 @@ def test_certificate_plane_instance(plane_lamplighter):
     assert payload["k"] == 2
     assert payload["claim"]["control_lower_bound"] == 2
     assert len(payload["pairs"]) == 36
+
+
+@pytest.mark.parametrize("fixture, n, r", [("lamplighter", 1, 3), ("plane_lamplighter", 2, 2)])
+def test_certificate_separates_every_vertex_pair_by_l1(request, fixture, n, r):
+    cert = growth_lower_bound_certificate(request.getfixturevalue(fixture), n, r)
+    vertices = (cert.kcube.cube.k + 1) ** n
+    assert len(cert.pair_evidence) == vertices * (vertices - 1) // 2
+    assert all(sep == dist for _, _, dist, sep in cert.pair_evidence)
