@@ -55,6 +55,7 @@ from .covers import (
     LebesgueCheck,
     MetricView,
     PullbackControl,
+    ball_window,
     component_diameters,
     control_sample,
     coset_cover,

@@ -22,6 +22,7 @@ from .ballstore import BallStore, default_store
 from .config import ExperimentSetup, default_setup, load_config, parse_radii
 from .covers import (
     GroupWindowView,
+    ball_window,
     component_diameters,
     cover_of,
     kernel_control_bound,
@@ -37,7 +38,7 @@ from .cubes import (
 from .errors import BudgetExceededError, ConfigError
 from .groups import LengthOracle, word_length
 from .suite import run_suite
-from .wreath import WreathContext, WreathElement, kernel_window
+from .wreath import WreathContext, kernel_window
 
 
 @dataclass
@@ -203,16 +204,9 @@ def _window_view(
     if kernel and not isinstance(ctx, WreathContext):
         raise ConfigError("--kernel only applies to wreath contexts")
     oracle = LengthOracle(ctx, store=run.store, budget=run.setup.budget)
-    if 2 * window_radius - 1 > window_radius:
-        try:  # prefilling the length table is an optimization; per-pair search works too
-            oracle.ball(2 * window_radius - 1)
-        except BudgetExceededError:
-            pass
     if kernel:
-        points = kernel_window(ctx, window_radius, oracle=oracle)
-    else:
-        points = oracle.ball(window_radius).elements
-    return GroupWindowView(ctx, points, oracle)
+        return GroupWindowView(ctx, kernel_window(ctx, window_radius, oracle=oracle), oracle)
+    return ball_window(oracle, window_radius)
 
 
 def _cmd_components(args: argparse.Namespace) -> int:
@@ -265,27 +259,15 @@ def _cmd_control(args: argparse.Namespace) -> int:
         return 0
     r = Fraction(args.r)
     view = _window_view(run, ctx, window_radius, kernel=False)
-    sub = ctx.base
-    sub_oracle = LengthOracle(sub, store=run.store, budget=run.setup.budget)
     span = args.sub_window
-    sub_points = [sub.parse_element(str(a)) for a in range(-span, span + 1)]
-    sub_view = GroupWindowView(sub, sub_points, sub_oracle)
+    sub_points = [ctx.base.parse_element(str(a)) for a in range(-span, span + 1)]
+    sub_view = GroupWindowView(ctx.base, sub_points, base_oracle)
     period, length = args.cover_period, args.cover_length
     parts = [
         {a for a in sub_points if ((a - j * period) % (2 * period)) <= length}
         for j in (0, 1)
     ]
-    result = pullback_cover(
-        ctx,
-        view.points,
-        sub,
-        project=lambda w: w.cursor,
-        embed=lambda a: WreathElement((), a),
-        sub_view=sub_view,
-        sub_cover=cover_of(parts),
-        r=r,
-        kernel_bound=lambda rr: kernel_control_bound(ctx, rr, base_oracle=base_oracle),
-    )
+    result = pullback_cover(view, sub_view, cover_of(parts), r)
     measured = component_diameters(view, result.cover, r)
     rows = [
         {
@@ -330,7 +312,9 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         )
         mode = "sampled"
     else:
-        report = exhaustive_lattice_search(args.n, args.k, args.parts, workers=run.setup.workers)
+        report = exhaustive_lattice_search(
+            args.n, args.k, args.parts, workers=run.setup.workers, budget=run.setup.budget
+        )
         mode = "exhaustive"
     results = {
         "mode": mode,

@@ -18,6 +18,7 @@ from typing import Iterable
 
 from .errors import ConfigError, EncodingError, StructureError
 from .groups import (
+    DEFAULT_BUDGET,
     CyclicGroup,
     FreeGroup,
     IntegerGroup,
@@ -28,8 +29,6 @@ from .groups import (
     VirtuallyZStructure,
 )
 from .wreath import WreathContext
-
-DEFAULT_BUDGET = 10_000_000
 
 #: Configuration equivalent to what `wreathdim verify` uses with no --config.
 DEFAULT_CONFIG = """\
@@ -351,7 +350,7 @@ def parse_config(text: str) -> ExperimentSetup:
         if "seed" in exp:
             setup.seed = _section_int(exp, "experiment", "seed")
         if "checks" in exp:
-            setup.checks = tuple(exp["checks"].split())
+            setup.checks = tuple(exp["checks"].replace(",", " ").split())
     return setup
 
 

@@ -24,6 +24,7 @@ from .groups import (
     as_radius,
     max_length_below,
 )
+from .wreath import WreathContext
 
 Radius = int | Fraction
 
@@ -113,6 +114,21 @@ class GroupWindowView(MetricView):
             if y != x and y in members:
                 out.append(y)
         return out
+
+
+def ball_window(oracle: LengthOracle, radius: Radius) -> GroupWindowView:
+    """The open ball of ``radius`` as a window, with every pair distance prefilled.
+
+    Two points of the ball are at distance at most twice its largest length,
+    so one larger ball search measures every pair; at scales >= 2 the whole
+    ball is one component, and every pair does get measured.  Under a budget
+    too small for that ball, each pair gets its own search instead.
+    """
+    try:
+        oracle.ball(2 * max_length_below(as_radius(radius)) + 1)
+    except BudgetExceededError:
+        pass
+    return GroupWindowView(oracle.ctx, oracle.ball(radius).elements, oracle)
 
 
 @dataclass(frozen=True)
@@ -348,7 +364,7 @@ def growth_linear_bound(structure: VirtuallyZStructure, r: Radius) -> Fraction:
 
 @dataclass(frozen=True)
 class PullbackControl:
-    """A cover pulled back through a retraction, with its predicted control value."""
+    """A base cover pulled back through the cursor projection, with its predicted control value."""
 
     cover: Cover
     base_control: int | Fraction
@@ -356,52 +372,34 @@ class PullbackControl:
 
 
 def pullback_cover(
-    ctx: Any,
-    window: Sequence[Element],
-    sub: Any,
-    project: Callable[[Element], Element],
-    embed: Callable[[Element], Element],
-    sub_view: MetricView,
-    sub_cover: Cover,
-    r: Radius,
-    *,
-    kernel_bound: Callable[[Fraction], Fraction],
+    view: GroupWindowView, sub_view: GroupWindowView, sub_cover: Cover, r: Radius
 ) -> PullbackControl:
-    """Pull a controlled cover of a retract back to a window of the whole group.
+    """Pull a controlled cover of the base group back to a window of its wreath product.
 
-    ``project`` must be a retraction homomorphism onto ``sub`` (checked on the
-    window and on the marked generators), and ``sub_cover`` must have Lebesgue
-    number >= r on ``sub_view``.  The predicted control value at scale r is
-    ``d + kernel_bound(r + 2d)`` where d is the sub-cover's control value.
+    ``view`` is a window of ``H wr G`` and ``sub_view`` a window of G; a point
+    of ``view`` lies in the pulled-back part of each part holding its cursor.
+    ``sub_cover`` must have Lebesgue number >= r on ``sub_view``.  With d the
+    sub-cover's control value, the predicted control value at scale r is
+    ``d`` plus the kernel control bound at ``r + 2d``.
     """
     radius = as_radius(r)
-    for g in sub.generators:
-        if embed(g) not in ctx.symmetric_generators():
-            raise ValueError(
-                f"embedded generator {sub.format_element(g)} is not a marked generator"
-            )
-    for a in sub_view.points:
-        if project(embed(a)) != a:
-            raise ValueError(f"projection does not retract {sub.format_element(a)}")
-    for x in window:
-        px = project(x)
-        for s in ctx.symmetric_generators():
-            if project(ctx.multiply(x, s)) != sub.multiply(px, project(s)):
-                raise ValueError("projection is not a homomorphism on the window")
+    ctx, sub = view.ctx, sub_view.ctx
+    if not isinstance(ctx, WreathContext) or (
+        sub is not ctx.base and sub.spec_string() != ctx.base.spec_string()
+    ):
+        raise StructureError("the sub-window must lie in the base group of a wreath window")
     leb = lebesgue_ok(sub_view, sub_cover, radius)
     if not leb.ok:
         raise ValueError(
             f"sub-cover has Lebesgue number below {radius} "
             f"(witness {sub.format_element(leb.witness)})"
         )
-    meas = component_diameters(sub_view, sub_cover, radius)
-    d = meas.value
-    predicted = d + kernel_bound(radius + 2 * d)
-    parts = tuple(
-        frozenset(x for x in window if project(x) in part) for part in sub_cover.parts
+    d = component_diameters(sub_view, sub_cover, radius).value
+    predicted = d + kernel_control_bound(ctx, radius + 2 * d, base_oracle=sub_view.oracle)
+    cover = Cover(
+        tuple(frozenset(x for x in view.points if x.cursor in part) for part in sub_cover.parts)
     )
-    cover = Cover(parts)
-    cover.require_covers(window)
+    cover.require_covers(view.points)
     return PullbackControl(cover, d, predicted)
 
 

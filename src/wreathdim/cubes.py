@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .covers import Cover, MetricView, lebesgue_ok
-from .groups import Element, LengthOracle, as_radius
+from .errors import BudgetExceededError
+from .groups import DEFAULT_BUDGET, Element, LengthOracle, as_radius
 from .wreath import WreathContext, bulb_product, kernel_bulbs
 
 Point = tuple[int, ...]
@@ -58,6 +59,16 @@ def _members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_lattice_shape(n: int, k: int, num_parts: int) -> None:
+    for field, value in (("n", n), ("k", k), ("num_parts", num_parts)):
+        if value < 1:
+            raise ValueError(f"lattice {field} must be at least 1, got {value}")
+    if num_parts > n:
+        raise ValueError(
+            f"the witness claim pairs parts with coordinates; at most {n} parts allowed"
+        )
+
+
 class _LatticeScanner:
     """The lattice {0..k}^n with point sets held as index bitsets.
 
@@ -66,10 +77,7 @@ class _LatticeScanner:
     """
 
     def __init__(self, n: int, k: int, num_parts: int):
-        if num_parts > n:
-            raise ValueError(
-                f"the witness claim pairs parts with coordinates; at most {n} parts allowed"
-            )
+        _check_lattice_shape(n, k, num_parts)
         self.num_parts = num_parts
         self.radix = (1 << num_parts) - 1
         self.digit_parts = [
@@ -176,16 +184,26 @@ def _pool_size(workers: int, cpus: int, chunks: int) -> int:
 
 
 def exhaustive_lattice_search(
-    n: int, k: int, num_parts: int, *, workers: int = 1
+    n: int, k: int, num_parts: int, *, workers: int = 1, budget: int | None = None
 ) -> LatticeSearchReport:
     """Sweep every assignment of lattice points to nonempty part subsets.
 
     Every assignment satisfying the open-(n+1)-ball hypothesis must yield a
     witness; assignment codes that do not are reported as failures.  The
-    report is identical for any worker count.
+    report is identical for any worker count.  A sweep of more than
+    ``budget`` codes is refused before it starts.
     """
+    _check_lattice_shape(n, k, num_parts)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    radix, points = (1 << num_parts) - 1, (k + 1) ** n
+    # radix is 1 or at least 3, so past budget.bit_length() points the count is over budget
+    if radix ** min(points, budget.bit_length() + 1) > budget:
+        raise BudgetExceededError(
+            f"an exhaustive sweep of {radix}^({k + 1}^{n}) assignment codes exceeds "
+            f"the budget of {budget}; sample the sweep or raise the budget"
+        )
     scanner = _LatticeScanner(n, k, num_parts)
-    total = scanner.radix ** len(scanner.points)
+    total = radix**points
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     size = _pool_size(workers, cpus or 1, total)
     chunk = max(1, -(-total // size))

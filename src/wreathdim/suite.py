@@ -18,6 +18,7 @@ from .config import ExperimentSetup, default_setup
 from .errors import ConfigError
 from .covers import (
     GroupWindowView,
+    ball_window,
     component_diameters,
     coset_cover,
     cover_of,
@@ -273,37 +274,20 @@ class _Suite:
 
     def check_pullback_cover_control(self) -> tuple[bool, dict]:
         """An interval cover of the line pulls back to a controlled cover of the ball."""
-        ctx = self.L2
-        sub = self.Z
         r = 2
-        window = self.oracle_L2.ball(8).elements
-        self.oracle_L2.ball(15)  # prefill: pairs in the window are at distance <= 14
+        view = ball_window(self.oracle_L2, 8)
         sub_points = tuple(range(-20, 21))
-        sub_view = GroupWindowView(sub, sub_points, self.oracle_Z)
-        parts = []
-        for j in (0, 1):
-            parts.append({a for a in sub_points if ((a - 8 * j) % 16) <= 11})
-        sub_cover = cover_of(parts)
-        result = pullback_cover(
-            ctx,
-            window,
-            sub,
-            project=lambda w: w.cursor,
-            embed=lambda a: WreathElement((), a),
-            sub_view=sub_view,
-            sub_cover=sub_cover,
-            r=r,
-            kernel_bound=lambda rr: kernel_control_bound(ctx, rr, base_oracle=self.oracle_Z),
-        )
+        sub_view = GroupWindowView(self.Z, sub_points, self.oracle_Z)
+        sub_cover = cover_of({a for a in sub_points if ((a - 8 * j) % 16) <= 11} for j in (0, 1))
+        result = pullback_cover(view, sub_view, sub_cover, r)
         if result.base_control != 11:
             return False, {"base_control": str(result.base_control), "expected": 11}
         if result.predicted != 2314:
             return False, {"predicted": str(result.predicted), "expected": 2314}
-        view = GroupWindowView(ctx, window, self.oracle_L2)
         measured = component_diameters(view, result.cover, r)
         ok = measured.value <= result.predicted
         return ok, {
-            "window": len(window),
+            "window": len(view.points),
             "base_control": result.base_control,
             "predicted": str(result.predicted),
             "measured": measured.value,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from wreathdim import groups
 from wreathdim import (
     CyclicGroup,
     FreeGroup,
@@ -75,3 +76,18 @@ def oracle_z(z):
 @pytest.fixture(scope="session")
 def oracle_lamplighter(lamplighter):
     return LengthOracle(lamplighter)
+
+
+@pytest.fixture
+def searched_balls(monkeypatch):
+    """Every ball that a fresh search builds during the test, in order."""
+    tables = []
+    search = groups.ball
+
+    def recording_ball(ctx, r, **kwargs):
+        table = search(ctx, r, **kwargs)
+        tables.append(table)
+        return table
+
+    monkeypatch.setattr(groups, "ball", recording_ball)
+    return tables

@@ -109,7 +109,7 @@ def test_components_whole_window(capsys):
 # -- control -------------------------------------------------------------------
 
 
-def test_control_kernel_mode(capsys):
+def test_control_kernel_mode(capsys, searched_balls):
     rows = run_csv(
         capsys,
         [
@@ -132,6 +132,8 @@ def test_control_kernel_mode(capsys):
         ("35", 1),
     ]
     assert all(r["ok"] == "True" for r in rows)
+    # the kernel window is filtered from ball(10); no pair-distance ball is searched
+    assert max(table.radius for table in searched_balls) == 10
 
 
 def test_control_pullback_mode(capsys):
@@ -198,6 +200,30 @@ def test_lattice_sampled_rejects_more_parts_than_coordinates(capsys):
     assert rc == 1
     assert captured.out == ""
     assert "at most 1 parts" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--k", "0", "--parts", "1"], "lattice k must be"),
+        (["--k", "2", "--parts", "0"], "lattice num_parts must be"),
+    ],
+)
+def test_lattice_rejects_degenerate_sizes(capsys, flags, message):
+    rc = main(["lattice", "--n", "2", *flags])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_lattice_refuses_a_sweep_over_the_budget(capsys):
+    rc = main(["lattice", "--n", "3", "--k", "2", "--parts", "2"])  # 3^27 codes
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "3^(3^3) assignment codes" in captured.err
+    assert main(["lattice", "--n", "2", "--k", "2", "--parts", "2", "--budget", "19682"]) == 3
 
 
 # -- verify --------------------------------------------------------------------

@@ -89,6 +89,19 @@ modulus = 3
     )
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "bulb-word-bound,kernel-cube-certificate",
+        "bulb-word-bound, kernel-cube-certificate",
+        "bulb-word-bound kernel-cube-certificate",
+    ],
+)
+def test_experiment_checks_split_on_commas_and_whitespace(text):
+    setup = parse_config(f"[experiment]\nchecks = {text}\n")
+    assert setup.checks == ("bulb-word-bound", "kernel-cube-certificate")
+
+
 def test_parse_config_full_experiment():
     setup = parse_config(
         """

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wreathdim import (
+    BudgetExceededError,
     CyclicGroup,
     ExplicitMetricView,
     FreeGroup,
@@ -15,7 +16,7 @@ from wreathdim import (
     StructureError,
     VirtuallyZStructure,
     WreathContext,
-    WreathElement,
+    ball_window,
     component_diameters,
     control_sample,
     coset_cover,
@@ -24,6 +25,7 @@ from wreathdim import (
     kernel_control_bound,
     kernel_window,
     lebesgue_ok,
+    max_diameter,
     pullback_cover,
     r_components,
     vz_closure_constant,
@@ -100,6 +102,33 @@ def test_group_window_view_neighbors_by_translation(z, oracle_z):
 
 
 # -- components ----------------------------------------------------------------
+
+
+def test_ball_window_prefills_every_pair_distance(lamplighter, searched_balls):
+    view = ball_window(LengthOracle(lamplighter), Fraction(5, 2))
+    # window points have length <= 2, so pairs reach distance 4: one search of
+    # the radius-5 ball holds every pair, a radius-4 ball (lengths <= 3) would not.
+    (table,) = searched_balls
+    assert table.radius == 5
+    assert view.points == tuple(x for x in table.elements if table.lengths[x] <= 2)
+    ctx = lamplighter
+    gaps = [ctx.multiply(ctx.inverse(a), b) for a in view.points for b in view.points]
+    assert all(g in table.lengths for g in gaps)
+    assert max(table.lengths[g] for g in gaps) == 4
+
+
+def test_ball_window_under_a_small_budget_measures_pairs_one_by_one(lamplighter):
+    small = LengthOracle(lamplighter, budget=200)
+    with pytest.raises(BudgetExceededError):
+        LengthOracle(lamplighter, budget=200).ball(9)
+    view = ball_window(small, 5)
+    full = ball_window(LengthOracle(lamplighter), 5)
+    assert view.points == full.points
+    for r in (1, 2, 3):
+        assert max_diameter(view, r_components(view, None, r)) == max_diameter(
+            full, r_components(full, None, r)
+        )
+    assert max_diameter(view, [view.points]) == max_diameter(full, [full.points]) == 8
 
 
 def test_r_components_split_on_gaps():
@@ -233,99 +262,40 @@ def test_growth_linear_bound_values(z_structure, zxc2_structure):
 # -- pullbacks -----------------------------------------------------------------
 
 
-def make_pullback(lamplighter, oracle_lamplighter, oracle_z, z):
-    window = oracle_lamplighter.ball(6).elements
-    oracle_lamplighter.ball(11)  # window pairs are at distance <= 10
+def make_pullback(oracle_lamplighter, oracle_z, z):
+    view = ball_window(oracle_lamplighter, 6)
     sub_points = tuple(range(-15, 16))
     sub_view = GroupWindowView(z, sub_points, oracle_z)
     parts = [{a for a in sub_points if ((a - 8 * j) % 16) <= 11} for j in (0, 1)]
-    return window, sub_view, cover_of(parts)
+    return view, sub_view, cover_of(parts)
 
 
-def test_pullback_cover_controls_components(
-    lamplighter, oracle_lamplighter, oracle_z, z
-):
-    window, sub_view, sub_cover = make_pullback(
-        lamplighter, oracle_lamplighter, oracle_z, z
-    )
-    result = pullback_cover(
-        lamplighter,
-        window,
-        z,
-        project=lambda g: g.cursor,
-        embed=lambda a: WreathElement((), a),
-        sub_view=sub_view,
-        sub_cover=sub_cover,
-        r=2,
-        kernel_bound=lambda rr: kernel_control_bound(
-            lamplighter, rr, base_oracle=oracle_z
-        ),
-    )
+def test_pullback_cover_controls_components(lamplighter, oracle_lamplighter, oracle_z, z):
+    view, sub_view, sub_cover = make_pullback(oracle_lamplighter, oracle_z, z)
+    result = pullback_cover(view, sub_view, sub_cover, 2)
     assert result.base_control == 11
     # measured interval control d = 11 plus the kernel bound at 2 + 2*11.
     assert result.predicted == 11 + kernel_control_bound(lamplighter, 24)
     assert result.predicted == 2314
-    view = GroupWindowView(lamplighter, window, oracle_lamplighter)
+    for part, sub_part in zip(result.cover.parts, sub_cover.parts):
+        assert part == {x for x in view.points if x.cursor in sub_part}
     meas = component_diameters(view, result.cover, 2)
     assert meas.value == 10
     assert meas.value <= result.predicted
 
 
-def test_pullback_rejects_non_retraction(lamplighter, oracle_lamplighter, oracle_z, z):
-    window, sub_view, sub_cover = make_pullback(
-        lamplighter, oracle_lamplighter, oracle_z, z
-    )
-    with pytest.raises(ValueError, match="retract"):
-        pullback_cover(
-            lamplighter,
-            window,
-            z,
-            project=lambda g: 0,
-            embed=lambda a: WreathElement((), a),
-            sub_view=sub_view,
-            sub_cover=sub_cover,
-            r=2,
-            kernel_bound=lambda rr: Fraction(1),
-        )
-
-
-def test_pullback_rejects_unmarked_embedding(
-    lamplighter, oracle_lamplighter, oracle_z, z
-):
-    window, sub_view, sub_cover = make_pullback(
-        lamplighter, oracle_lamplighter, oracle_z, z
-    )
-    with pytest.raises(ValueError, match="marked generator"):
-        pullback_cover(
-            lamplighter,
-            window,
-            z,
-            project=lambda g: g.cursor,
-            embed=lambda a: WreathElement((), 2 * a),
-            sub_view=sub_view,
-            sub_cover=sub_cover,
-            r=2,
-            kernel_bound=lambda rr: Fraction(1),
-        )
-
-
-def test_pullback_rejects_low_lebesgue_subcover(
-    lamplighter, oracle_lamplighter, oracle_z, z
-):
-    window, sub_view, _ = make_pullback(lamplighter, oracle_lamplighter, oracle_z, z)
+def test_pullback_rejects_low_lebesgue_subcover(oracle_lamplighter, oracle_z, z):
+    view, sub_view, _ = make_pullback(oracle_lamplighter, oracle_z, z)
     singletons = cover_of([{a} for a in sub_view.points])
     with pytest.raises(ValueError, match="Lebesgue"):
-        pullback_cover(
-            lamplighter,
-            window,
-            z,
-            project=lambda g: g.cursor,
-            embed=lambda a: WreathElement((), a),
-            sub_view=sub_view,
-            sub_cover=singletons,
-            r=2,
-            kernel_bound=lambda rr: Fraction(1),
-        )
+        pullback_cover(view, sub_view, singletons, 2)
+
+
+def test_pullback_rejects_a_sub_window_outside_the_base_group(oracle_lamplighter, oracle_z, z, z2):
+    view, _, _ = make_pullback(oracle_lamplighter, oracle_z, z)
+    plane = GroupWindowView(z2, [(a, 0) for a in range(-15, 16)])
+    with pytest.raises(StructureError, match="base group"):
+        pullback_cover(view, plane, cover_of([plane.points]), 2)
 
 
 # -- domination ----------------------------------------------------------------

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from wreathdim import (
+    BudgetExceededError,
     ExplicitMetricView,
     GroupWindowView,
     LatticeOutcome,
@@ -31,6 +32,7 @@ from wreathdim import (
     verify_cube_edges,
     word_length,
 )
+from wreathdim import cubes
 from wreathdim.cubes import _pool_size
 
 
@@ -171,6 +173,38 @@ def test_exhaustive_search_worker_count_is_immaterial():
 def test_exhaustive_search_rejects_excess_parts():
     with pytest.raises(ValueError):
         exhaustive_lattice_search(1, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "n, k, num_parts, field",
+    [(2, 0, 1, "k"), (1, -1, 1, "k"), (0, 2, 1, "n"), (2, 2, 0, "num_parts")],
+)
+def test_degenerate_lattice_sizes_are_rejected(n, k, num_parts, field):
+    with pytest.raises(ValueError, match=f"lattice {field} must be at least 1"):
+        exhaustive_lattice_search(n, k, num_parts)
+    with pytest.raises(ValueError, match=f"lattice {field} must be at least 1"):
+        sampled_lattice_search(n, k, num_parts, 3)
+
+
+def test_cover_witness_rejects_an_empty_cover():
+    with pytest.raises(ValueError, match="num_parts"):
+        lattice_cover_witness(1, 2, [])
+
+
+def test_exhaustive_search_is_sized_against_the_budget(monkeypatch):
+    # (2,2,2) has 3^9 = 19683 codes: one code over the budget refuses the sweep
+    with pytest.raises(BudgetExceededError, match=r"3\^\(3\^2\)"):
+        exhaustive_lattice_search(2, 2, 2, budget=19682)
+    assert exhaustive_lattice_search(2, 2, 2, budget=19683).assignments == 19683
+
+    def no_scanner(*args):
+        raise AssertionError("an oversized sweep must be refused before its scanner is built")
+
+    monkeypatch.setattr(cubes, "_LatticeScanner", no_scanner)
+    with pytest.raises(BudgetExceededError):
+        exhaustive_lattice_search(3, 2, 2)  # 3^27 codes
+    with pytest.raises(BudgetExceededError):
+        exhaustive_lattice_search(10**3, 1, 2)  # the count is never expanded
 
 
 def test_pool_size_is_bounded_by_cpus_and_chunks():
