@@ -29,7 +29,6 @@ from .groups import (
     vz_decompose,
     vz_distortion_constant,
     word_length,
-    word_length_at_most,
 )
 from .wreath import (
     Bulb,
@@ -47,7 +46,6 @@ from .wreath import (
 )
 from .covers import (
     ControlMeasurement,
-    ControlPoint,
     CosetCover,
     Cover,
     ExplicitMetricView,
@@ -57,7 +55,6 @@ from .covers import (
     PullbackControl,
     ball_window,
     component_diameters,
-    control_sample,
     coset_cover,
     cover_of,
     growth_linear_bound,
@@ -67,7 +64,6 @@ from .covers import (
     pullback_cover,
     r_components,
     vz_closure_constant,
-    weakly_dominates,
 )
 from .cubes import (
     CubeObstruction,
@@ -86,7 +82,7 @@ from .cubes import (
     sampled_lattice_search,
     verify_cube_edges,
 )
-from .ballstore import BallRecord, BallStore, default_store
+from .ballstore import BallRecord, BallStore
 from .config import DEFAULT_CONFIG, ExperimentSetup, default_setup, load_config, parse_config
 from .suite import CheckResult, CHECKS, run_suite
 

@@ -41,10 +41,6 @@ MAGIC = b"WDIMBAL1"
 FORMAT_VERSION = 1
 HEADER = struct.Struct("<8sI32sQQQ32s")
 
-#: Environment variable consulted for a default cache directory.
-CACHE_ENV = "WREATHDIM_CACHE_DIR"
-
-
 @dataclass(frozen=True)
 class BallRecord:
     """One stored ball: sorted canonical encodings plus parallel word lengths."""
@@ -230,12 +226,3 @@ class BallStore:
             )
         return record.filter_to(radius)
 
-
-def default_store(cache_dir: str | Path | None = None) -> BallStore | None:
-    """Store at the given directory, else at $WREATHDIM_CACHE_DIR, else None."""
-    if cache_dir is not None:
-        return BallStore(cache_dir)
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return BallStore(env)
-    return None

@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from . import __version__
-from .ballstore import BallStore, default_store
 from .config import ExperimentSetup, default_setup, load_config, parse_radii
 from .covers import (
     GroupWindowView,
@@ -36,7 +35,7 @@ from .cubes import (
     sampled_lattice_search,
 )
 from .errors import BudgetExceededError, ConfigError
-from .groups import LengthOracle, word_length
+from .groups import IntegerGroup, LengthOracle, word_length
 from .suite import run_suite
 from .wreath import WreathContext, kernel_window
 
@@ -44,14 +43,12 @@ from .wreath import WreathContext, kernel_window
 @dataclass
 class _Run:
     setup: ExperimentSetup
-    store: BallStore | None
     out_format: str
     out_path: str
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI config path (defaults to the built-in setup)")
-    sub.add_argument("--cache-dir", help="ball cache directory (or $WREATHDIM_CACHE_DIR)")
     sub.add_argument("--out", default="-", help="output path, - for stdout")
     sub.add_argument("--format", choices=("json", "csv"), help="report format")
     sub.add_argument("--budget", type=int, help="search node budget")
@@ -127,10 +124,8 @@ def _prepare(args: argparse.Namespace) -> _Run:
         setup.workers = args.workers
     if args.seed is not None:
         setup.seed = args.seed
-    cache_dir = args.cache_dir if args.cache_dir else setup.cache_dir
-    store = default_store(cache_dir)
     out_format = args.format if args.format else setup.out_format
-    return _Run(setup, store, out_format, args.out)
+    return _Run(setup, out_format, args.out)
 
 
 def _report(run: _Run, command: str, params: dict, results: Any) -> dict:
@@ -173,7 +168,7 @@ def _radii(args: argparse.Namespace, run: _Run) -> tuple[Fraction, ...]:
 def _cmd_growth(args: argparse.Namespace) -> int:
     run = _prepare(args)
     ctx = run.setup.context(args.name)
-    oracle = LengthOracle(ctx, store=run.store, budget=run.setup.budget)
+    oracle = LengthOracle(ctx, budget=run.setup.budget)
     rows = []
     for r in _radii(args, run):
         rows.append({"name": args.name, "radius": str(r), "growth": oracle.growth(r)})
@@ -203,7 +198,7 @@ def _window_view(
 ) -> GroupWindowView:
     if kernel and not isinstance(ctx, WreathContext):
         raise ConfigError("--kernel only applies to wreath contexts")
-    oracle = LengthOracle(ctx, store=run.store, budget=run.setup.budget)
+    oracle = LengthOracle(ctx, budget=run.setup.budget)
     if kernel:
         return GroupWindowView(ctx, kernel_window(ctx, window_radius, oracle=oracle), oracle)
     return ball_window(oracle, window_radius)
@@ -239,7 +234,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
     if not isinstance(ctx, WreathContext):
         raise ConfigError(f"control needs a wreath context, and {args.name!r} is not one")
     window_radius = Fraction(args.window_radius)
-    base_oracle = LengthOracle(ctx.base, store=run.store, budget=run.setup.budget)
+    base_oracle = LengthOracle(ctx.base, budget=run.setup.budget)
     if args.mode == "kernel":
         view = _window_view(run, ctx, window_radius, kernel=True)
         rows = []
@@ -257,6 +252,11 @@ def _cmd_control(args: argparse.Namespace) -> int:
         params = {"name": args.name, "mode": "kernel", "window_radius": str(window_radius)}
         _write(run, _report(run, "control", params, rows), rows)
         return 0
+    if not isinstance(ctx.base, IntegerGroup):
+        raise ConfigError(
+            f"--mode pullback needs a wreath over an integers base, "
+            f"and the base of {args.name!r} is of kind {ctx.base.kind!r}"
+        )
     r = Fraction(args.r)
     view = _window_view(run, ctx, window_radius, kernel=False)
     span = args.sub_window
@@ -295,7 +295,7 @@ def _cmd_cube(args: argparse.Namespace) -> int:
     ctx = run.setup.context(args.name)
     if not isinstance(ctx, WreathContext):
         raise ConfigError(f"cube needs a wreath context, and {args.name!r} is not one")
-    oracle = LengthOracle(ctx.base, store=run.store, budget=run.setup.budget)
+    oracle = LengthOracle(ctx.base, budget=run.setup.budget)
     cert = growth_lower_bound_certificate(
         ctx, args.n, Fraction(args.r), base_oracle=oracle, seed=run.setup.seed
     )
@@ -336,7 +336,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     wanted = args.checks.split(",") if args.checks else None
     if wanted is None and run.setup.checks is not None:
         wanted = list(run.setup.checks)
-    results = run_suite(run.setup, store=run.store, checks=wanted)
+    results = run_suite(run.setup, checks=wanted)
     rows = [
         {
             "check": res.name,

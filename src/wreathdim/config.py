@@ -95,7 +95,6 @@ class ExperimentSetup:
     structures: dict[str, VirtuallyZStructure] = field(default_factory=dict)
     radii: tuple[Fraction, ...] = ()
     out_format: str = "json"
-    cache_dir: str | None = None
     budget: int = DEFAULT_BUDGET
     workers: int = 1
     seed: int = 0
@@ -142,7 +141,7 @@ _KIND_KEYS = {
     "vz": {"kind", "base"},
 }
 
-_EXPERIMENT_KEYS = {"radii", "format", "cache_dir", "budget", "workers", "seed", "checks"}
+_EXPERIMENT_KEYS = {"radii", "format", "budget", "workers", "seed", "checks"}
 
 
 def _section_int(section: configparser.SectionProxy, name: str, key: str) -> int:
@@ -337,8 +336,6 @@ def parse_config(text: str) -> ExperimentSetup:
             if exp["format"] not in ("json", "csv"):
                 raise ConfigError(f"[experiment] format must be json or csv, got {exp['format']!r}")
             setup.out_format = exp["format"]
-        if "cache_dir" in exp:
-            setup.cache_dir = exp["cache_dir"]
         if "budget" in exp:
             setup.budget = _section_int(exp, "experiment", "budget")
             if setup.budget <= 0:

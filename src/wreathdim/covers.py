@@ -242,27 +242,6 @@ def component_diameters(view: MetricView, cover: Cover, r: Radius) -> ControlMea
     return ControlMeasurement(radius, tuple(per_part), value)
 
 
-@dataclass(frozen=True)
-class ControlPoint:
-    """One sampled scale: control value and Lebesgue verdict of a fixed cover."""
-
-    radius: Fraction
-    control: int | Fraction
-    per_part: tuple[int | Fraction, ...]
-    lebesgue: bool
-    witness: Any | None
-
-
-def control_sample(view: MetricView, cover: Cover, radii: Iterable[Radius]) -> tuple[ControlPoint, ...]:
-    """Measure a cover at several scales; bookkeeping only, no extrapolation."""
-    out = []
-    for r in radii:
-        meas = component_diameters(view, cover, r)
-        leb = lebesgue_ok(view, cover, r)
-        out.append(ControlPoint(meas.radius, meas.value, meas.per_part, leb.ok, leb.witness))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # control values with proofs behind them
 
@@ -402,19 +381,3 @@ def pullback_cover(
     cover.require_covers(view.points)
     return PullbackControl(cover, d, predicted)
 
-
-def weakly_dominates(
-    f: Callable[[Radius], int | Fraction],
-    g: Callable[[Radius], int | Fraction],
-    lam: Radius,
-    c: Radius,
-    samples: Iterable[Radius],
-) -> bool:
-    """Check ``g(t) <= lam * f(lam*t + c) + c`` at each sample point."""
-    lam = Fraction(lam)
-    c = Fraction(c)
-    if lam < 1:
-        raise ValueError(f"domination scale must be >= 1, got {lam}")
-    if c < 0:
-        raise ValueError(f"domination offset must be >= 0, got {c}")
-    return all(g(t) <= lam * f(lam * t + c) + c for t in samples)

@@ -191,7 +191,8 @@ def exhaustive_lattice_search(
     Every assignment satisfying the open-(n+1)-ball hypothesis must yield a
     witness; assignment codes that do not are reported as failures.  The
     report is identical for any worker count.  A sweep of more than
-    ``budget`` codes is refused before it starts.
+    ``budget`` codes, or of more than ``budget`` point pairs, is refused
+    before it starts.
     """
     _check_lattice_shape(n, k, num_parts)
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -201,6 +202,12 @@ def exhaustive_lattice_search(
         raise BudgetExceededError(
             f"an exhaustive sweep of {radix}^({k + 1}^{n}) assignment codes exceeds "
             f"the budget of {budget}; sample the sweep or raise the budget"
+        )
+    # the scanner relates every pair of points, whatever the code count
+    if points * points > budget:
+        raise BudgetExceededError(
+            f"the lattice scanner's ({k + 1}^{n})^2 point pairs exceed "
+            f"the budget of {budget}; raise the budget"
         )
     scanner = _LatticeScanner(n, k, num_parts)
     total = radix**points

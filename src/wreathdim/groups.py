@@ -971,9 +971,9 @@ def ball(
     return table
 
 
-def growth(ctx: Any, r: int | Fraction, *, budget: int | None = None, store: Any = None) -> int:
+def growth(ctx: Any, r: int | Fraction, *, budget: int | None = None) -> int:
     """Number of elements of word length strictly below ``r``."""
-    return len(ball(ctx, r, budget=budget, store=store))
+    return len(ball(ctx, r, budget=budget))
 
 
 def word_length(
@@ -1034,13 +1034,6 @@ def word_length(
             front_b = nxt
 
 
-def word_length_at_most(
-    ctx: Any, g: Element, bound: int, *, budget: int | None = None
-) -> int | None:
-    """Word length of ``g`` if it is <= bound, else ``None``."""
-    return word_length(ctx, g, at_most=bound, budget=budget)
-
-
 def minimal_word(ctx: Any, g: Element, *, budget: int | None = None) -> tuple[Element, ...]:
     """One geodesic word for ``g`` as a tuple of generator values (left to right)."""
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -1089,9 +1082,8 @@ class LengthOracle:
     left-invariance: ``d(x, y) = word_length(x^-1 y)``.
     """
 
-    def __init__(self, ctx: Any, *, store: Any = None, budget: int | None = None):
+    def __init__(self, ctx: Any, *, budget: int | None = None):
         self.ctx = ctx
-        self.store = store
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self._memo: dict[Element, int] = {ctx.identity(): 0}
         self._tables: dict[int, BallTable] = {}
@@ -1109,7 +1101,7 @@ class LengthOracle:
                 sub = BallTable(self.ctx, radius, elements, lengths)
                 self._tables[max_len] = sub
                 return sub
-        table = ball(self.ctx, radius, budget=self.budget, store=self.store)
+        table = ball(self.ctx, radius, budget=self.budget)
         self._tables[max_len] = table
         self._memo.update(table.lengths)
         return table

@@ -61,7 +61,7 @@ class CheckResult:
 class _Suite:
     """Shared contexts and oracles for one run of the checks."""
 
-    def __init__(self, setup: ExperimentSetup, store: Any = None):
+    def __init__(self, setup: ExperimentSetup):
         self.setup = setup
         base = default_setup()
         self.Z = base.groups["Z"]
@@ -75,11 +75,11 @@ class _Suite:
         budget = setup.budget
         self.budget = budget
         self.workers = setup.workers
-        self.oracle_L2 = LengthOracle(self.L2, store=store, budget=budget)
-        self.oracle_Z = LengthOracle(self.Z, store=store, budget=budget)
-        self.oracle_Z2 = LengthOracle(self.Z2, store=store, budget=budget)
-        self.oracle_F2 = LengthOracle(self.F2, store=store, budget=budget)
-        self.oracle_W2 = LengthOracle(self.W2, store=store, budget=budget)
+        self.oracle_L2 = LengthOracle(self.L2, budget=budget)
+        self.oracle_Z = LengthOracle(self.Z, budget=budget)
+        self.oracle_Z2 = LengthOracle(self.Z2, budget=budget)
+        self.oracle_F2 = LengthOracle(self.F2, budget=budget)
+        self.oracle_W2 = LengthOracle(self.W2, budget=budget)
 
     # -- check 1 ------------------------------------------------------------
 
@@ -380,7 +380,6 @@ CHECKS: dict[str, str] = {
 def run_suite(
     setup: ExperimentSetup | None = None,
     *,
-    store: Any = None,
     checks: Any = None,
 ) -> list[CheckResult]:
     """Run the verification checks (all, or the named subset) and report results."""
@@ -391,7 +390,7 @@ def run_suite(
             raise ConfigError(
                 f"unknown check {name!r}; available: {', '.join(CHECKS)}"
             )
-    suite = _Suite(setup, store)
+    suite = _Suite(setup)
     results = []
     for name in wanted:
         fn: Callable[[], tuple[bool, dict]] = getattr(suite, CHECKS[name])

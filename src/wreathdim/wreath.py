@@ -168,11 +168,13 @@ class WreathContext:
         lamps = []
         prev_key: bytes | None = None
         for _ in range(count):
+            start = pos
             position, pos = self.base.decode_from(data, pos)
+            # decoders accept only canonical bytes, so these are sort_key(position)
+            key = bytes(data[start:pos])
             value, pos = self.fiber.decode_from(data, pos)
             if value == self._fiber_id:
                 raise EncodingError("identity fiber value stored as a lamp")
-            key = self.base.sort_key(position)
             if prev_key is not None and key <= prev_key:
                 raise EncodingError("lamp positions not in strictly increasing canonical order")
             prev_key = key

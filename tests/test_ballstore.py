@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from fractions import Fraction
 
 import pytest
@@ -12,11 +11,9 @@ from wreathdim import (
     BallRecord,
     BallStore,
     IntegrityError,
-    LengthOracle,
     ball,
-    default_store,
 )
-from wreathdim.ballstore import CACHE_ENV, FORMAT_VERSION, MAGIC
+from wreathdim.ballstore import FORMAT_VERSION, MAGIC
 
 
 def make_record(ctx, radius):
@@ -171,31 +168,3 @@ def test_stored_ball_matches_fresh_search(lamplighter, tmp_path):
     assert cached.elements == fresh.elements
     assert all(cached.lengths[g] == fresh.lengths[g] for g in fresh.elements)
 
-
-def test_length_oracle_accepts_store(z, tmp_path):
-    store = BallStore(tmp_path)
-    LengthOracle(z, store=store).ball(5)
-    oracle = LengthOracle(z, store=store)
-    assert oracle.length(4) == 4
-    assert store.load(z.spec_hash, Fraction(5)) is not None
-
-
-# -- default store ------------------------------------------------------------------
-
-
-def test_default_store_is_none_without_configuration(monkeypatch):
-    monkeypatch.delenv(CACHE_ENV, raising=False)
-    assert default_store(None) is None
-
-
-def test_default_store_reads_environment(monkeypatch, tmp_path):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    store = default_store()
-    assert store is not None
-    assert str(tmp_path) in str(store.directory)
-
-
-def test_default_store_explicit_dir_wins(monkeypatch, tmp_path):
-    monkeypatch.setenv(CACHE_ENV, "/nonexistent-env-dir")
-    store = default_store(tmp_path)
-    assert str(tmp_path) in str(store.directory)

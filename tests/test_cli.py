@@ -160,6 +160,15 @@ def test_control_pullback_mode(capsys):
     assert row["ok"] == "True"
 
 
+def test_control_pullback_needs_an_integers_base(capsys):
+    rc = main(["control", "--name", "W2", "--mode", "pullback", "--window-radius", "4"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--mode pullback needs a wreath over an integers base" in captured.err
+    assert "'W2'" in captured.err
+
+
 # -- cube ----------------------------------------------------------------------
 
 
@@ -224,6 +233,9 @@ def test_lattice_refuses_a_sweep_over_the_budget(capsys):
     assert captured.out == ""
     assert "3^(3^3) assignment codes" in captured.err
     assert main(["lattice", "--n", "2", "--k", "2", "--parts", "2", "--budget", "19682"]) == 3
+    # one part is one code, but the scanner relates 21^2 points pairwise
+    assert main(["lattice", "--n", "2", "--k", "20", "--parts", "1", "--budget", "1000"]) == 3
+    assert "(21^2)^2 point pairs" in capsys.readouterr().err
 
 
 # -- verify --------------------------------------------------------------------
@@ -256,21 +268,18 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(out.read_text())["schema"] == "wreathdim-growth/1"
 
 
-def test_cache_dir_persists_balls(tmp_path, capsys):
-    rc = main(
-        [
-            "growth",
-            "--name",
-            "Z",
-            "--radii",
-            "1..3",
-            "--cache-dir",
-            str(tmp_path),
-        ]
-    )
-    capsys.readouterr()
-    assert rc == 0
-    assert (tmp_path / "manifest.json").exists()
+def test_cache_dir_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["growth", "--name", "Z", "--radii", "1..3", "--cache-dir", "balls"])
+    assert exc.value.code == 2
+    assert "--cache-dir" in capsys.readouterr().err
+
+
+def test_growth_leaves_the_old_cache_directory_empty(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("WREATHDIM_CACHE_DIR", str(tmp_path))
+    report = run_json(capsys, ["growth", "--name", "L2", "--radii", "1..4"])
+    assert [row["growth"] for row in report["results"]] == [1, 4, 10, 22]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_declares_instances(tmp_path, capsys):

@@ -111,7 +111,6 @@ format = csv
 budget = 500
 workers = 2
 seed = 9
-cache_dir = /tmp/xyz
 checks = bulb-word-bound
 
 [group B]
@@ -134,7 +133,6 @@ base = B
     assert setup.budget == 500
     assert setup.workers == 2
     assert setup.seed == 9
-    assert setup.cache_dir == "/tmp/xyz"
     assert setup.checks == ("bulb-word-bound",)
     assert setup.radii == (Fraction(1), Fraction(2))
     assert (
@@ -142,6 +140,11 @@ base = B
         == "wreath(fiber=cyclic(n=4|gens=1,3)|base=integers(gens=1))"
     )
     assert sorted(setup.structures) == ["B"]
+
+
+def test_cache_dir_key_is_rejected():
+    with pytest.raises(ConfigError, match=r"\[experiment\] has an unexpected key 'cache_dir'"):
+        parse_config("[experiment]\ncache_dir = x\n")
 
 
 def test_parse_config_structure_from_vz_keys():

@@ -207,6 +207,20 @@ def test_exhaustive_search_is_sized_against_the_budget(monkeypatch):
         exhaustive_lattice_search(10**3, 1, 2)  # the count is never expanded
 
 
+def test_exhaustive_search_sizes_its_scanner_against_the_budget(monkeypatch):
+    # (2,20,1) is one code over 21^2 = 441 points, which the scanner relates pairwise
+    assert exhaustive_lattice_search(2, 20, 1, budget=441**2).assignments == 1
+
+    def no_scanner(*args):
+        raise AssertionError("an oversized scanner must be refused before it is built")
+
+    monkeypatch.setattr(cubes, "_LatticeScanner", no_scanner)
+    with pytest.raises(BudgetExceededError, match=r"\(21\^2\)\^2 point pairs"):
+        exhaustive_lattice_search(2, 20, 1, budget=441**2 - 1)
+    with pytest.raises(BudgetExceededError):
+        exhaustive_lattice_search(2, 20, 1, budget=1000)
+
+
 def test_pool_size_is_bounded_by_cpus_and_chunks():
     assert _pool_size(10**9, 2, 10**12) == 2
     assert _pool_size(10**9, 10**6, 3) == 3

@@ -33,7 +33,6 @@ from wreathdim import (
     vz_decompose,
     vz_distortion_constant,
     word_length,
-    word_length_at_most,
 )
 
 KLEIN_TABLE = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
@@ -378,9 +377,9 @@ def test_word_length_agrees_with_ball_on_free_group(f2):
 
 def test_word_length_at_most_early_exit(f2):
     far = (1, 2) * 6  # length 12
-    assert word_length_at_most(f2, far, 3) is None
-    assert word_length_at_most(f2, far, 12) == 12
     assert word_length(f2, far, at_most=3) is None
+    assert word_length(f2, far, at_most=11) is None
+    assert word_length(f2, far, at_most=12) == 12
 
 
 def test_minimal_word_round_trip(z, f2):

@@ -176,6 +176,26 @@ def test_decode_rejects_unsorted_lamp_positions(lamplighter, z, c2):
         lamplighter.decode(bytes(raw))
 
 
+@pytest.mark.parametrize("base", ["z", "z2", "f2"])
+def test_decode_checks_lamp_order_on_the_position_bytes(base, c2, request):
+    ctx = WreathContext(c2, request.getfixturevalue(base))
+
+    def raw(lamps, cursor):
+        out = bytearray(encode_uvarint(len(lamps)))
+        for pos, val in lamps:
+            out += ctx.base.encode(pos) + ctx.fiber.encode(val)
+        return bytes(out + ctx.base.encode(cursor))
+
+    for g in ball(ctx, 5).elements:
+        assert raw(g.lamps, g.cursor) == ctx.encode(g)
+        if len(g.lamps) < 2:
+            continue
+        with pytest.raises(EncodingError, match="strictly increasing"):
+            ctx.decode(raw(g.lamps[::-1], g.cursor))
+        with pytest.raises(EncodingError, match="strictly increasing"):
+            ctx.decode(raw(g.lamps[:1] * 2, g.cursor))
+
+
 def test_decode_rejects_identity_lamp_value(lamplighter, z, c2):
     raw = bytearray()
     raw += encode_uvarint(1)
