@@ -175,8 +175,16 @@ def test_component_diameters_on_interval_cover():
     meas = component_diameters(view, cover, 2)
     assert meas.per_part == (5, 5)
     assert meas.value == 5
+
+
+def test_control_sample_combines_lebesgue_and_diameter():
+    view = line_view()
+    cover = cover_of([range(0, 6), range(4, 10)])
+    checks = [lebesgue_ok(view, cover, r) for r in (2, 4)]
+    assert [c.ok for c in checks] == [True, False]
     # at scale 4 the Lebesgue check fails, but the diameters stay the same
-    assert component_diameters(view, cover, 4).value == 5
+    assert [component_diameters(view, cover, r).value for r in (2, 4)] == [5, 5]
+    assert checks[1].witness == 3
 
 
 # -- kernel control ------------------------------------------------------------
