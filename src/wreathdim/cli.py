@@ -328,7 +328,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     }
     payload = _report(run, "lattice", {"n": args.n, "k": args.k, "parts": args.parts}, results)
     _write(run, payload, None)
-    return 0 if not report.failures else 1
+    return 0 if not report.failures else 4
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

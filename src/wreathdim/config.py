@@ -14,7 +14,6 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import ConfigError, EncodingError, StructureError
 from .groups import (

@@ -40,6 +40,10 @@ class MetricView:
     def dist_lt(self, a: Any, b: Any, r: Fraction) -> bool:
         return self.dist(a, b) < r
 
+    def dists_from(self, a: Any, others: Iterable[Any]) -> list[int | Fraction]:
+        """``[dist(a, b) for b in others]``; views may share work across the row."""
+        return [self.dist(a, b) for b in others]
+
     def neighbors_within(self, x: Any, members: Any, r: Fraction) -> list[Any]:
         """Members at distance strictly below ``r`` from ``x`` (x excluded)."""
         return [y for y in members if y != x and self.dist_lt(x, y, r)]
@@ -91,6 +95,11 @@ class GroupWindowView(MetricView):
     Distances go through a :class:`LengthOracle` (left-invariance turns them
     into single length queries), and near-neighbor enumeration multiplies by
     a small ball instead of scanning all pairs.
+
+    The points are canonicalized once, here.  ``dist``, ``dist_lt`` and
+    ``dists_from`` trust their arguments to be canonical, as window points
+    are, and look ``a^-1 b`` up in the oracle without canonicalizing it
+    again; the oracle's public methods are the checked entry points.
     """
 
     def __init__(self, ctx: Any, points: Iterable[Element], oracle: LengthOracle | None = None):
@@ -101,10 +110,16 @@ class GroupWindowView(MetricView):
             raise ValueError("length oracle belongs to a different context")
 
     def dist(self, a: Element, b: Element) -> int:
-        return self.oracle.distance(a, b)
+        return self.oracle._known_length(self.ctx.multiply(self.ctx.inverse(a), b))
 
     def dist_lt(self, a: Element, b: Element, r: Fraction) -> bool:
-        return self.oracle.distance_at_most(a, b, max_length_below(as_radius(r))) is not None
+        bound = max_length_below(as_radius(r))
+        product = self.ctx.multiply(self.ctx.inverse(a), b)
+        return self.oracle._known_length(product, bound) is not None
+
+    def dists_from(self, a: Element, others: Iterable[Element]) -> list[int]:
+        inv, mul, known = self.ctx.inverse(a), self.ctx.multiply, self.oracle._known_length
+        return [known(mul(inv, b)) for b in others]
 
     def neighbors_within(self, x: Element, members: Any, r: Fraction) -> list[Element]:
         ctx = self.ctx
@@ -223,11 +238,8 @@ def max_diameter(view: MetricView, components: Iterable[Sequence[Any]]) -> int |
     """Largest distance between two points of one component (0 if there is none)."""
     worst: int | Fraction = 0
     for comp in components:
-        for i, a in enumerate(comp):
-            for b in comp[i + 1 :]:
-                d = view.dist(a, b)
-                if d > worst:
-                    worst = d
+        for i, a in enumerate(comp[:-1]):
+            worst = max(worst, *view.dists_from(a, comp[i + 1 :]))
     return worst
 
 

@@ -84,13 +84,33 @@ class _LatticeScanner:
             [i for i in range(num_parts) if (d + 1) >> i & 1] for d in range(self.radix)
         ]
         self.points = pts = lattice_points(n, k)
-        self.balls = [_bits(j for j, y in enumerate(pts) if l1(x, y) <= n) for x in pts]
-        self.steps = [_bits(j for j, y in enumerate(pts) if l1(x, y) == 1) for x in pts]
-        # far[i][j]: the points whose i-th coordinate is k away from that of points[j]
-        self.far = [
-            [_bits(b for b, y in enumerate(pts) if abs(x[i] - y[i]) == k) for x in pts]
-            for i in range(num_parts)
+        # points[j] has j = sum(x[i] * strides[i]), so a unit step is an index offset
+        strides = [(k + 1) ** (n - 1 - i) for i in range(n)]
+        self.steps = [
+            _bits(
+                j + sign * stride
+                for i, stride in enumerate(strides)
+                for sign in (-1, 1)
+                if 0 <= x[i] + sign <= k
+            )
+            for j, x in enumerate(pts)
         ]
+        # l1 is the unit-step metric of the box, so n rounds of growth give the closed n-balls
+        balls = [1 << j for j in range(len(pts))]
+        for _ in range(n):
+            grown = []
+            for ball, step in zip(balls, self.steps):
+                for j in _members(step):
+                    ball |= balls[j]
+                grown.append(ball)
+            balls = grown
+        self.balls = balls
+        # far[i][j]: the points whose i-th coordinate is k away from that of points[j],
+        # which is the slab at k - x[i] when x[i] is 0 or k, and nothing otherwise
+        self.far = []
+        for i in range(num_parts):
+            slabs = {v: _bits(j for j, x in enumerate(pts) if x[i] == v) for v in (0, k)}
+            self.far.append([slabs[k - x[i]] if x[i] in slabs else 0 for x in pts])
 
     def parts_of(self, code: int) -> list[int]:
         # Base (2**p - 1) digits, one per point; digit + 1 is the point's part bitmask.

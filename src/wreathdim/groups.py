@@ -874,8 +874,8 @@ class _CayleySpace:
     def state_of(self, value: Element) -> Any:
         return value
 
-    def value_of(self, state: Any) -> Element:
-        return state
+    def encoded_value(self, state: Any) -> tuple[bytes, Element]:
+        return self.ctx.encode(state), state
 
     def neighbors(self, state: Any) -> list[Any]:
         mul = self.ctx.multiply
@@ -949,10 +949,7 @@ def ball(
             return BallTable(ctx, radius, elements, lengths)
     space = ctx._search_space()
     dist = _bfs_lengths(space, max_length_below(radius), budget)
-    pairs = []
-    for state, l in dist.items():
-        value = space.value_of(state)
-        pairs.append((ctx.encode(value), value, l))
+    pairs = [(*space.encoded_value(state), l) for state, l in dist.items()]
     pairs.sort()  # encodings are unique, so values are never compared
     elements = tuple(value for _, value, _ in pairs)
     lengths = {value: l for _, value, l in pairs}
@@ -1080,6 +1077,12 @@ class LengthOracle:
     Balls computed through the oracle prefill the length memo, so repeated
     distance queries inside a window cost one dict lookup.  Distances use
     left-invariance: ``d(x, y) = word_length(x^-1 y)``.
+
+    The public ``length``, ``length_at_most``, ``distance`` and
+    ``distance_at_most`` canonicalize their input first, so a malformed
+    element raises ``EncodingError``.  ``_known_length`` trusts that its
+    element is canonical already; window views call it on products of their
+    canonical points, which ``multiply`` and ``inverse`` keep canonical.
     """
 
     def __init__(self, ctx: Any, *, budget: int | None = None):
@@ -1109,25 +1112,23 @@ class LengthOracle:
     def growth(self, r: int | Fraction) -> int:
         return len(self.ball(r))
 
-    def length(self, g: Element) -> int:
-        g = self.ctx.canonicalize(g)
+    def _known_length(self, g: Element, bound: int | None = None) -> int | None:
+        """Length of a canonical ``g`` (None past ``bound``): memo first, search on a miss."""
         hit = self._memo.get(g)
         if hit is not None:
-            return hit
-        value = word_length(self.ctx, g, budget=self.budget)
-        assert value is not None
-        self._memo[g] = value
-        return value
-
-    def length_at_most(self, g: Element, bound: int) -> int | None:
-        g = self.ctx.canonicalize(g)
-        hit = self._memo.get(g)
-        if hit is not None:
-            return hit if hit <= bound else None
+            return hit if bound is None or hit <= bound else None
         value = word_length(self.ctx, g, at_most=bound, budget=self.budget)
         if value is not None:
             self._memo[g] = value
         return value
+
+    def length(self, g: Element) -> int:
+        value = self._known_length(self.ctx.canonicalize(g))
+        assert value is not None
+        return value
+
+    def length_at_most(self, g: Element, bound: int) -> int | None:
+        return self._known_length(self.ctx.canonicalize(g), bound)
 
     def distance(self, x: Element, y: Element) -> int:
         return self.length(self.ctx.multiply(self.ctx.inverse(x), y))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Callable
 
 from .config import ExperimentSetup, default_setup

@@ -74,6 +74,8 @@ class WreathContext:
         self._base_id = base.identity()
         self._lamp_values = tuple(h for h in fiber.elements() if h != self._fiber_id)
         self._spec_hash: str | None = None
+        # lamps sort by this; every base kind's sort_key is its encoding
+        self._position_bytes = _EncodingCache(base)
 
     # -- group structure ----------------------------------------------------
 
@@ -95,7 +97,8 @@ class WreathContext:
             val = self.fiber.canonicalize(entry[1])
             if val != self._fiber_id:
                 lamps.append((pos, val))
-        lamps.sort(key=lambda lamp: self.base.sort_key(lamp[0]))
+        keys = self._position_bytes
+        lamps.sort(key=lambda lamp: keys[lamp[0]])
         for a, b in zip(lamps, lamps[1:]):
             if a[0] == b[0]:
                 raise EncodingError(f"duplicate lamp position {a[0]!r}")
@@ -112,17 +115,17 @@ class WreathContext:
                 del lamps[p]
             else:
                 lamps[p] = new
-        ordered = tuple(
-            sorted(lamps.items(), key=lambda lamp: self.base.sort_key(lamp[0]))
-        )
+        keys = self._position_bytes
+        ordered = tuple(sorted(lamps.items(), key=lambda lamp: keys[lamp[0]]))
         return WreathElement(ordered, self.base.multiply(x.cursor, y.cursor))
 
     def inverse(self, x: WreathElement) -> WreathElement:
         c = self.base.inverse(x.cursor)
+        keys = self._position_bytes
         lamps = tuple(
             sorted(
                 ((self.base.multiply(c, pos), self.fiber.inverse(val)) for pos, val in x.lamps),
-                key=lambda lamp: self.base.sort_key(lamp[0]),
+                key=lambda lamp: keys[lamp[0]],
             )
         )
         return WreathElement(lamps, c)
@@ -155,12 +158,13 @@ class WreathContext:
     # -- canonical encoding -----------------------------------------------------
 
     def encode(self, x: WreathElement) -> bytes:
+        keys = self._position_bytes
         out = bytearray()
         write_uvarint(out, len(x.lamps))
         for pos, val in x.lamps:
-            self.base._encode_into(out, pos)
+            out += keys[pos]
             self.fiber._encode_into(out, val)
-        self.base._encode_into(out, x.cursor)
+        out += keys[x.cursor]
         return bytes(out)
 
     def decode_from(self, data: bytes | memoryview, pos: int) -> tuple[WreathElement, int]:
@@ -245,6 +249,18 @@ class WreathContext:
         return _PackedLampSpace(self)
 
 
+class _EncodingCache(dict):
+    """Element -> ``group.encode(element)``, each computed on first use."""
+
+    def __init__(self, group: MarkedGroup):
+        super().__init__()
+        self._encode = group.encode
+
+    def __missing__(self, x: Element) -> bytes:
+        data = self[x] = self._encode(x)
+        return data
+
+
 def _split_top_level(text: str, sep: str) -> list[str]:
     parts = []
     depth = 0
@@ -284,6 +300,7 @@ class _PackedLampSpace:
         )
         self._moves = ctx.base.symmetric_generators()
         self._letters = ctx.symmetric_generators()  # lamp letters, then cursor moves
+        self._value_bytes = tuple(fiber.encode(v) for v in self._values)
         self._ids: dict[Element, int] = {}
         self._positions: list[Element] = []
         self._keys: list[bytes] = []
@@ -293,7 +310,7 @@ class _PackedLampSpace:
         if idx is None:
             idx = self._ids[pos] = len(self._positions)
             self._positions.append(pos)
-            self._keys.append(self.ctx.base.sort_key(pos))
+            self._keys.append(self.ctx._position_bytes[pos])
         return idx
 
     def identity_state(self) -> tuple[int, Element]:
@@ -305,20 +322,27 @@ class _PackedLampSpace:
             mask |= self._value_index[val] << (self._id_of(pos) * self._width)
         return (mask, value.cursor)
 
-    def value_of(self, state: tuple[int, Element]) -> WreathElement:
+    def encoded_value(self, state: tuple[int, Element]) -> tuple[bytes, WreathElement]:
+        """The state's element and its ``ctx.encode``, joined from cached bytes."""
         mask, cursor = state
-        width, full = self._width, self._full
+        width, full, keys = self._width, self._full, self._keys
         lit = []
         idx = 0
         while mask:
             field = mask & full
             if field:
-                lit.append((self._keys[idx], idx, field))
+                lit.append((keys[idx], idx, field))
             mask >>= width
             idx += 1
         lit.sort()
+        out = bytearray()
+        write_uvarint(out, len(lit))
+        for key, _, field in lit:
+            out += key
+            out += self._value_bytes[field]
+        out += self.ctx._position_bytes[cursor]
         lamps = tuple((self._positions[idx], self._values[field]) for _, idx, field in lit)
-        return WreathElement(lamps, cursor)
+        return bytes(out), WreathElement(lamps, cursor)
 
     def neighbors(self, state: tuple[int, Element]) -> list[tuple[int, Element]]:
         mask, cursor = state
@@ -360,7 +384,7 @@ def bulb_product(ctx: WreathContext, pairs: Iterable[tuple[Element, Element]]) -
     bulbs = [
         Bulb(index, merged[index]) for index in order if merged[index] != ctx._fiber_id
     ]
-    bulbs.sort(key=lambda b: ctx.base.sort_key(b.index))
+    bulbs.sort(key=lambda b: ctx._position_bytes[b.index])
     return BulbProduct(tuple(bulbs))
 
 

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from wreathdim import LatticeSearchReport
 from wreathdim.cli import main
 
 
@@ -236,6 +237,25 @@ def test_lattice_refuses_a_sweep_over_the_budget(capsys):
     # one part is one code, but the scanner relates 21^2 points pairwise
     assert main(["lattice", "--n", "2", "--k", "20", "--parts", "1", "--budget", "1000"]) == 3
     assert "(21^2)^2 point pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sweep, flags",
+    [
+        ("exhaustive_lattice_search", []),
+        ("sampled_lattice_search", ["--samples", "40"]),
+    ],
+)
+def test_lattice_refutation_exits_4_with_its_report(capsys, monkeypatch, sweep, flags):
+    def refuted(n, k, num_parts, *args, **kwargs):
+        return LatticeSearchReport(n, k, num_parts, 9, 2, 1, (5,))
+
+    monkeypatch.setattr(f"wreathdim.cli.{sweep}", refuted)
+    rc = main(["lattice", "--n", "2", "--k", "2", "--parts", "2", *flags])
+    captured = capsys.readouterr()
+    assert rc == 4
+    res = json.loads(captured.out)["results"]
+    assert (res["hypothesis_count"], res["witness_count"], res["failures"]) == (2, 1, [5])
 
 
 # -- verify --------------------------------------------------------------------

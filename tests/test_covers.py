@@ -10,7 +10,6 @@ from wreathdim import (
     BudgetExceededError,
     CyclicGroup,
     ExplicitMetricView,
-    FreeGroup,
     GroupWindowView,
     LengthOracle,
     StructureError,
@@ -90,6 +89,21 @@ def test_group_window_view_matches_word_metric(lamplighter, oracle_lamplighter):
         for y in window[:6]:
             assert view.dist(x, y) == oracle_lamplighter.distance(x, y)
             assert view.dist_lt(x, y, 3) == (oracle_lamplighter.distance(x, y) < 3)
+
+
+def test_window_rows_of_distances_equal_single_distances(lamplighter):
+    oracle = LengthOracle(lamplighter)
+    views = [
+        GroupWindowView(lamplighter, kernel_window(lamplighter, 6, oracle=oracle), oracle),
+        ball_window(oracle, 3),
+    ]
+    for view in views:
+        for a in view.points:
+            row = view.dists_from(a, view.points)
+            assert row == [view.dist(a, b) for b in view.points]
+            assert row == [oracle.distance(a, b) for b in view.points]
+    line = line_view()
+    assert line.dists_from(3, (0, 3, 9)) == [3, 0, 6]
 
 
 def test_group_window_view_neighbors_by_translation(z, oracle_z):

@@ -134,6 +134,22 @@ def test_witness_matches_reference_on_seeded_covers():
     assert any(o.witness for o in outcomes) and any(o.violator for o in outcomes)
 
 
+@pytest.mark.parametrize("n, k, num_parts", [(2, 2, 2), (3, 1, 3), (1, 4, 1), (2, 3, 2)])
+def test_scanner_bitsets_equal_an_all_pairs_build(n, k, num_parts):
+    scanner = cubes._LatticeScanner(n, k, num_parts)
+    pts = lattice_points(n, k)
+
+    def bits(pred, x):
+        return sum(1 << j for j, y in enumerate(pts) if pred(x, y))
+
+    assert scanner.points == pts
+    assert scanner.balls == [bits(lambda x, y: l1(x, y) <= n, x) for x in pts]
+    assert scanner.steps == [bits(lambda x, y: l1(x, y) == 1, x) for x in pts]
+    assert scanner.far == [
+        [bits(lambda x, y: abs(x[i] - y[i]) == k, x) for x in pts] for i in range(num_parts)
+    ]
+
+
 # -- exhaustive sweeps -----------------------------------------------------------
 
 

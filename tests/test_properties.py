@@ -10,7 +10,9 @@ from wreathdim import (
     FreeGroup,
     IntegerGroup,
     ProductGroup,
+    TableGroup,
     WreathContext,
+    WreathElement,
     bulb_product,
     evaluate_word,
     kernel_bulbs,
@@ -107,6 +109,75 @@ def test_sort_key_matches_encoded_byte_order(name, data):
     g = data.draw(elements(ctx))
     h = data.draw(elements(ctx))
     assert (ctx.sort_key(g) < ctx.sort_key(h)) == (ctx.encode(g) < ctx.encode(h))
+
+
+# -- wreath arithmetic on canonical elements --------------------------------------
+
+# S3 as permutations of 0..2, listed so that the identity is not row 0
+_PERMS = [(1, 0, 2), (0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0)]
+S3 = TableGroup(
+    [[_PERMS.index(tuple(p[q[k]] for k in range(3))) for q in _PERMS] for p in _PERMS], (0, 2)
+)
+WREATHS = {
+    "C3wrZ": WreathContext(C3, Z),
+    "S3wrZ": WreathContext(S3, Z),
+    "C2wrZ2": WreathContext(CyclicGroup(2), Z2),
+    "C2wrF2": WreathContext(CyclicGroup(2), F2),
+}
+
+
+def raw_lamps(ctx):
+    """Lamps at distinct positions in no particular order, identity values included."""
+    values = st.sampled_from(ctx.fiber.elements())
+    return st.dictionaries(elements(ctx.base, 4), values, max_size=6).map(lambda d: list(d.items()))
+
+
+def wreath_elements(ctx):
+    return st.builds(ctx.element, raw_lamps(ctx), elements(ctx.base, 4))
+
+
+def _by_base_sort_key(ctx, lamps, cursor):
+    lit = [(pos, val) for pos, val in lamps if val != ctx.fiber.identity()]
+    return WreathElement(tuple(sorted(lit, key=lambda lamp: ctx.base.sort_key(lamp[0]))), cursor)
+
+
+def _reference_multiply(ctx, x, y):
+    lamps = dict(x.lamps)
+    for pos, val in y.lamps:
+        p = ctx.base.multiply(x.cursor, pos)
+        lamps[p] = ctx.fiber.multiply(lamps.get(p, ctx.fiber.identity()), val)
+    return _by_base_sort_key(ctx, lamps.items(), ctx.base.multiply(x.cursor, y.cursor))
+
+
+def _reference_inverse(ctx, x):
+    c = ctx.base.inverse(x.cursor)
+    lamps = [(ctx.base.multiply(c, pos), ctx.fiber.inverse(val)) for pos, val in x.lamps]
+    return _by_base_sort_key(ctx, lamps, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(WREATHS)), st.data())
+def test_products_of_canonical_elements_are_canonical(name, data):
+    # window views look x^-1 y up in the length memo without canonicalizing it
+    ctx = WREATHS[name]
+    x = data.draw(wreath_elements(ctx))
+    y = data.draw(wreath_elements(ctx))
+    gap = ctx.multiply(ctx.inverse(x), y)
+    assert ctx.canonicalize(gap) == gap
+    assert ctx.canonicalize(ctx.inverse(x)) == ctx.inverse(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(WREATHS)), st.data())
+def test_wreath_arithmetic_sorts_lamps_by_base_sort_key(name, data):
+    ctx = WREATHS[name]
+    lamps = data.draw(raw_lamps(ctx))
+    cursor = data.draw(elements(ctx.base, 4))
+    x = ctx.canonicalize(WreathElement(tuple(lamps), cursor))
+    assert x == _by_base_sort_key(ctx, lamps, cursor)
+    y = data.draw(wreath_elements(ctx))
+    assert ctx.multiply(x, y) == _reference_multiply(ctx, x, y)
+    assert ctx.inverse(x) == _reference_inverse(ctx, x)
 
 
 # -- word metric -----------------------------------------------------------------

@@ -14,6 +14,7 @@ from wreathdim import (
     DEFAULT_BUDGET,
     CyclicGroup,
     EncodingError,
+    FreeGroup,
     IntegerGroup,
     LengthOracle,
     ProductGroup,
@@ -287,10 +288,59 @@ def test_packed_space_matches_cayley_bfs(make_ctx, r, small_r):
         assert len(word) == reference[g]
         assert evaluate_word(ctx, word) == g
         state = space.state_of(g)
-        assert space.value_of(state) == g
-        assert [(letter, space.value_of(other)) for letter, other in space.moves(state)] == [
-            (s, ctx.multiply(g, s)) for s in ctx.symmetric_generators()
+        assert space.encoded_value(state) == (ctx.encode(g), g)
+        products = [ctx.multiply(g, s) for s in ctx.symmetric_generators()]
+        assert [(letter, space.encoded_value(other)) for letter, other in space.moves(state)] == [
+            (s, (ctx.encode(h), h)) for s, h in zip(ctx.symmetric_generators(), products)
         ]
+
+
+def _reference_encoding(ctx, x):
+    if not isinstance(ctx, WreathContext):
+        return ctx.encode(x)
+    lamps = b"".join(ctx.base.encode(pos) + ctx.fiber.encode(val) for pos, val in x.lamps)
+    return encode_uvarint(len(x.lamps)) + lamps + ctx.base.encode(x.cursor)
+
+
+@pytest.mark.parametrize(
+    ("make_ctx", "r"),
+    [
+        pytest.param(lambda: WreathContext(CyclicGroup(2), IntegerGroup()), 12, id="L2"),
+        pytest.param(lambda: WreathContext(CyclicGroup(3), IntegerGroup()), 10, id="C3-Z"),
+        pytest.param(lambda: WreathContext(_s3_identity_not_row_0(), IntegerGroup()), 8, id="S3-Z"),
+        pytest.param(
+            lambda: WreathContext(CyclicGroup(2), ProductGroup(IntegerGroup(), IntegerGroup())),
+            6,
+            id="W2",
+        ),
+        pytest.param(lambda: FreeGroup(2), 6, id="F2"),
+    ],
+)
+def test_ball_orders_elements_by_their_encoding(make_ctx, r):
+    ctx = make_ctx()
+    table = ball(ctx, r)
+    encodings = [_reference_encoding(ctx, x) for x in table.elements]
+    assert all(a < b for a, b in zip(encodings, encodings[1:]))
+    assert encodings == [ctx.encode(x) for x in table.elements]
+    space = ctx._search_space()
+    states = _bfs_lengths(space, max_length_below(as_radius(r)), DEFAULT_BUDGET)
+    assert sorted(space.encoded_value(state) for state in states) == list(
+        zip(encodings, table.elements)
+    )
+
+
+def test_oracle_distances_still_reject_malformed_elements(lamplighter):
+    oracle = LengthOracle(lamplighter)
+    oracle.ball(3)  # the memo now holds the lamp at 0 with value 1, which equals True
+    bad = WreathElement(((0, True),), 0)
+    for query in (
+        lambda: oracle.distance(lamplighter.identity(), bad),
+        lambda: oracle.distance_at_most(lamplighter.identity(), bad, 5),
+        lambda: oracle.length(bad),
+        lambda: oracle.length_at_most(bad, 5),
+    ):
+        with pytest.raises(EncodingError):
+            query()
 
 
 def test_minimal_word_round_trip(lamplighter):
