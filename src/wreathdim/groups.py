@@ -874,8 +874,10 @@ class _CayleySpace:
     def state_of(self, value: Element) -> Any:
         return value
 
-    def encoded_value(self, state: Any) -> tuple[bytes, Element]:
-        return self.ctx.encode(state), state
+    def encoded_values(self, states: Iterable[Any]) -> tuple[list[bytes], list[Element]]:
+        values = list(states)
+        encode = self.ctx.encode
+        return [encode(s) for s in values], values
 
     def neighbors(self, state: Any) -> list[Any]:
         mul = self.ctx.multiply
@@ -938,6 +940,9 @@ def ball(
 
     With a ball store attached, a stored ball of radius >= r for the same
     marked structure is reused (filtered down); fresh results are saved.
+    A searched ball's elements and encodings are built in one batch by the
+    search space, once per lamp mask on wreath products, and then ordered
+    by encoding.
     """
     radius = as_radius(r)
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -949,10 +954,11 @@ def ball(
             return BallTable(ctx, radius, elements, lengths)
     space = ctx._search_space()
     dist = _bfs_lengths(space, max_length_below(radius), budget)
-    pairs = [(*space.encoded_value(state), l) for state, l in dist.items()]
-    pairs.sort()  # encodings are unique, so values are never compared
-    elements = tuple(value for _, value, _ in pairs)
-    lengths = {value: l for _, value, l in pairs}
+    encodings, values = space.encoded_values(dist)
+    order = sorted(range(len(encodings)), key=encodings.__getitem__)
+    depths = list(dist.values())
+    elements = tuple(values[i] for i in order)
+    lengths = {values[i]: depths[i] for i in order}
     table = BallTable(ctx, radius, elements, lengths)
     if store is not None:
         from .ballstore import BallRecord
@@ -961,8 +967,8 @@ def ball(
             BallRecord(
                 spec_hash=ctx.spec_hash,
                 radius=radius,
-                encodings=tuple(enc for enc, _, _ in pairs),
-                lengths=tuple(l for _, _, l in pairs),
+                encodings=tuple(encodings[i] for i in order),
+                lengths=tuple(depths[i] for i in order),
             )
         )
     return table

@@ -22,7 +22,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
-from .encoding import EncodingError, read_uvarint, write_uvarint
+from .encoding import EncodingError, encode_uvarint, read_uvarint, write_uvarint
 from .errors import StructureError
 from .groups import (
     Element,
@@ -76,6 +76,7 @@ class WreathContext:
         self._spec_hash: str | None = None
         # lamps sort by this; every base kind's sort_key is its encoding
         self._position_bytes = _EncodingCache(base)
+        self._value_bytes = _EncodingCache(fiber)
 
     # -- group structure ----------------------------------------------------
 
@@ -158,12 +159,12 @@ class WreathContext:
     # -- canonical encoding -----------------------------------------------------
 
     def encode(self, x: WreathElement) -> bytes:
-        keys = self._position_bytes
+        keys, value_bytes = self._position_bytes, self._value_bytes
         out = bytearray()
         write_uvarint(out, len(x.lamps))
         for pos, val in x.lamps:
             out += keys[pos]
-            self.fiber._encode_into(out, val)
+            out += value_bytes[val]
         out += keys[x.cursor]
         return bytes(out)
 
@@ -284,6 +285,9 @@ class _PackedLampSpace:
     owns the ``width``-bit field at ``id * width`` of the mask.  The field holds
     the index of the lamp's value in ``(identity, *lamp values)``, so an unlit
     lamp is field 0 and the empty configuration is mask 0.
+
+    A ball's elements are built in one batch by ``encoded_values``: each
+    distinct mask is decoded once, and its states share one lamps tuple.
     """
 
     def __init__(self, ctx: WreathContext):
@@ -300,17 +304,14 @@ class _PackedLampSpace:
         )
         self._moves = ctx.base.symmetric_generators()
         self._letters = ctx.symmetric_generators()  # lamp letters, then cursor moves
-        self._value_bytes = tuple(fiber.encode(v) for v in self._values)
         self._ids: dict[Element, int] = {}
         self._positions: list[Element] = []
-        self._keys: list[bytes] = []
 
     def _id_of(self, pos: Element) -> int:
         idx = self._ids.get(pos)
         if idx is None:
             idx = self._ids[pos] = len(self._positions)
             self._positions.append(pos)
-            self._keys.append(self.ctx._position_bytes[pos])
         return idx
 
     def identity_state(self) -> tuple[int, Element]:
@@ -322,27 +323,50 @@ class _PackedLampSpace:
             mask |= self._value_index[val] << (self._id_of(pos) * self._width)
         return (mask, value.cursor)
 
-    def encoded_value(self, state: tuple[int, Element]) -> tuple[bytes, WreathElement]:
-        """The state's element and its ``ctx.encode``, joined from cached bytes."""
-        mask, cursor = state
-        width, full, keys = self._width, self._full, self._keys
-        lit = []
-        idx = 0
-        while mask:
-            field = mask & full
-            if field:
-                lit.append((keys[idx], idx, field))
-            mask >>= width
-            idx += 1
-        lit.sort()
-        out = bytearray()
-        write_uvarint(out, len(lit))
-        for key, _, field in lit:
-            out += key
-            out += self._value_bytes[field]
-        out += self.ctx._position_bytes[cursor]
-        lamps = tuple((self._positions[idx], self._values[field]) for _, idx, field in lit)
-        return bytes(out), WreathElement(lamps, cursor)
+    def encoded_values(
+        self, states: Iterable[tuple[int, Element]]
+    ) -> tuple[list[bytes], list[WreathElement]]:
+        """Each state's ``ctx.encode`` and element, in the order given.
+
+        The lamps of each distinct mask are read once, from its lit fields
+        only; states with that mask share the encoded prefix and lamps tuple.
+        """
+        width, full, values = self._width, self._full, self._values
+        position_bytes, value_bytes = self.ctx._position_bytes, self.ctx._value_bytes
+        # Cell rank * len(values) + field is that lamp at the position whose
+        # bytes have that rank, so sorting a mask's cells sorts its lamps.
+        keys = [position_bytes[pos] for pos in self._positions]
+        ranked = sorted(range(len(keys)), key=keys.__getitem__)
+        first_cell = [0] * len(ranked)
+        cell_bytes: list[bytes] = []
+        cell_lamps: list[tuple[Element, Element]] = []
+        for rank, idx in enumerate(ranked):
+            first_cell[idx] = rank * len(values)
+            pos = self._positions[idx]
+            cell_bytes += [keys[idx] + value_bytes[value] for value in values]
+            cell_lamps += [(pos, value) for value in values]
+        by_mask: dict[int, tuple[bytes, tuple[tuple[Element, Element], ...]]] = {}
+        encodings: list[bytes] = []
+        elements: list[WreathElement] = []
+        for mask, cursor in states:
+            entry = by_mask.get(mask)
+            if entry is None:
+                cells = []
+                rest = mask
+                while rest:
+                    idx = ((rest & -rest).bit_length() - 1) // width
+                    field = (rest >> (idx * width)) & full
+                    rest ^= field << (idx * width)
+                    cells.append(first_cell[idx] + field)
+                cells.sort()
+                entry = by_mask[mask] = (
+                    encode_uvarint(len(cells)) + b"".join([cell_bytes[c] for c in cells]),
+                    tuple([cell_lamps[c] for c in cells]),
+                )
+            prefix, lamps = entry
+            encodings.append(prefix + position_bytes[cursor])
+            elements.append(WreathElement(lamps, cursor))
+        return encodings, elements
 
     def neighbors(self, state: tuple[int, Element]) -> list[tuple[int, Element]]:
         mask, cursor = state

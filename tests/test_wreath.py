@@ -12,6 +12,7 @@ import pytest
 
 from wreathdim import (
     DEFAULT_BUDGET,
+    BallStore,
     CyclicGroup,
     EncodingError,
     FreeGroup,
@@ -259,22 +260,21 @@ def _s3_identity_not_row_0() -> TableGroup:
     return TableGroup(table, (0, 2))
 
 
-@pytest.mark.parametrize(
-    ("make_ctx", "r", "small_r"),
-    [
-        pytest.param(lambda: WreathContext(CyclicGroup(2), IntegerGroup()), 7, 5, id="C2-Z"),
-        pytest.param(lambda: WreathContext(CyclicGroup(3), IntegerGroup()), 5, 4, id="C3-Z"),
-        pytest.param(
-            lambda: WreathContext(_s3_identity_not_row_0(), IntegerGroup()), 4, 3, id="S3-Z"
-        ),
-        pytest.param(
-            lambda: WreathContext(CyclicGroup(3), ProductGroup(IntegerGroup(), IntegerGroup())),
-            4,
-            3,
-            id="C3-Z2",
-        ),
-    ],
-)
+# (context factory, radius, smaller radius) for the packed lamp space
+PACKED_CASES = [
+    pytest.param(lambda: WreathContext(CyclicGroup(2), IntegerGroup()), 7, 5, id="C2-Z"),
+    pytest.param(lambda: WreathContext(CyclicGroup(3), IntegerGroup()), 5, 4, id="C3-Z"),
+    pytest.param(lambda: WreathContext(_s3_identity_not_row_0(), IntegerGroup()), 4, 3, id="S3-Z"),
+    pytest.param(
+        lambda: WreathContext(CyclicGroup(3), ProductGroup(IntegerGroup(), IntegerGroup())),
+        4,
+        3,
+        id="C3-Z2",
+    ),
+]
+
+
+@pytest.mark.parametrize(("make_ctx", "r", "small_r"), PACKED_CASES)
 def test_packed_space_matches_cayley_bfs(make_ctx, r, small_r):
     ctx = make_ctx()
     reference = _bfs_lengths(_CayleySpace(ctx), max_length_below(as_radius(r)), DEFAULT_BUDGET)
@@ -288,11 +288,31 @@ def test_packed_space_matches_cayley_bfs(make_ctx, r, small_r):
         assert len(word) == reference[g]
         assert evaluate_word(ctx, word) == g
         state = space.state_of(g)
-        assert space.encoded_value(state) == (ctx.encode(g), g)
+        assert space.encoded_values([state]) == ([ctx.encode(g)], [g])
         products = [ctx.multiply(g, s) for s in ctx.symmetric_generators()]
-        assert [(letter, space.encoded_value(other)) for letter, other in space.moves(state)] == [
-            (s, (ctx.encode(h), h)) for s, h in zip(ctx.symmetric_generators(), products)
-        ]
+        letters, others = zip(*space.moves(state))
+        assert letters == ctx.symmetric_generators()
+        assert space.encoded_values(others) == ([ctx.encode(h) for h in products], products)
+
+
+@pytest.mark.parametrize(("make_ctx", "r", "small_r"), PACKED_CASES)
+def test_packed_encoded_values_build_each_mask_once(make_ctx, r, small_r):
+    ctx = make_ctx()
+    space = ctx._search_space()
+    states = list(_bfs_lengths(space, max_length_below(as_radius(r)), DEFAULT_BUDGET))
+    encodings, elements = space.encoded_values(states)
+    assert len(encodings) == len(elements) == len(states)
+    for data, x in zip(encodings, elements):
+        assert data == _reference_encoding(ctx, x) == ctx.encode(x)
+        assert ctx.canonicalize(x) == x
+    lamps_of: dict[int, list[WreathElement]] = {}
+    for (mask, _), x in zip(states, elements):
+        lamps_of.setdefault(mask, []).append(x)
+    assert len(lamps_of) < len(states)
+    shared = [xs for xs in lamps_of.values() if len({x.cursor for x in xs}) > 1]
+    assert shared
+    for xs in shared:
+        assert all(x.lamps is xs[0].lamps for x in xs)
 
 
 def _reference_encoding(ctx, x):
@@ -324,9 +344,38 @@ def test_ball_orders_elements_by_their_encoding(make_ctx, r):
     assert encodings == [ctx.encode(x) for x in table.elements]
     space = ctx._search_space()
     states = _bfs_lengths(space, max_length_below(as_radius(r)), DEFAULT_BUDGET)
-    assert sorted(space.encoded_value(state) for state in states) == list(
-        zip(encodings, table.elements)
-    )
+    assert sorted(zip(*space.encoded_values(states))) == list(zip(encodings, table.elements))
+
+
+def _table_parts(table):
+    return table.elements, table.lengths, list(table.lengths)
+
+
+@pytest.mark.parametrize(
+    "make_ctx",
+    [
+        pytest.param(lambda: WreathContext(CyclicGroup(3), IntegerGroup()), id="C3-Z"),
+        pytest.param(
+            lambda: WreathContext(CyclicGroup(2), ProductGroup(IntegerGroup(), IntegerGroup())),
+            id="W2",
+        ),
+    ],
+)
+def test_ball_is_stable_across_calls_and_cache_order(make_ctx, tmp_path):
+    r = 5
+    ctx = make_ctx()
+    first = ball(ctx, r)
+    assert _table_parts(ball(ctx, r)) == _table_parts(first)
+    busy = make_ctx()
+    for x in reversed(first.elements):
+        busy.canonicalize(busy.multiply(busy.multiply(x, x), busy.inverse(x)))
+    assert list(busy._position_bytes) != list(ctx._position_bytes)
+    assert _table_parts(ball(busy, r)) == _table_parts(first)
+    store = BallStore(tmp_path)
+    saved = ball(ctx, r, store=store)
+    record = store.load(ctx.spec_hash, as_radius(r))
+    assert record.encodings == tuple(ctx.encode(x) for x in saved.elements)
+    assert record.lengths == tuple(saved.lengths[x] for x in saved.elements)
 
 
 def test_oracle_distances_still_reject_malformed_elements(lamplighter):
