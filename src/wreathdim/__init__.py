@@ -31,17 +31,13 @@ from .groups import (
     word_length,
 )
 from .wreath import (
-    Bulb,
-    BulbProduct,
     BulbWord,
     WreathContext,
     WreathElement,
-    bulb,
     bulb_decompose,
     bulb_lower_bound,
     bulb_product,
     bulb_word,
-    kernel_bulbs,
     kernel_window,
 )
 from .covers import (

@@ -165,6 +165,14 @@ def _radii(args: argparse.Namespace, run: _Run) -> tuple[Fraction, ...]:
     return parse_radii("1..6")
 
 
+def _radius_flag(flag: str, text: str) -> Fraction:
+    try:
+        (radius,) = parse_radii(text)
+    except ValueError:  # a ConfigError from parse_radii, or not exactly one radius
+        raise ConfigError(f"{flag} must be one positive radius, got {text!r}") from None
+    return radius
+
+
 def _cmd_growth(args: argparse.Namespace) -> int:
     run = _prepare(args)
     ctx = run.setup.context(args.name)
@@ -207,7 +215,7 @@ def _window_view(
 def _cmd_components(args: argparse.Namespace) -> int:
     run = _prepare(args)
     ctx = run.setup.context(args.name)
-    window_radius = Fraction(args.window_radius)
+    window_radius = _radius_flag("--window-radius", args.window_radius)
     view = _window_view(run, ctx, window_radius, args.kernel)
     rows = []
     for r in _radii(args, run):
@@ -233,7 +241,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
     ctx = run.setup.context(args.name)
     if not isinstance(ctx, WreathContext):
         raise ConfigError(f"control needs a wreath context, and {args.name!r} is not one")
-    window_radius = Fraction(args.window_radius)
+    window_radius = _radius_flag("--window-radius", args.window_radius)
     base_oracle = LengthOracle(ctx.base, budget=run.setup.budget)
     if args.mode == "kernel":
         view = _window_view(run, ctx, window_radius, kernel=True)
@@ -257,7 +265,14 @@ def _cmd_control(args: argparse.Namespace) -> int:
             f"--mode pullback needs a wreath over an integers base, "
             f"and the base of {args.name!r} is of kind {ctx.base.kind!r}"
         )
-    r = Fraction(args.r)
+    r = _radius_flag("--r", args.r)
+    for flag, value, least in (
+        ("--sub-window", args.sub_window, 0),
+        ("--cover-period", args.cover_period, 1),
+        ("--cover-length", args.cover_length, 0),
+    ):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     view = _window_view(run, ctx, window_radius, kernel=False)
     span = args.sub_window
     sub_points = [ctx.base.parse_element(str(a)) for a in range(-span, span + 1)]
@@ -296,9 +311,8 @@ def _cmd_cube(args: argparse.Namespace) -> int:
     if not isinstance(ctx, WreathContext):
         raise ConfigError(f"cube needs a wreath context, and {args.name!r} is not one")
     oracle = LengthOracle(ctx.base, budget=run.setup.budget)
-    cert = growth_lower_bound_certificate(
-        ctx, args.n, Fraction(args.r), base_oracle=oracle, seed=run.setup.seed
-    )
+    r = _radius_flag("--r", args.r)
+    cert = growth_lower_bound_certificate(ctx, args.n, r, base_oracle=oracle, seed=run.setup.seed)
     payload = _report(run, "cube", {"name": args.name, "n": args.n, "r": args.r}, cert.to_json_dict())
     _write(run, payload, None)
     return 0

@@ -37,16 +37,13 @@ class MetricView:
     def dist(self, a: Any, b: Any) -> int | Fraction:
         raise NotImplementedError
 
-    def dist_lt(self, a: Any, b: Any, r: Fraction) -> bool:
-        return self.dist(a, b) < r
-
     def dists_from(self, a: Any, others: Iterable[Any]) -> list[int | Fraction]:
         """``[dist(a, b) for b in others]``; views may share work across the row."""
         return [self.dist(a, b) for b in others]
 
     def neighbors_within(self, x: Any, members: Any, r: Fraction) -> list[Any]:
         """Members at distance strictly below ``r`` from ``x`` (x excluded)."""
-        return [y for y in members if y != x and self.dist_lt(x, y, r)]
+        return [y for y in members if y != x and self.dist(x, y) < r]
 
 
 class ExplicitMetricView(MetricView):
@@ -96,10 +93,10 @@ class GroupWindowView(MetricView):
     into single length queries), and near-neighbor enumeration multiplies by
     a small ball instead of scanning all pairs.
 
-    The points are canonicalized once, here.  ``dist``, ``dist_lt`` and
-    ``dists_from`` trust their arguments to be canonical, as window points
-    are, and look ``a^-1 b`` up in the oracle without canonicalizing it
-    again; the oracle's public methods are the checked entry points.
+    The points are canonicalized once, here.  ``dist`` and ``dists_from``
+    trust their arguments to be canonical, as window points are, and look
+    ``a^-1 b`` up in the oracle without canonicalizing it again; the
+    oracle's public methods are the checked entry points.
     """
 
     def __init__(self, ctx: Any, points: Iterable[Element], oracle: LengthOracle | None = None):
@@ -111,11 +108,6 @@ class GroupWindowView(MetricView):
 
     def dist(self, a: Element, b: Element) -> int:
         return self.oracle._known_length(self.ctx.multiply(self.ctx.inverse(a), b))
-
-    def dist_lt(self, a: Element, b: Element, r: Fraction) -> bool:
-        bound = max_length_below(as_radius(r))
-        product = self.ctx.multiply(self.ctx.inverse(a), b)
-        return self.oracle._known_length(product, bound) is not None
 
     def dists_from(self, a: Element, others: Iterable[Element]) -> list[int]:
         inv, mul, known = self.ctx.inverse(a), self.ctx.multiply, self.oracle._known_length

@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from .covers import Cover, MetricView, lebesgue_ok
 from .errors import BudgetExceededError
 from .groups import DEFAULT_BUDGET, Element, LengthOracle, as_radius
-from .wreath import WreathContext, bulb_product, kernel_bulbs
+from .wreath import WreathContext, bulb_product
 
 Point = tuple[int, ...]
 
@@ -250,6 +250,8 @@ def sampled_lattice_search(
     n: int, k: int, num_parts: int, samples: int, *, seed: int = 0
 ) -> LatticeSearchReport:
     """Same tally over a seeded random sample of assignment codes."""
+    if samples < 1:
+        raise ValueError(f"lattice samples must be at least 1, got {samples}")
     scanner = _LatticeScanner(n, k, num_parts)
     total = scanner.radix ** len(scanner.points)
     rng = random.Random(seed)
@@ -410,7 +412,7 @@ def build_kernel_cube(
             for i in range(1, n + 1)
             for j in range(1, x[i - 1] + 1)
         ]
-        vertices[x] = bulb_product(ctx, pairs).element(ctx)
+        vertices[x] = bulb_product(ctx, pairs)
     cube = RCube(n, k, scale, vertices)
     edge_bounds: dict[tuple[Point, Point], int] = {}
     for x, y in cube.edges():
@@ -445,8 +447,8 @@ def lipschitz_pairs(
     for a, b in pairs:
         ga = kcube.cube.vertices[a]
         gb = kcube.cube.vertices[b]
-        diff = kernel_bulbs(ctx, ctx.multiply(ctx.inverse(ga), gb))
-        out.append((a, b, l1(a, b), len(diff.bulbs)))
+        diff = ctx.multiply(ctx.inverse(ga), gb)
+        out.append((a, b, l1(a, b), len(diff.lamps)))
     return out
 
 

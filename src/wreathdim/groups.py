@@ -883,10 +883,6 @@ class _CayleySpace:
         mul = self.ctx.multiply
         return [mul(state, g) for g in self.letters]
 
-    def moves(self, state: Any) -> list[tuple[Element, Any]]:
-        mul = self.ctx.multiply
-        return [(g, mul(state, g)) for g in self.letters]
-
 
 @dataclass
 class BallTable:
@@ -1041,6 +1037,8 @@ def minimal_word(ctx: Any, g: Element, *, budget: int | None = None) -> tuple[El
     """One geodesic word for ``g`` as a tuple of generator values (left to right)."""
     budget = DEFAULT_BUDGET if budget is None else budget
     g = ctx.canonicalize(g)
+    # every search space lists neighbours in symmetric-generator order
+    letters = ctx.symmetric_generators()
     space = ctx._search_space()
     target = space.state_of(g)
     start = space.identity_state()
@@ -1051,7 +1049,7 @@ def minimal_word(ctx: Any, g: Element, *, budget: int | None = None) -> tuple[El
             raise StructureError("element is not generated by the declared marking")
         nxt = []
         for state in frontier:
-            for letter, other in space.moves(state):
+            for letter, other in zip(letters, space.neighbors(state)):
                 if other not in parents:
                     parents[other] = (state, letter)
                     nxt.append(other)

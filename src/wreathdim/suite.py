@@ -93,7 +93,7 @@ class _Suite:
             for support in itertools.combinations(range(-3, 4), n):
                 product = bulb_product(ctx, [(e, lamp) for e in support])
                 bound = bulb_lower_bound(product)
-                length = self.oracle_L2.length(product.element(ctx))
+                length = self.oracle_L2.length(product)
                 checked += 1
                 max_len = max(max_len, length)
                 margin = length - bound
@@ -127,7 +127,7 @@ class _Suite:
                 value = evaluate_word(ctx, word.letters)
                 checked += 1
                 max_letters = max(max_letters, len(word.letters))
-                if value != product.element(ctx):
+                if value != product:
                     return False, {"support": list(support), "reason": "wrong value"}
                 if len(word.letters) > word.bound:
                     return False, {
@@ -150,13 +150,13 @@ class _Suite:
                 value = evaluate_word(ctx, word)
                 product, residual = bulb_decompose(ctx, word)
                 words += 1
-                if product.element(ctx) != WreathElement(value.lamps, ctx.base.identity()):
+                if product != WreathElement(value.lamps, ctx.base.identity()):
                     return False, {"reason": "lamps differ", "word_length": length}
                 if residual != value.cursor:
                     return False, {"reason": "cursor differs", "word_length": length}
                 if value.cursor == ctx.base.identity():
                     kernel_words += 1
-                    for index in product.support():
+                    for index, _ in product.lamps:
                         if abs(index) > 5:
                             return False, {
                                 "reason": "index outside the base 5-ball",

@@ -6,10 +6,10 @@ marking is the standard one: every nonidentity fiber value as a lamp at the
 identity position, plus the base group's marked generators as cursor moves.
 
 The kernel of the cursor projection is spanned by *bulbs*: a lamp value
-conjugated to a single base position.  Products of bulbs with distinct
-indices are the kernel normal form, and the three word-length facts about
-them (a lower bound counting indices, a decomposition of arbitrary words,
-and an explicit short word through a virtually-Z structure on the base) are
+conjugated to a single base position.  A kernel element's sorted lamps are
+its bulb normal form, and the three word-length facts about it (a lower
+bound counting lit lamps, a decomposition of arbitrary words, and an
+explicit short word through a virtually-Z structure on the base) are
 implemented here.
 
 Searches over every finite fiber run on one packed lamp state: an integer
@@ -18,7 +18,6 @@ holding a fixed-width field per visited base position, plus the cursor.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
@@ -40,28 +39,14 @@ class WreathElement(NamedTuple):
     cursor: Element
 
 
-class Bulb(NamedTuple):
-    """One lamp value pushed to one base position: cursor to ``index``, light, return."""
+class WreathContext(MarkedGroup):
+    """Group operations, encodings, and search spaces for one wreath product.
 
-    index: Element
-    value: Element
-
-
-@dataclass(frozen=True)
-class BulbProduct:
-    """Product of bulbs with pairwise distinct indices (kernel normal form)."""
-
-    bulbs: tuple[Bulb, ...]
-
-    def support(self) -> tuple[Element, ...]:
-        return tuple(b.index for b in self.bulbs)
-
-    def element(self, ctx: "WreathContext") -> WreathElement:
-        return WreathElement(tuple((b.index, b.value) for b in self.bulbs), ctx.base.identity())
-
-
-class WreathContext:
-    """Group operations, encodings, and search spaces for one wreath product."""
+    The marking is the lamp letters, one per nonidentity fiber value, then
+    the base generators as cursor letters.  The fiber's nonidentity values
+    are closed under inverse, so the symmetric marking is the lamp letters
+    followed by the base's symmetric generators.
+    """
 
     kind = "wreath"
 
@@ -73,10 +58,13 @@ class WreathContext:
         self._fiber_id = fiber.identity()
         self._base_id = base.identity()
         self._lamp_values = tuple(h for h in fiber.elements() if h != self._fiber_id)
-        self._spec_hash: str | None = None
         # lamps sort by this; every base kind's sort_key is its encoding
         self._position_bytes = _EncodingCache(base)
         self._value_bytes = _EncodingCache(fiber)
+        super().__init__(
+            [WreathElement(((self._base_id, h),), self._base_id) for h in self._lamp_values]
+            + [WreathElement((), g) for g in base.generators]
+        )
 
     # -- group structure ----------------------------------------------------
 
@@ -138,35 +126,15 @@ class WreathContext:
         assert fo is not None
         return fo**bo * bo
 
-    # -- marking --------------------------------------------------------------
-
-    @property
-    def generators(self) -> tuple[WreathElement, ...]:
-        return self._lamp_generators() + tuple(
-            WreathElement((), g) for g in self.base.generators
-        )
-
-    def symmetric_generators(self) -> tuple[WreathElement, ...]:
-        return self._lamp_generators() + tuple(
-            WreathElement((), g) for g in self.base.symmetric_generators()
-        )
-
-    def _lamp_generators(self) -> tuple[WreathElement, ...]:
-        return tuple(
-            WreathElement(((self._base_id, h),), self._base_id) for h in self._lamp_values
-        )
-
     # -- canonical encoding -----------------------------------------------------
 
-    def encode(self, x: WreathElement) -> bytes:
+    def _encode_into(self, out: bytearray, x: WreathElement) -> None:
         keys, value_bytes = self._position_bytes, self._value_bytes
-        out = bytearray()
         write_uvarint(out, len(x.lamps))
         for pos, val in x.lamps:
             out += keys[pos]
             out += value_bytes[val]
         out += keys[x.cursor]
-        return bytes(out)
 
     def decode_from(self, data: bytes | memoryview, pos: int) -> tuple[WreathElement, int]:
         count, pos = read_uvarint(data, pos)
@@ -186,15 +154,6 @@ class WreathContext:
             lamps.append((position, value))
         cursor, pos = self.base.decode_from(data, pos)
         return WreathElement(tuple(lamps), cursor), pos
-
-    def decode(self, data: bytes) -> WreathElement:
-        value, pos = self.decode_from(data, 0)
-        if pos != len(data):
-            raise EncodingError(f"{len(data) - pos} trailing bytes after element encoding")
-        return value
-
-    def sort_key(self, x: WreathElement) -> bytes:
-        return self.encode(x)
 
     # -- text forms ----------------------------------------------------------------
 
@@ -237,12 +196,6 @@ class WreathContext:
 
     def spec_string(self) -> str:
         return f"wreath(fiber={self.fiber.spec_string()}|base={self.base.spec_string()})"
-
-    @property
-    def spec_hash(self) -> str:
-        if self._spec_hash is None:
-            self._spec_hash = hashlib.sha256(self.spec_string().encode("utf-8")).hexdigest()
-        return self._spec_hash
 
     # -- search ------------------------------------------------------------------------
 
@@ -303,7 +256,6 @@ class _PackedLampSpace:
             for h in ctx._lamp_values
         )
         self._moves = ctx.base.symmetric_generators()
-        self._letters = ctx.symmetric_generators()  # lamp letters, then cursor moves
         self._ids: dict[Element, int] = {}
         self._positions: list[Element] = []
 
@@ -369,6 +321,7 @@ class _PackedLampSpace:
         return encodings, elements
 
     def neighbors(self, state: tuple[int, Element]) -> list[tuple[int, Element]]:
+        """One neighbour per letter of ``ctx.symmetric_generators()``, in that order."""
         mask, cursor = state
         shift = self._id_of(cursor) * self._width
         field = (mask >> shift) & self._full
@@ -377,59 +330,34 @@ class _PackedLampSpace:
         out.extend((mask, mul(cursor, g)) for g in self._moves)
         return out
 
-    def moves(self, state: tuple[int, Element]) -> list[tuple[WreathElement, tuple[int, Element]]]:
-        return list(zip(self._letters, self.neighbors(state)))
-
 
 # ---------------------------------------------------------------------------
 # bulbs and the three word-length facts about them
 
 
-def bulb(ctx: WreathContext, index: Element, value: Element) -> WreathElement:
-    """The kernel element lighting ``value`` at position ``index``."""
-    value = ctx.fiber.canonicalize(value)
-    if value == ctx._fiber_id:
-        raise ValueError("a bulb needs a nonidentity fiber value")
-    return WreathElement(((ctx.base.canonicalize(index), value),), ctx._base_id)
+def bulb_product(ctx: WreathContext, pairs: Iterable[tuple[Element, Element]]) -> WreathElement:
+    """The kernel element lighting each ``(index, value)`` factor, multiplied in order.
 
-
-def bulb_product(ctx: WreathContext, pairs: Iterable[tuple[Element, Element]]) -> BulbProduct:
-    """Normalize ``(index, value)`` factors: merge equal indices, drop identity values."""
+    Factors at one index merge by fiber multiplication, and identity values
+    drop out, so the lamps are the product's bulb normal form.
+    """
     merged: dict[Element, Element] = {}
-    order: list[Element] = []
     for index, value in pairs:
         index = ctx.base.canonicalize(index)
         value = ctx.fiber.canonicalize(value)
-        if index in merged:
-            merged[index] = ctx.fiber.multiply(merged[index], value)
-        else:
-            merged[index] = value
-            order.append(index)
-    bulbs = [
-        Bulb(index, merged[index]) for index in order if merged[index] != ctx._fiber_id
-    ]
-    bulbs.sort(key=lambda b: ctx._position_bytes[b.index])
-    return BulbProduct(tuple(bulbs))
+        held = merged.get(index)
+        merged[index] = value if held is None else ctx.fiber.multiply(held, value)
+    return ctx.canonicalize(WreathElement(tuple(merged.items()), ctx._base_id))
 
 
-def kernel_bulbs(ctx: WreathContext, w: WreathElement) -> BulbProduct:
-    """The bulb normal form of a kernel element (cursor must be the identity)."""
-    w = ctx.canonicalize(w)
-    if w.cursor != ctx._base_id:
-        raise ValueError(
-            f"element {ctx.format_element(w)} is not in the kernel of the cursor projection"
-        )
-    return BulbProduct(tuple(Bulb(pos, val) for pos, val in w.lamps))
-
-
-def bulb_lower_bound(product: BulbProduct) -> int:
-    """Word length of a bulb product is at least its number of distinct indices."""
-    return len(product.bulbs)
+def bulb_lower_bound(w: WreathElement) -> int:
+    """Word length of ``w`` is at least its number of lit lamps: each costs a letter."""
+    return len(w.lamps)
 
 
 def bulb_decompose(
     ctx: WreathContext, letters: Iterable[WreathElement]
-) -> tuple[BulbProduct, Element]:
+) -> tuple[WreathElement, Element]:
     """Rewrite a generator word as a bulb product times its cursor value.
 
     Each lamp letter at prefix x becomes the bulb ``(x, value)``; the second
@@ -452,7 +380,7 @@ def bulb_decompose(
 
 @dataclass(frozen=True)
 class BulbWord:
-    """A generator word for a bulb product, with its guaranteed letter bound."""
+    """A generator word for a kernel element, with its guaranteed letter bound."""
 
     letters: tuple[WreathElement, ...]
     bound: int
@@ -461,15 +389,21 @@ class BulbWord:
 def bulb_word(
     ctx: WreathContext,
     structure: VirtuallyZStructure,
-    product: BulbProduct,
+    w: WreathElement,
 ) -> BulbWord:
-    """Spell a bulb product with at most ``n * (k + 2 + 4 * max|e|)`` letters.
+    """Spell a kernel element with at most ``n * (k + 2 + 4 * max|e|)`` letters.
 
+    ``k`` counts the lit lamps of ``w``, whose cursor must be the identity.
     The base group must carry the given virtually-Z structure, with ``t`` and
     every nonidentity coset representative among the marked base generators.
-    Indices are grouped by coset representative and visited in increasing
-    t-exponent order, so the cursor sweeps each coset once.
+    Lamp positions are grouped by coset representative and visited in
+    increasing t-exponent order, so the cursor sweeps each coset once.
     """
+    w = ctx.canonicalize(w)
+    if w.cursor != ctx._base_id:
+        raise ValueError(
+            f"element {ctx.format_element(w)} is not in the kernel of the cursor projection"
+        )
     base = ctx.base
     if structure.group is not base and structure.group.spec_string() != base.spec_string():
         raise StructureError("virtually-Z structure does not describe the wreath base group")
@@ -486,9 +420,9 @@ def bulb_word(
 
     grouped: dict[int, list[tuple[int, Element]]] = {}
     max_abs_e = 0
-    for b in product.bulbs:
-        i, e = vz_decompose(structure, b.index)
-        grouped.setdefault(i, []).append((e, b.value))
+    for pos, value in w.lamps:
+        i, e = vz_decompose(structure, pos)
+        grouped.setdefault(i, []).append((e, value))
         max_abs_e = max(max_abs_e, abs(e))
     letters: list[WreathElement] = []
     for i in sorted(grouped):
@@ -506,7 +440,7 @@ def bulb_word(
         letters.extend([step] * abs(position))
         if rep != base.identity():
             letters.append(WreathElement((), base.inverse(rep)))
-    bound = structure.index * (len(product.bulbs) + 2 + 4 * max_abs_e)
+    bound = structure.index * (len(w.lamps) + 2 + 4 * max_abs_e)
     word = tuple(letters)
     assert len(word) <= bound
     return BulbWord(word, bound)

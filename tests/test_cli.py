@@ -170,6 +170,32 @@ def test_control_pullback_needs_an_integers_base(capsys):
     assert "'W2'" in captured.err
 
 
+PULLBACK = ["control", "--name", "L2", "--mode", "pullback", "--window-radius", "5"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ([*PULLBACK, "--cover-period", "0"], "--cover-period must be >= 1, got 0"),
+        ([*PULLBACK, "--cover-period", "-8"], "--cover-period must be >= 1, got -8"),
+        ([*PULLBACK, "--sub-window", "-1"], "--sub-window must be >= 0, got -1"),
+        ([*PULLBACK, "--cover-length", "-2"], "--cover-length must be >= 0, got -2"),
+        ([*PULLBACK, "--r", "abc"], "--r must be one positive radius, got 'abc'"),
+        ([*PULLBACK, "--r", "0"], "--r must be one positive radius, got '0'"),
+        ([*PULLBACK, "--window-radius", "x"], "--window-radius must be one positive radius"),
+        (["control", "--name", "L2", "--window-radius", "-4"], "--window-radius must be"),
+        (["components", "--name", "L2", "--window-radius", "1..3"], "--window-radius must be"),
+        (["cube", "--name", "W2", "--n", "2", "--r", "abc"], "--r must be one positive radius"),
+    ],
+)
+def test_bad_flags_are_config_errors_naming_the_flag(capsys, args, message):
+    rc = main(args)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 # -- cube ----------------------------------------------------------------------
 
 
@@ -217,6 +243,7 @@ def test_lattice_sampled_rejects_more_parts_than_coordinates(capsys):
     [
         (["--k", "0", "--parts", "1"], "lattice k must be"),
         (["--k", "2", "--parts", "0"], "lattice num_parts must be"),
+        (["--k", "2", "--parts", "2", "--samples", "-3"], "lattice samples must be at least 1"),
     ],
 )
 def test_lattice_rejects_degenerate_sizes(capsys, flags, message):

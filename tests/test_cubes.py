@@ -23,7 +23,6 @@ from wreathdim import (
     cube_obstruction,
     exhaustive_lattice_search,
     growth_lower_bound_certificate,
-    kernel_bulbs,
     l1,
     lattice_cover_witness,
     lattice_points,
@@ -202,6 +201,12 @@ def test_degenerate_lattice_sizes_are_rejected(n, k, num_parts, field):
         sampled_lattice_search(n, k, num_parts, 3)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_search_rejects_non_positive_sample_counts(samples):
+    with pytest.raises(ValueError, match=f"lattice samples must be at least 1, got {samples}"):
+        sampled_lattice_search(2, 2, 2, samples)
+
+
 def test_cover_witness_rejects_an_empty_cover():
     with pytest.raises(ValueError, match="num_parts"):
         lattice_cover_witness(1, 2, [])
@@ -364,7 +369,7 @@ def test_kernel_cube_vertices_differ_by_one_bulb(lamplighter):
     kcube = build_kernel_cube(ctx, 1, 2)
     for (a, b) in kcube.cube.edges():
         diff = ctx.multiply(ctx.inverse(kcube.cube.vertices[a]), kcube.cube.vertices[b])
-        assert len(kernel_bulbs(ctx, diff).bulbs) == 1
+        assert diff.cursor == 0 and len(diff.lamps) == 1
 
 
 def test_kernel_cube_edges_within_bound(lamplighter):

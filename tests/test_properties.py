@@ -15,7 +15,6 @@ from wreathdim import (
     WreathElement,
     bulb_product,
     evaluate_word,
-    kernel_bulbs,
     lattice_cover_witness,
     lattice_points,
     minimal_word,
@@ -210,22 +209,29 @@ def test_minimal_word_never_longer_than_any_witness(letters):
 @given(st.lists(st.tuples(st.integers(-3, 3), st.just(1)), max_size=4))
 def test_bulb_product_round_trips_through_kernel(pairs):
     product = bulb_product(L2, pairs)
-    element = product.element(L2)
-    assert element.cursor == 0
-    assert kernel_bulbs(L2, element) == product
-    # Indices are strictly sorted in the base group's canonical order, the
-    # same order the element's lamps use.
-    support = product.support()
-    keys = [L2.base.sort_key(i) for i in support]
+    assert product.cursor == 0
+    assert bulb_product(L2, product.lamps) == product
+    # Lamps are strictly sorted in the base group's canonical order.
+    keys = [L2.base.sort_key(pos) for pos, _ in product.lamps]
     assert all(a < b for a, b in zip(keys, keys[1:]))
-    assert support == tuple(pos for pos, _ in element.lamps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(S3.elements())), max_size=6))
+def test_bulb_product_is_the_ordered_product_of_its_bulbs(pairs):
+    # S3 is nonabelian, so factors at one index must multiply in order.
+    ctx = WREATHS["S3wrZ"]
+    folded = ctx.identity()
+    for index, value in pairs:
+        folded = ctx.multiply(folded, ctx.element([(index, value)], 0))
+    assert bulb_product(ctx, pairs) == folded
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.sets(st.integers(-3, 3), min_size=1, max_size=3))
 def test_distinct_bulb_count_lower_bounds_length(indices):
     product = bulb_product(L2, [(i, 1) for i in indices])
-    assert word_length(L2, product.element(L2)) >= len(indices)
+    assert word_length(L2, product) >= len(indices)
 
 
 # -- components --------------------------------------------------------------------

@@ -26,14 +26,12 @@ from wreathdim import (
     WreathElement,
     as_radius,
     ball,
-    bulb,
     bulb_decompose,
     bulb_lower_bound,
     bulb_product,
     bulb_word,
     evaluate_word,
     growth,
-    kernel_bulbs,
     kernel_window,
     max_length_below,
     minimal_word,
@@ -115,7 +113,7 @@ def test_conjugation_by_cursor_is_a_bulb(lamplighter):
     t = ctx.element([], 1)
     a = ctx.element([(0, 1)], 0)
     conj = ctx.multiply(ctx.multiply(t, a), ctx.inverse(t))
-    assert conj == bulb(ctx, 1, 1)
+    assert conj == bulb_product(ctx, [(1, 1)])
 
 
 def test_inverse_on_ball(lamplighter):
@@ -242,13 +240,13 @@ def test_single_bulb_length_is_round_trip_walk(lamplighter):
     # Walk out, light the lamp, walk back: 2|e| + 1 letters, and no shorter
     # word exists because the cursor must visit the lamp position.
     for e in (-2, -1, 1, 2):
-        assert word_length(lamplighter, bulb(lamplighter, e, 1)) == 2 * abs(e) + 1
-    assert word_length(lamplighter, bulb(lamplighter, 0, 1)) == 1
+        assert word_length(lamplighter, bulb_product(lamplighter, [(e, 1)])) == 2 * abs(e) + 1
+    assert word_length(lamplighter, bulb_product(lamplighter, [(0, 1)])) == 1
 
 
 def test_two_bulb_product_length(lamplighter):
     # Lamps at 1 and 2 with return to the origin: t a t a t^-1 t^-1.
-    g = bulb_product(lamplighter, [(1, 1), (2, 1)]).element(lamplighter)
+    g = bulb_product(lamplighter, [(1, 1), (2, 1)])
     assert word_length(lamplighter, g) == 6
 
 
@@ -289,9 +287,9 @@ def test_packed_space_matches_cayley_bfs(make_ctx, r, small_r):
         assert evaluate_word(ctx, word) == g
         state = space.state_of(g)
         assert space.encoded_values([state]) == ([ctx.encode(g)], [g])
+        # the i-th neighbour is the product with the i-th symmetric letter
         products = [ctx.multiply(g, s) for s in ctx.symmetric_generators()]
-        letters, others = zip(*space.moves(state))
-        assert letters == ctx.symmetric_generators()
+        others = space.neighbors(state)
         assert space.encoded_values(others) == ([ctx.encode(h) for h in products], products)
 
 
@@ -403,35 +401,23 @@ def test_minimal_word_round_trip(lamplighter):
 # -- bulbs ---------------------------------------------------------------------
 
 
-def test_bulb_needs_nonidentity_value(lamplighter):
-    with pytest.raises(ValueError):
-        bulb(lamplighter, 2, 0)
-
-
 def test_bulb_product_merges_and_cancels(lamplighter):
     # In a C2 fiber, two bulbs at the same index cancel.
-    assert bulb_product(lamplighter, [(2, 1), (2, 1)]).bulbs == ()
+    assert bulb_product(lamplighter, [(2, 1), (2, 1)]) == lamplighter.identity()
     p = bulb_product(lamplighter, [(3, 1), (1, 1)])
-    assert p.support() == (1, 3)
+    assert p == WreathElement(((1, 1), (3, 1)), 0)
     assert bulb_lower_bound(p) == 2
 
 
 def test_bulb_product_element_is_lamp_configuration(lamplighter):
     p = bulb_product(lamplighter, [(1, 1), (2, 1)])
-    assert p.element(lamplighter) == WreathElement(((1, 1), (2, 1)), 0)
+    assert p == WreathElement(((1, 1), (2, 1)), 0)
 
 
-def test_kernel_bulbs_round_trip(lamplighter):
+def test_bulb_product_of_kernel_lamps_round_trips(lamplighter):
     ctx = lamplighter
     for g in kernel_window(ctx, 6):
-        p = kernel_bulbs(ctx, g)
-        assert p.element(ctx) == g
-        assert p.support() == tuple(pos for pos, _ in g.lamps)
-
-
-def test_kernel_bulbs_rejects_moved_cursor(lamplighter):
-    with pytest.raises(ValueError):
-        kernel_bulbs(lamplighter, lamplighter.element([], 1))
+        assert bulb_product(ctx, g.lamps) == g
 
 
 def test_bulb_length_lower_bound_vs_bfs(lamplighter):
@@ -439,8 +425,11 @@ def test_bulb_length_lower_bound_vs_bfs(lamplighter):
     ctx = lamplighter
     for pairs in ([(0, 1)], [(1, 1), (-1, 1)], [(0, 1), (1, 1), (2, 1)]):
         p = bulb_product(ctx, pairs)
-        g = p.element(ctx)
-        assert word_length(ctx, g) >= bulb_lower_bound(p)
+        assert word_length(ctx, p) >= bulb_lower_bound(p)
+    # Every lit lamp costs a letter whatever the cursor does.
+    table = ball(ctx, 6)
+    for g in table.elements:
+        assert table.lengths[g] >= bulb_lower_bound(g)
 
 
 # -- words to and from bulb products ----------------------------------------------
@@ -452,7 +441,7 @@ def test_bulb_decompose_tracks_cursor_prefixes(lamplighter):
     a = ctx.element([(0, 1)], 0)
     t_inv = ctx.inverse(t)
     product, residual = bulb_decompose(ctx, [t, a, t, a, t_inv, t_inv])
-    assert product.support() == (1, 2)
+    assert product == WreathElement(((1, 1), (2, 1)), 0)
     assert residual == 0
 
 
@@ -461,7 +450,7 @@ def test_bulb_decompose_reports_residual_cursor(lamplighter):
     t = ctx.element([], 1)
     a = ctx.element([(0, 1)], 0)
     product, residual = bulb_decompose(ctx, [a, t])
-    assert product.support() == (0,)
+    assert product == WreathElement(((0, 1),), 0)
     assert residual == 1
 
 
@@ -477,7 +466,7 @@ def test_bulb_decompose_minimal_words_of_kernel_window(lamplighter):
         word = minimal_word(ctx, g)
         product, residual = bulb_decompose(ctx, word)
         assert residual == 0
-        assert product.element(ctx) == g
+        assert product == g
 
 
 def test_bulb_word_evaluates_and_respects_bound(lamplighter, z_structure):
@@ -487,7 +476,7 @@ def test_bulb_word_evaluates_and_respects_bound(lamplighter, z_structure):
     # One coset, two bulbs, furthest exponent 3: bound 1 * (2 + 2 + 4*3).
     assert bw.bound == 16
     assert len(bw.letters) == 8
-    assert evaluate_word(ctx, bw.letters) == p.element(ctx)
+    assert evaluate_word(ctx, bw.letters) == p
 
 
 def test_bulb_word_rejects_foreign_structure(lamplighter, zxc2_structure):
@@ -501,6 +490,12 @@ def test_bulb_word_requires_marked_translation(lamplighter, z):
     p = bulb_product(lamplighter, [(2, 1)])
     with pytest.raises(StructureError):
         bulb_word(lamplighter, doubled, p)
+
+
+def test_bulb_word_rejects_moved_cursor(lamplighter, z_structure):
+    moved = lamplighter.element([(1, 1)], 1)
+    with pytest.raises(ValueError, match=r"\{1:1\}\|1 is not in the kernel"):
+        bulb_word(lamplighter, z_structure, moved)
 
 
 def test_bulb_word_empty_product(lamplighter, z_structure):
