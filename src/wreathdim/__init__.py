@@ -23,7 +23,6 @@ from .groups import (
     as_radius,
     ball,
     evaluate_word,
-    growth,
     max_length_below,
     minimal_word,
     vz_decompose,
@@ -44,10 +43,8 @@ from .covers import (
     ControlMeasurement,
     CosetCover,
     Cover,
-    ExplicitMetricView,
     GroupWindowView,
     LebesgueCheck,
-    MetricView,
     PullbackControl,
     ball_window,
     component_diameters,

@@ -275,6 +275,11 @@ def _cmd_control(args: argparse.Namespace) -> int:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
     view = _window_view(run, ctx, window_radius, kernel=False)
     span = args.sub_window
+    reach = max(abs(x.cursor) for x in view.points)
+    if span < reach:
+        raise ConfigError(
+            f"--sub-window must be >= {reach}, the largest |cursor| in the window, got {span}"
+        )
     sub_points = [ctx.base.parse_element(str(a)) for a in range(-span, span + 1)]
     sub_view = GroupWindowView(ctx.base, sub_points, base_oracle)
     period, length = args.cover_period, args.cover_length

@@ -1,23 +1,21 @@
-"""Covers of finite metric windows and exact dimension-control bookkeeping.
+"""Covers of group windows and exact dimension-control bookkeeping.
 
-A *window* is a finite point set with an exact integer/rational metric,
-usually a ball in a marked group with the word metric.  A cover is judged by
-two numbers at a scale r: its Lebesgue quality (does every open r-ball fit
-inside one part?) and its control value (the largest diameter of an
-r-component of a part, where an r-component is a chain-connectedness class
-under hops of distance < r).
+A *window* is a finite set of elements of a marked group under its word
+metric: a ball, a lamp-kernel window, or a box in Z^n, whose l1 metric is
+the word metric of Z^n.  A cover is judged by two numbers at a scale r: its
+Lebesgue quality (does every open r-ball fit inside one part?) and its
+control value (the largest diameter of an r-component of a part, where an
+r-component is a chain-connectedness class under hops of distance < r).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import BudgetExceededError, StructureError
 from .groups import (
-    DEFAULT_BUDGET,
     Element,
     LengthOracle,
     VirtuallyZStructure,
@@ -29,64 +27,7 @@ from .wreath import WreathContext
 Radius = int | Fraction
 
 
-class MetricView:
-    """Finite point set with an exact distance oracle."""
-
-    points: tuple[Any, ...]
-
-    def dist(self, a: Any, b: Any) -> int | Fraction:
-        raise NotImplementedError
-
-    def dists_from(self, a: Any, others: Iterable[Any]) -> list[int | Fraction]:
-        """``[dist(a, b) for b in others]``; views may share work across the row."""
-        return [self.dist(a, b) for b in others]
-
-    def neighbors_within(self, x: Any, members: Any, r: Fraction) -> list[Any]:
-        """Members at distance strictly below ``r`` from ``x`` (x excluded)."""
-        return [y for y in members if y != x and self.dist(x, y) < r]
-
-
-class ExplicitMetricView(MetricView):
-    """Metric given by a callable; axioms are checked on construction.
-
-    Symmetry and identity-of-indiscernibles are verified on all pairs up to
-    64 points and on random samples beyond; the triangle inequality is
-    spot-checked on seeded random triples.
-    """
-
-    def __init__(self, points: Iterable[Any], dist: Callable[[Any, Any], int | Fraction]):
-        self.points = tuple(points)
-        self._dist = dist
-        self._validate()
-
-    def dist(self, a: Any, b: Any) -> int | Fraction:
-        return self._dist(a, b)
-
-    def _validate(self) -> None:
-        pts = self.points
-        n = len(pts)
-        if n == 0:
-            return
-        rng = random.Random(0)
-        if n <= 64:
-            pairs = [(a, b) for a in pts for b in pts]
-        else:
-            pairs = [(rng.choice(pts), rng.choice(pts)) for _ in range(1024)]
-        for a, b in pairs:
-            d = self._dist(a, b)
-            if (d == 0) != (a == b):
-                raise ValueError(f"dist({a!r}, {b!r}) = {d} breaks identity of indiscernibles")
-            if d < 0:
-                raise ValueError(f"dist({a!r}, {b!r}) = {d} is negative")
-            if self._dist(b, a) != d:
-                raise ValueError(f"dist is asymmetric on ({a!r}, {b!r})")
-        for _ in range(min(512, n * n * n)):
-            a, b, c = rng.choice(pts), rng.choice(pts), rng.choice(pts)
-            if self._dist(a, c) > self._dist(a, b) + self._dist(b, c):
-                raise ValueError(f"triangle inequality fails on ({a!r}, {b!r}, {c!r})")
-
-
-class GroupWindowView(MetricView):
+class GroupWindowView:
     """A finite subset of a marked group under the word metric.
 
     Distances go through a :class:`LengthOracle` (left-invariance turns them
@@ -114,6 +55,7 @@ class GroupWindowView(MetricView):
         return [known(mul(inv, b)) for b in others]
 
     def neighbors_within(self, x: Element, members: Any, r: Fraction) -> list[Element]:
+        """Members at distance strictly below ``r`` from ``x`` (x excluded)."""
         ctx = self.ctx
         out = []
         for u in self.oracle.ball(r).elements:
@@ -162,8 +104,8 @@ def cover_of(parts: Iterable[Iterable[Any]]) -> Cover:
 
 
 def r_components(
-    view: MetricView, subset: Sequence[Any] | None, r: Radius
-) -> tuple[tuple[Any, ...], ...]:
+    view: GroupWindowView, subset: Sequence[Element] | None, r: Radius
+) -> tuple[tuple[Element, ...], ...]:
     """Chain components of ``subset`` under hops of distance strictly below r.
 
     Components are listed by first appearance in subset order, members in
@@ -205,7 +147,7 @@ class LebesgueCheck:
     witness: Any | None
 
 
-def lebesgue_ok(view: MetricView, cover: Cover, r: Radius) -> LebesgueCheck:
+def lebesgue_ok(view: GroupWindowView, cover: Cover, r: Radius) -> LebesgueCheck:
     radius = as_radius(r)
     cover.require_covers(view.points)
     members = set(view.points)
@@ -222,20 +164,20 @@ class ControlMeasurement:
     """Largest r-component diameter per part, and the overall maximum."""
 
     radius: Fraction
-    per_part: tuple[int | Fraction, ...]
-    value: int | Fraction
+    per_part: tuple[int, ...]
+    value: int
 
 
-def max_diameter(view: MetricView, components: Iterable[Sequence[Any]]) -> int | Fraction:
+def max_diameter(view: GroupWindowView, components: Iterable[Sequence[Element]]) -> int:
     """Largest distance between two points of one component (0 if there is none)."""
-    worst: int | Fraction = 0
+    worst = 0
     for comp in components:
         for i, a in enumerate(comp[:-1]):
             worst = max(worst, *view.dists_from(a, comp[i + 1 :]))
     return worst
 
 
-def component_diameters(view: MetricView, cover: Cover, r: Radius) -> ControlMeasurement:
+def component_diameters(view: GroupWindowView, cover: Cover, r: Radius) -> ControlMeasurement:
     radius = as_radius(r)
     cover.require_covers(view.points)
     per_part = []
@@ -284,17 +226,16 @@ def coset_cover(
     r: Radius,
     *,
     oracle: LengthOracle | None = None,
-    budget: int | None = None,
 ) -> CosetCover:
     """Partition a subgroup window by left cosets of <elements of length < r>.
 
     The window must be a subset of a subgroup; the subgroup generated by its
-    short elements must close up within the budget (it does whenever that
-    subgroup is finite, e.g. inside a lamp kernel over integers).
+    short elements must close up within the oracle's budget (it does whenever
+    that subgroup is finite, e.g. inside a lamp kernel over integers).
     """
     radius = as_radius(r)
-    budget = DEFAULT_BUDGET if budget is None else budget
     oracle = oracle if oracle is not None else LengthOracle(ctx)
+    budget = oracle.budget
     cutoff = max_length_below(radius)
     gens = [x for x in window if oracle.length_at_most(x, cutoff) is not None]
     gens += [ctx.inverse(x) for x in gens]
@@ -350,7 +291,7 @@ class PullbackControl:
     """A base cover pulled back through the cursor projection, with its predicted control value."""
 
     cover: Cover
-    base_control: int | Fraction
+    base_control: int
     predicted: Fraction
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .covers import Cover, MetricView, lebesgue_ok
+from .covers import Cover, GroupWindowView, lebesgue_ok
 from .errors import BudgetExceededError
 from .groups import DEFAULT_BUDGET, Element, LengthOracle, as_radius
 from .wreath import WreathContext, bulb_product
@@ -312,10 +312,10 @@ class CubeObstruction:
     a: Point
     b: Point
     lattice_spread: int
-    separation: int | Fraction
+    separation: int
 
 
-def cube_obstruction(view: MetricView, cover: Cover, cube: RCube) -> CubeObstruction:
+def cube_obstruction(view: GroupWindowView, cover: Cover, cube: RCube) -> CubeObstruction:
     """Turn a cube plus a cover with Lebesgue number >= n*scale into an obstruction.
 
     The witness pair maps to two points of one part lying in a common

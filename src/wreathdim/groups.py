@@ -95,7 +95,7 @@ class MarkedGroup:
         """All elements in canonical order; finite kinds only."""
         if self.order() is None:
             raise StructureError(f"{self.kind}: cannot enumerate an infinite group")
-        raise NotImplementedError
+        raise StructureError(f"cannot enumerate the elements of {self.spec_string()}")
 
     def power(self, x: Element, k: int) -> Element:
         """``x**k`` by square-and-multiply; ``k`` may be negative."""
@@ -137,20 +137,10 @@ class MarkedGroup:
         # Exhaustive closure check; only called for finite kinds.
         total = self.order()
         assert total is not None
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.symmetric_generators():
-                    y = self.multiply(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        if len(seen) != total:
+        reached = len(_bfs_lengths(_CayleySpace(self), total, DEFAULT_BUDGET))
+        if reached != total:
             raise StructureError(
-                f"{self.kind}: marking generates only {len(seen)} of {total} elements"
+                f"{self.kind}: marking generates only {reached} of {total} elements"
             )
 
     # -- canonical encoding ------------------------------------------------
@@ -968,11 +958,6 @@ def ball(
             )
         )
     return table
-
-
-def growth(ctx: Any, r: int | Fraction, *, budget: int | None = None) -> int:
-    """Number of elements of word length strictly below ``r``."""
-    return len(ball(ctx, r, budget=budget))
 
 
 def word_length(

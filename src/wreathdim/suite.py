@@ -249,7 +249,7 @@ class _Suite:
             return False, {"reason": "closure constant for the line should be 8", "got": str(scale)}
         rows = []
         for r in (2, 3, 4):
-            cc = coset_cover(ctx, window, r, oracle=self.oracle_L2, budget=self.budget)
+            cc = coset_cover(ctx, window, r, oracle=self.oracle_L2)
             coset_index = {x: i for i, coset in enumerate(cc.cosets) for x in coset}
             split = all(
                 len({coset_index[x] for x in comp}) == 1

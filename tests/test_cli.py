@@ -186,6 +186,10 @@ PULLBACK = ["control", "--name", "L2", "--mode", "pullback", "--window-radius", 
         (["control", "--name", "L2", "--window-radius", "-4"], "--window-radius must be"),
         (["components", "--name", "L2", "--window-radius", "1..3"], "--window-radius must be"),
         (["cube", "--name", "W2", "--n", "2", "--r", "abc"], "--r must be one positive radius"),
+        (
+            [*PULLBACK, "--sub-window", "1"],
+            "--sub-window must be >= 4, the largest |cursor| in the window, got 1",
+        ),
     ],
 )
 def test_bad_flags_are_config_errors_naming_the_flag(capsys, args, message):
@@ -194,6 +198,15 @@ def test_bad_flags_are_config_errors_naming_the_flag(capsys, args, message):
     assert rc == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_control_pullback_sub_window_at_the_cursor_bound(capsys):
+    # window radius 5 reaches cursors -4..4, so a half-width of 4 covers it
+    payload = run_json(capsys, [*PULLBACK, "--sub-window", "4"])
+    assert payload["params"]["sub_window"] == 4
+    assert payload["results"] == [
+        {"radius": "2", "base_control": "7", "predicted": "1030", "measured": "8", "ok": True}
+    ]
 
 
 # -- cube ----------------------------------------------------------------------

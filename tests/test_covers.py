@@ -9,8 +9,8 @@ import pytest
 from wreathdim import (
     BudgetExceededError,
     CyclicGroup,
-    ExplicitMetricView,
     GroupWindowView,
+    IntegerGroup,
     LengthOracle,
     StructureError,
     VirtuallyZStructure,
@@ -31,10 +31,10 @@ from wreathdim import (
 
 
 def line_view(n=10):
-    return ExplicitMetricView(range(n), lambda a, b: abs(a - b))
+    return GroupWindowView(IntegerGroup(), range(n))
 
 
-# -- metric views -------------------------------------------------------------
+# -- group windows ------------------------------------------------------------
 
 
 def test_explicit_view_distances():
@@ -42,44 +42,6 @@ def test_explicit_view_distances():
     assert view.dist(2, 7) == 5
     assert view.dist(7, 2) == 5
     assert view.dist(2, 2) == 0
-
-
-def test_explicit_view_rejects_negative_distance():
-    with pytest.raises(ValueError, match="negative"):
-        ExplicitMetricView([0, 1], lambda a, b: -1 if a != b else 0)
-
-
-def test_explicit_view_rejects_asymmetry():
-    def dist(a, b):
-        if (a, b) == (0, 1):
-            return 1
-        if (a, b) == (1, 0):
-            return 2
-        return 0
-
-    with pytest.raises(ValueError, match="asymmetric"):
-        ExplicitMetricView([0, 1], dist)
-
-
-def test_explicit_view_rejects_triangle_violation():
-    def dist(a, b):
-        if a == b:
-            return 0
-        return 10 if {a, b} == {0, 2} else 1
-
-    with pytest.raises(ValueError, match="triangle"):
-        ExplicitMetricView([0, 1, 2], dist)
-
-
-def test_explicit_view_rejects_nonzero_self_distance():
-    with pytest.raises(ValueError):
-        ExplicitMetricView([0, 1], lambda a, b: 1)
-
-
-def test_explicit_view_neighbors_within():
-    view = line_view()
-    # Strictly-below-r neighbors, center excluded.
-    assert set(view.neighbors_within(5, set(view.points), 2)) == {4, 6}
 
 
 def test_group_window_view_matches_word_metric(lamplighter, oracle_lamplighter):
@@ -248,6 +210,12 @@ def test_coset_cover_partitions_window(lamplighter, oracle_lamplighter):
         window, key=lamplighter.sort_key
     )
     assert len(seen) == len(set(seen))
+
+
+def test_coset_closure_is_held_to_the_oracle_budget(z):
+    # the short elements +-1 generate all of Z, so the closure never closes up
+    with pytest.raises(BudgetExceededError, match="closure exceeded the node budget of 50"):
+        coset_cover(z, range(-3, 4), 2, oracle=LengthOracle(z, budget=50))
 
 
 def test_coset_cover_parts_lie_in_single_cosets(lamplighter, oracle_lamplighter):

@@ -12,8 +12,8 @@ import pytest
 
 from wreathdim import (
     BudgetExceededError,
-    ExplicitMetricView,
     GroupWindowView,
+    IntegerGroup,
     LatticeOutcome,
     LengthOracle,
     ProductGroup,
@@ -26,7 +26,6 @@ from wreathdim import (
     l1,
     lattice_cover_witness,
     lattice_points,
-    r_components,
     sampled_lattice_search,
     verify_cube_edges,
     word_length,
@@ -97,17 +96,33 @@ def _cover(n, k, num_parts, code):
     return parts
 
 
+def _unit_step_components(points):
+    """Classes of ``points`` joined by chains of unit l1 steps, each in lex order."""
+    unseen = set(points)
+    components = []
+    for seed in points:
+        if seed not in unseen:
+            continue
+        unseen.discard(seed)
+        comp, frontier = {seed}, {seed}
+        while frontier:
+            frontier = {b for a in frontier for b in unseen if l1(a, b) == 1}
+            unseen -= frontier
+            comp |= frontier
+        components.append(sorted(comp))
+    return components
+
+
 def _reference_outcome(n, k, parts):
     """The lattice lemma's check straight from its definitions, for comparison."""
     points = lattice_points(n, k)
-    view = ExplicitMetricView(points, l1)
     part_sets = [set(part) for part in parts]
     for x in points:
         ball = {y for y in points if l1(x, y) <= n}
         if not any(ball <= part for part in part_sets):
             return LatticeOutcome(False, x, None)
     for i, part in enumerate(part_sets, start=1):
-        for comp in r_components(view, [x for x in points if x in part], 2):
+        for comp in _unit_step_components([x for x in points if x in part]):
             for a, b in itertools.combinations(comp, 2):
                 if abs(a[i - 1] - b[i - 1]) == k:
                     return LatticeOutcome(True, None, (i, a, b))
@@ -334,10 +349,7 @@ def test_cube_obstruction_requires_lebesgue_gate(z):
 
 
 def test_cube_obstruction_rejects_excess_parts():
-    view_points = list(range(5))
-    import wreathdim
-
-    view = wreathdim.ExplicitMetricView(view_points, lambda a, b: abs(a - b))
+    view = GroupWindowView(IntegerGroup(), range(5))
     cube = RCube(1, 2, Fraction(2), {(0,): 0, (1,): 2, (2,): 4})
     two_parts = cover_of([range(0, 3), range(2, 5)])
     with pytest.raises(ValueError):

@@ -27,7 +27,6 @@ from wreathdim import (
     as_radius,
     ball,
     evaluate_word,
-    growth,
     max_length_below,
     minimal_word,
     vz_decompose,
@@ -89,7 +88,7 @@ def test_integers_ball_radius_3_frozen(z):
 
 
 def test_integers_growth_is_odd_numbers(z):
-    assert [growth(z, r) for r in range(1, 7)] == [1, 3, 5, 7, 9, 11]
+    assert [len(ball(z, r)) for r in range(1, 7)] == [1, 3, 5, 7, 9, 11]
 
 
 def test_integers_word_length(z):
@@ -126,7 +125,7 @@ def test_cyclic_arithmetic(c3):
 def test_cyclic_trivial_group():
     e = CyclicGroup(1)
     assert e.elements() == (0,)
-    assert growth(e, 5) == 1
+    assert len(ball(e, 5)) == 1
 
 
 def test_cyclic_rejects_identity_generator():
@@ -140,7 +139,7 @@ def test_cyclic_rejects_non_generating_marking():
 
 
 def test_cyclic_growth_saturates(c3):
-    assert [growth(c3, r) for r in (1, 2, 3)] == [1, 3, 3]
+    assert [len(ball(c3, r)) for r in (1, 2, 3)] == [1, 3, 3]
 
 
 # -- free -----------------------------------------------------------------
@@ -167,7 +166,7 @@ def test_free_format_parse(f2):
 def test_free_growth_reduced_word_counts(f2):
     # gamma(1) = 1 and each new sphere multiplies by 3 after the first step:
     # 1, 1+4, 5+12, 17+36, 53+108.
-    assert [growth(f2, r) for r in range(1, 6)] == [1, 5, 17, 53, 161]
+    assert [len(ball(f2, r)) for r in range(1, 6)] == [1, 5, 17, 53, 161]
 
 
 def test_free_ball_matches_reduced_word_enumeration(f2):
@@ -202,7 +201,7 @@ def test_table_klein_four_group():
     assert k4.order() == 4
     assert k4.multiply(1, 2) == 3
     assert k4.inverse(3) == 3
-    assert [growth(k4, r) for r in (1, 2, 3)] == [1, 3, 4]
+    assert [len(ball(k4, r)) for r in (1, 2, 3)] == [1, 3, 4]
 
 
 def test_table_rejects_non_permutation_row():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from wreathdim import (
     CyclicGroup,
     FreeGroup,
+    GroupWindowView,
     IntegerGroup,
     ProductGroup,
     TableGroup,
@@ -21,7 +22,6 @@ from wreathdim import (
     r_components,
     word_length,
 )
-from wreathdim.covers import ExplicitMetricView
 from wreathdim.encoding import encode_svarint, encode_uvarint, read_svarint, read_uvarint
 
 Z = IntegerGroup()
@@ -243,7 +243,7 @@ def test_distinct_bulb_count_lower_bounds_length(indices):
     st.integers(1, 4),
 )
 def test_r_components_partition_and_separate(points, r):
-    view = ExplicitMetricView(range(16), lambda a, b: abs(a - b))
+    view = GroupWindowView(Z, range(16))
     subset = tuple(sorted(points))
     comps = r_components(view, subset, r)
     flat = [x for comp in comps for x in comp]

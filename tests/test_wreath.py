@@ -31,7 +31,6 @@ from wreathdim import (
     bulb_product,
     bulb_word,
     evaluate_word,
-    growth,
     kernel_window,
     max_length_below,
     minimal_word,
@@ -74,6 +73,12 @@ def test_larger_fiber_contributes_all_nonidentity_values(c3, z):
 def test_order_finite_iff_both_factors_finite(lamplighter, c2, c3):
     assert lamplighter.order() is None
     assert WreathContext(c2, c3).order() == 24
+
+
+def test_unenumerable_finite_fiber_is_a_structure_error(c2, c3, z):
+    # a finite wreath has an order but no element list, so it cannot be a fiber
+    with pytest.raises(StructureError, match=r"enumerate the elements of wreath\(fiber=.*\)"):
+        WreathContext(WreathContext(c2, c3), z)
 
 
 # -- canonical form -----------------------------------------------------------
@@ -223,17 +228,17 @@ def test_spec_string_and_hash(lamplighter, plane_lamplighter):
 
 
 def test_lamplighter_growth_frozen(lamplighter):
-    assert [growth(lamplighter, r) for r in range(1, 7)] == [1, 4, 10, 22, 44, 84]
+    assert [len(ball(lamplighter, r)) for r in range(1, 7)] == [1, 4, 10, 22, 44, 84]
 
 
 def test_larger_fiber_growth_frozen(c3, z):
     ctx = WreathContext(c3, z)
-    assert [growth(ctx, r) for r in range(1, 5)] == [1, 5, 15, 41]
+    assert [len(ball(ctx, r)) for r in range(1, 5)] == [1, 5, 15, 41]
 
 
 def test_finite_wreath_growth_saturates(c2, c3):
     ctx = WreathContext(c2, c3)
-    assert [growth(ctx, r) for r in range(1, 9)] == [1, 4, 8, 14, 20, 23, 24, 24]
+    assert [len(ball(ctx, r)) for r in range(1, 9)] == [1, 4, 8, 14, 20, 23, 24, 24]
 
 
 def test_single_bulb_length_is_round_trip_walk(lamplighter):
