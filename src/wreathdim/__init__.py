@@ -73,7 +73,6 @@ from .cubes import (
     lattice_cover_witness,
     lattice_points,
     sampled_lattice_search,
-    verify_cube_edges,
 )
 from .ballstore import BallRecord, BallStore
 from .config import DEFAULT_CONFIG, ExperimentSetup, default_setup, load_config, parse_config

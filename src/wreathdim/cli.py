@@ -1,9 +1,10 @@
 """Command-line front end: growth tables, lengths, components, covers, cubes.
 
-Every command reads an optional INI config (defaulting to the built-in
-one), merges a few common flags over it, and emits a schema-versioned JSON
-or CSV report to stdout or --out.  ``verify`` runs the built-in check suite
-and exits nonzero if any check fails.
+Commands that name a group read it from an optional INI config (defaulting
+to the built-in one); every run setting is a flag, and each command takes
+only the flags it reads.  Reports are schema-versioned JSON, or CSV where a
+command has ``--format``, written to stdout or --out.  ``verify`` runs the
+built-in check suite and exits nonzero if any check fails.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -35,25 +35,25 @@ from .cubes import (
     sampled_lattice_search,
 )
 from .errors import BudgetExceededError, ConfigError
-from .groups import IntegerGroup, LengthOracle, word_length
+from .groups import DEFAULT_BUDGET, IntegerGroup, LengthOracle, word_length
 from .suite import run_suite
 from .wreath import WreathContext, kernel_window
 
 
-@dataclass
-class _Run:
-    setup: ExperimentSetup
-    out_format: str
-    out_path: str
+_FLAGS: dict[str, dict[str, Any]] = {
+    "config": {"help": "INI config path (defaults to the built-in setup)"},
+    "out": {"default": "-", "help": "output path, - for stdout"},
+    "format": {"choices": ("json", "csv"), "default": "json", "help": "report format"},
+    "budget": {"type": int, "default": DEFAULT_BUDGET, "help": "search node budget"},
+    "workers": {"type": int, "default": 1, "help": "worker processes for exhaustive sweeps"},
+    "seed": {"type": int, "default": 0, "help": "seed for sampled searches"},
+}
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="INI config path (defaults to the built-in setup)")
-    sub.add_argument("--out", default="-", help="output path, - for stdout")
-    sub.add_argument("--format", choices=("json", "csv"), help="report format")
-    sub.add_argument("--budget", type=int, help="search node budget")
-    sub.add_argument("--workers", type=int, help="worker processes for exhaustive sweeps")
-    sub.add_argument("--seed", type=int, help="seed for sampled searches")
+def _flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    """Register the named run-setting flags on one subcommand."""
+    for name in names:
+        sub.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,69 +66,57 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("growth", help="ball sizes at the given radii")
     p.add_argument("--name", required=True, help="declared group or wreath name")
-    p.add_argument("--radii", help="radii list like '1..6' or '1 3/2 2'")
-    _common_flags(p)
+    p.add_argument("--radii", default="1..6", help="radii list like '1..6' or '1 3/2 2'")
+    _flags(p, "config", "out", "format", "budget")
 
     p = commands.add_parser("length", help="word lengths of listed elements")
     p.add_argument("--name", required=True)
     p.add_argument("elements", nargs="+", help="element literals in the kind's text form")
-    _common_flags(p)
+    _flags(p, "config", "out", "format", "budget")
 
     p = commands.add_parser("components", help="r-components of a window and their diameters")
     p.add_argument("--name", required=True)
     p.add_argument("--window-radius", required=True, help="window = open ball of this radius")
     p.add_argument("--kernel", action="store_true", help="restrict to the lamp kernel (wreaths)")
-    p.add_argument("--radii", help="component scales")
-    _common_flags(p)
+    p.add_argument("--radii", default="1..6", help="component scales")
+    _flags(p, "config", "out", "format", "budget")
 
     p = commands.add_parser("control", help="predicted vs measured cover control values")
     p.add_argument("--name", required=True, help="a declared wreath name")
     p.add_argument("--mode", choices=("kernel", "pullback"), default="kernel")
     p.add_argument("--window-radius", required=True)
-    p.add_argument("--radii", help="scales (kernel mode)")
+    p.add_argument("--radii", default="1..6", help="scales (kernel mode)")
     p.add_argument("--r", help="scale (pullback mode)", default="2")
     p.add_argument("--sub-window", type=int, default=20, help="base window half-width")
     p.add_argument("--cover-period", type=int, default=8, help="interval cover offset")
     p.add_argument("--cover-length", type=int, default=11, help="interval cover diameter")
-    _common_flags(p)
+    _flags(p, "config", "out", "format", "budget")
 
     p = commands.add_parser("cube", help="growth-driven kernel cube certificate")
     p.add_argument("--name", required=True, help="a declared wreath name")
     p.add_argument("--n", type=int, required=True, help="cube dimension")
     p.add_argument("--r", required=True, help="base ball radius")
-    _common_flags(p)
+    _flags(p, "config", "out", "budget", "seed")
 
     p = commands.add_parser("lattice", help="sweep lattice covers for the spread witness")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--parts", type=int, required=True)
     p.add_argument("--samples", type=int, help="sampled sweep instead of exhaustive")
-    _common_flags(p)
+    _flags(p, "out", "budget", "workers", "seed")
 
     p = commands.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--checks", help="comma-separated subset of checks to run")
-    _common_flags(p)
+    _flags(p, "out", "format", "budget", "workers")
 
     return parser
 
 
-def _prepare(args: argparse.Namespace) -> _Run:
-    setup = load_config(args.config) if args.config else default_setup()
-    if args.budget is not None:
-        if args.budget <= 0:
-            raise ConfigError("--budget must be positive")
-        setup.budget = args.budget
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        setup.workers = args.workers
-    if args.seed is not None:
-        setup.seed = args.seed
-    out_format = args.format if args.format else setup.out_format
-    return _Run(setup, out_format, args.out)
+def _setup(args: argparse.Namespace) -> ExperimentSetup:
+    return load_config(args.config) if args.config else default_setup()
 
 
-def _report(run: _Run, command: str, params: dict, results: Any) -> dict:
+def _report(command: str, params: dict, results: Any) -> dict:
     return {
         "schema": f"wreathdim-{command}/1",
         "version": __version__,
@@ -138,10 +126,10 @@ def _report(run: _Run, command: str, params: dict, results: Any) -> dict:
     }
 
 
-def _write(run: _Run, payload: dict, rows: list[dict] | None = None) -> None:
-    if run.out_format == "csv":
-        if rows is None:
-            raise ConfigError(f"{payload['command']} only supports --format json")
+def _write(
+    out_path: str, payload: dict, rows: list[dict] | None = None, out_format: str = "json"
+) -> None:
+    if out_format == "csv":
         buf = io.StringIO()
         if rows:
             writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -150,19 +138,11 @@ def _write(run: _Run, payload: dict, rows: list[dict] | None = None) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2) + "\n"
-    if run.out_path == "-":
+    if out_path == "-":
         sys.stdout.write(text)
     else:
-        with open(run.out_path, "w", encoding="utf-8") as handle:
+        with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _radii(args: argparse.Namespace, run: _Run) -> tuple[Fraction, ...]:
-    if getattr(args, "radii", None):
-        return parse_radii(args.radii)
-    if run.setup.radii:
-        return run.setup.radii
-    return parse_radii("1..6")
 
 
 def _radius_flag(flag: str, text: str) -> Fraction:
@@ -174,19 +154,17 @@ def _radius_flag(flag: str, text: str) -> Fraction:
 
 
 def _cmd_growth(args: argparse.Namespace) -> int:
-    run = _prepare(args)
-    ctx = run.setup.context(args.name)
-    oracle = LengthOracle(ctx, budget=run.setup.budget)
+    ctx = _setup(args).context(args.name)
+    oracle = LengthOracle(ctx, budget=args.budget)
     rows = []
-    for r in _radii(args, run):
+    for r in parse_radii(args.radii):
         rows.append({"name": args.name, "radius": str(r), "growth": oracle.growth(r)})
-    _write(run, _report(run, "growth", {"name": args.name}, rows), rows)
+    _write(args.out, _report("growth", {"name": args.name}, rows), rows, args.format)
     return 0
 
 
 def _cmd_length(args: argparse.Namespace) -> int:
-    run = _prepare(args)
-    ctx = run.setup.context(args.name)
+    ctx = _setup(args).context(args.name)
     rows = []
     for text in args.elements:
         g = ctx.parse_element(text)
@@ -194,31 +172,28 @@ def _cmd_length(args: argparse.Namespace) -> int:
             {
                 "name": args.name,
                 "element": ctx.format_element(g),
-                "length": word_length(ctx, g, budget=run.setup.budget),
+                "length": word_length(ctx, g, budget=args.budget),
             }
         )
-    _write(run, _report(run, "length", {"name": args.name}, rows), rows)
+    _write(args.out, _report("length", {"name": args.name}, rows), rows, args.format)
     return 0
 
 
-def _window_view(
-    run: _Run, ctx: Any, window_radius: Fraction, kernel: bool
-) -> GroupWindowView:
+def _window_view(ctx: Any, window_radius: Fraction, kernel: bool, budget: int) -> GroupWindowView:
     if kernel and not isinstance(ctx, WreathContext):
         raise ConfigError("--kernel only applies to wreath contexts")
-    oracle = LengthOracle(ctx, budget=run.setup.budget)
+    oracle = LengthOracle(ctx, budget=budget)
     if kernel:
         return GroupWindowView(ctx, kernel_window(ctx, window_radius, oracle=oracle), oracle)
     return ball_window(oracle, window_radius)
 
 
 def _cmd_components(args: argparse.Namespace) -> int:
-    run = _prepare(args)
-    ctx = run.setup.context(args.name)
+    ctx = _setup(args).context(args.name)
     window_radius = _radius_flag("--window-radius", args.window_radius)
-    view = _window_view(run, ctx, window_radius, args.kernel)
+    view = _window_view(ctx, window_radius, args.kernel, args.budget)
     rows = []
-    for r in _radii(args, run):
+    for r in parse_radii(args.radii):
         comps = r_components(view, None, r)
         worst = max_diameter(view, comps)
         rows.append(
@@ -232,21 +207,20 @@ def _cmd_components(args: argparse.Namespace) -> int:
             }
         )
     params = {"name": args.name, "window_radius": str(window_radius), "kernel": args.kernel}
-    _write(run, _report(run, "components", params, rows), rows)
+    _write(args.out, _report("components", params, rows), rows, args.format)
     return 0
 
 
 def _cmd_control(args: argparse.Namespace) -> int:
-    run = _prepare(args)
-    ctx = run.setup.context(args.name)
+    ctx = _setup(args).context(args.name)
     if not isinstance(ctx, WreathContext):
         raise ConfigError(f"control needs a wreath context, and {args.name!r} is not one")
     window_radius = _radius_flag("--window-radius", args.window_radius)
-    base_oracle = LengthOracle(ctx.base, budget=run.setup.budget)
+    base_oracle = LengthOracle(ctx.base, budget=args.budget)
     if args.mode == "kernel":
-        view = _window_view(run, ctx, window_radius, kernel=True)
+        view = _window_view(ctx, window_radius, kernel=True, budget=args.budget)
         rows = []
-        for r in _radii(args, run):
+        for r in parse_radii(args.radii):
             bound = kernel_control_bound(ctx, r, base_oracle=base_oracle)
             worst = max_diameter(view, r_components(view, None, r))
             rows.append(
@@ -258,7 +232,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
                 }
             )
         params = {"name": args.name, "mode": "kernel", "window_radius": str(window_radius)}
-        _write(run, _report(run, "control", params, rows), rows)
+        _write(args.out, _report("control", params, rows), rows, args.format)
         return 0
     if not isinstance(ctx.base, IntegerGroup):
         raise ConfigError(
@@ -273,7 +247,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
     ):
         if value < least:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
-    view = _window_view(run, ctx, window_radius, kernel=False)
+    view = _window_view(ctx, window_radius, kernel=False, budget=args.budget)
     span = args.sub_window
     reach = max(abs(x.cursor) for x in view.points)
     if span < reach:
@@ -306,33 +280,29 @@ def _cmd_control(args: argparse.Namespace) -> int:
         "cover_period": period,
         "cover_length": length,
     }
-    _write(run, _report(run, "control", params, rows), rows)
+    _write(args.out, _report("control", params, rows), rows, args.format)
     return 0
 
 
 def _cmd_cube(args: argparse.Namespace) -> int:
-    run = _prepare(args)
-    ctx = run.setup.context(args.name)
+    ctx = _setup(args).context(args.name)
     if not isinstance(ctx, WreathContext):
         raise ConfigError(f"cube needs a wreath context, and {args.name!r} is not one")
-    oracle = LengthOracle(ctx.base, budget=run.setup.budget)
+    oracle = LengthOracle(ctx.base, budget=args.budget)
     r = _radius_flag("--r", args.r)
-    cert = growth_lower_bound_certificate(ctx, args.n, r, base_oracle=oracle, seed=run.setup.seed)
-    payload = _report(run, "cube", {"name": args.name, "n": args.n, "r": args.r}, cert.to_json_dict())
-    _write(run, payload, None)
+    cert = growth_lower_bound_certificate(ctx, args.n, r, base_oracle=oracle, seed=args.seed)
+    payload = _report("cube", {"name": args.name, "n": args.n, "r": args.r}, cert.to_json_dict())
+    _write(args.out, payload)
     return 0
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
-    run = _prepare(args)
     if args.samples is not None:
-        report = sampled_lattice_search(
-            args.n, args.k, args.parts, args.samples, seed=run.setup.seed
-        )
+        report = sampled_lattice_search(args.n, args.k, args.parts, args.samples, seed=args.seed)
         mode = "sampled"
     else:
         report = exhaustive_lattice_search(
-            args.n, args.k, args.parts, workers=run.setup.workers, budget=run.setup.budget
+            args.n, args.k, args.parts, workers=args.workers, budget=args.budget
         )
         mode = "exhaustive"
     results = {
@@ -345,17 +315,14 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         "witness_count": report.witness_count,
         "failures": list(report.failures),
     }
-    payload = _report(run, "lattice", {"n": args.n, "k": args.k, "parts": args.parts}, results)
-    _write(run, payload, None)
+    payload = _report("lattice", {"n": args.n, "k": args.k, "parts": args.parts}, results)
+    _write(args.out, payload)
     return 0 if not report.failures else 4
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    run = _prepare(args)
     wanted = args.checks.split(",") if args.checks else None
-    if wanted is None and run.setup.checks is not None:
-        wanted = list(run.setup.checks)
-    results = run_suite(run.setup, checks=wanted)
+    results = run_suite(checks=wanted, budget=args.budget, workers=args.workers)
     rows = [
         {
             "check": res.name,
@@ -365,7 +332,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for res in results
     ]
     payload = _report(
-        run,
         "verify",
         {"checks": [res.name for res in results]},
         [
@@ -382,7 +348,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for res in results:
         status = "pass" if res.passed else "FAIL"
         sys.stderr.write(f"{status:4s} {res.name} ({res.seconds:.2f}s)\n")
-    _write(run, payload, rows)
+    _write(args.out, payload, rows, args.format)
     return 0 if payload["passed"] else 1
 
 
@@ -401,6 +367,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("budget", "workers"):
+            value = getattr(args, flag, 1)
+            if value < 1:
+                raise ConfigError(f"--{flag} must be >= 1, got {value}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -1,7 +1,7 @@
-"""Declarative configuration of marked groups, wreath products, and runs.
+"""Declarative configuration of marked groups and wreath products.
 
-The format is INI (one ``[group <name>]`` or ``[wreath <name>]`` section per
-structure, plus one optional ``[experiment]`` section for run parameters).
+The format is INI, one ``[group <name>]`` or ``[wreath <name>]`` section per
+structure; run settings (radii, budget, format, ...) are command-line flags.
 Element literals use each kind's text form: plain integers for the integer,
 cyclic, and table kinds; letter words like ``abA`` (capitals are inverses,
 ``e`` the identity) for free groups; ``(left|right)`` pairs for products.
@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import ConfigError, EncodingError, StructureError
 from .groups import (
-    DEFAULT_BUDGET,
     CyclicGroup,
     FreeGroup,
     IntegerGroup,
@@ -34,13 +33,6 @@ DEFAULT_CONFIG = """\
 # Marked groups and wreath products for the built-in verification suite.
 # Element literals: integers for integer/cyclic/table kinds, letter words
 # (capitals = inverses) for free groups, (left|right) pairs for products.
-
-[experiment]
-radii = 1..6
-format = json
-budget = 10000000
-workers = 1
-seed = 0
 
 [group Z]
 kind = integers
@@ -87,17 +79,11 @@ base = Z2
 
 @dataclass
 class ExperimentSetup:
-    """Everything a run needs: structures plus experiment parameters."""
+    """The declared structures, by name."""
 
     groups: dict[str, MarkedGroup] = field(default_factory=dict)
     wreaths: dict[str, WreathContext] = field(default_factory=dict)
     structures: dict[str, VirtuallyZStructure] = field(default_factory=dict)
-    radii: tuple[Fraction, ...] = ()
-    out_format: str = "json"
-    budget: int = DEFAULT_BUDGET
-    workers: int = 1
-    seed: int = 0
-    checks: tuple[str, ...] | None = None
 
     def context(self, name: str):
         """Look up a group or wreath context by declared name."""
@@ -140,14 +126,12 @@ _KIND_KEYS = {
     "vz": {"kind", "base"},
 }
 
-_EXPERIMENT_KEYS = {"radii", "format", "budget", "workers", "seed", "checks"}
-
 
 def _section_int(section: configparser.SectionProxy, name: str, key: str) -> int:
     try:
         return int(section[key])
     except ValueError:
-        raise ConfigError(f"[{name}] {key} = {section[key]!r} is not an integer") from None
+        raise ConfigError(f"[group {name}] {key} = {section[key]!r} is not an integer") from None
 
 
 def _build_group(
@@ -170,14 +154,14 @@ def _build_group(
         if kind == "cyclic":
             if "modulus" not in section:
                 raise ConfigError(f"[group {name}] cyclic kind needs the key 'modulus'")
-            modulus = _section_int(section, f"group {name}", "modulus")
+            modulus = _section_int(section, name, "modulus")
             gens_text = section.get("generators")
             gens = None if gens_text is None else tuple(int(g) for g in gens_text.split())
             return CyclicGroup(modulus, gens)
         if kind == "free":
             if "rank" not in section:
                 raise ConfigError(f"[group {name}] free kind needs the key 'rank'")
-            rank = _section_int(section, f"group {name}", "rank")
+            rank = _section_int(section, name, "rank")
             proto = FreeGroup(rank)
             gens_text = section.get("generators")
             if gens_text is None:
@@ -248,12 +232,10 @@ def parse_config(text: str) -> ExperimentSetup:
     group_sections: dict[str, configparser.SectionProxy] = {}
     wreath_sections: dict[str, configparser.SectionProxy] = {}
     for section_name in parser.sections():
-        if section_name == "experiment":
-            continue
         words = section_name.split()
         if len(words) != 2 or words[0] not in ("group", "wreath"):
             raise ConfigError(
-                f"section [{section_name}] must be [experiment], [group <name>], or [wreath <name>]"
+                f"section [{section_name}] must be [group <name>] or [wreath <name>]"
             )
         label, name = words
         if name in group_sections or name in wreath_sections:
@@ -324,29 +306,6 @@ def parse_config(text: str) -> ExperimentSetup:
         except StructureError as exc:
             raise ConfigError(f"[wreath {name}]: {exc}") from exc
 
-    if parser.has_section("experiment"):
-        exp = parser["experiment"]
-        for key in exp:
-            if key not in _EXPERIMENT_KEYS:
-                raise ConfigError(f"[experiment] has an unexpected key {key!r}")
-        if "radii" in exp:
-            setup.radii = parse_radii(exp["radii"])
-        if "format" in exp:
-            if exp["format"] not in ("json", "csv"):
-                raise ConfigError(f"[experiment] format must be json or csv, got {exp['format']!r}")
-            setup.out_format = exp["format"]
-        if "budget" in exp:
-            setup.budget = _section_int(exp, "experiment", "budget")
-            if setup.budget <= 0:
-                raise ConfigError("[experiment] budget must be positive")
-        if "workers" in exp:
-            setup.workers = _section_int(exp, "experiment", "workers")
-            if setup.workers < 1:
-                raise ConfigError("[experiment] workers must be >= 1")
-        if "seed" in exp:
-            setup.seed = _section_int(exp, "experiment", "seed")
-        if "checks" in exp:
-            setup.checks = tuple(exp["checks"].replace(",", " ").split())
     return setup
 
 

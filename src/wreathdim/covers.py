@@ -21,6 +21,7 @@ from .groups import (
     VirtuallyZStructure,
     as_radius,
     max_length_below,
+    same_group,
 )
 from .wreath import WreathContext
 
@@ -44,8 +45,8 @@ class GroupWindowView:
         self.ctx = ctx
         self.points = tuple(ctx.canonicalize(x) for x in points)
         self.oracle = oracle if oracle is not None else LengthOracle(ctx)
-        if self.oracle.ctx is not ctx:
-            raise ValueError("length oracle belongs to a different context")
+        if not same_group(self.oracle.ctx, ctx):
+            raise StructureError("the oracle measures a different marked group than the window")
 
     def dist(self, a: Element, b: Element) -> int:
         return self.oracle._known_length(self.ctx.multiply(self.ctx.inverse(a), b))
@@ -308,9 +309,7 @@ def pullback_cover(
     """
     radius = as_radius(r)
     ctx, sub = view.ctx, sub_view.ctx
-    if not isinstance(ctx, WreathContext) or (
-        sub is not ctx.base and sub.spec_string() != ctx.base.spec_string()
-    ):
+    if not isinstance(ctx, WreathContext) or not same_group(sub, ctx.base):
         raise StructureError("the sub-window must lie in the base group of a wreath window")
     leb = lebesgue_ok(sub_view, sub_cover, radius)
     if not leb.ok:

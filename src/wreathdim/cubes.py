@@ -17,7 +17,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .covers import Cover, GroupWindowView, lebesgue_ok
 from .errors import BudgetExceededError
@@ -293,17 +293,6 @@ class RCube:
                 yield a, b
 
 
-def verify_cube_edges(
-    cube: RCube, dist_lt: Callable[[Element, Element, Fraction], bool]
-) -> list[tuple[Point, Point]]:
-    """Edges whose endpoint images are not strictly closer than the cube scale."""
-    return [
-        (x, y)
-        for x, y in cube.edges()
-        if not dist_lt(cube.vertices[x], cube.vertices[y], cube.scale)
-    ]
-
-
 @dataclass(frozen=True)
 class CubeObstruction:
     """A pair of cube vertices forcing a large component in one cover part."""
@@ -428,21 +417,23 @@ def build_kernel_cube(
     return KernelCube(ctx, cube, index_table, u, edge_bounds)
 
 
-def lipschitz_pairs(
-    kcube: KernelCube, *, limit: int = 256, seed: int = 0
-) -> list[tuple[Point, Point, int, int]]:
+#: Most vertex pairs a certificate checks; larger cubes get a seeded sample.
+PAIR_LIMIT = 256
+
+
+def lipschitz_pairs(kcube: KernelCube, *, seed: int = 0) -> list[tuple[Point, Point, int, int]]:
     """Per-pair unit-Lipschitz evidence: (a, b, l1, support separation).
 
     The support separation (number of positions where the two vertex lamp
     configurations differ) is a certified word-metric lower bound between the
     images, and for these cubes it equals the l1 distance exactly.  All pairs
-    are checked when there are at most ``limit``; otherwise a seeded sample.
+    are checked when there are at most ``PAIR_LIMIT``; otherwise a seeded sample.
     """
     ctx = kcube.ctx
     pairs = list(kcube.cube.vertex_pairs())
-    if len(pairs) > limit:
+    if len(pairs) > PAIR_LIMIT:
         rng = random.Random(seed)
-        pairs = [pairs[i] for i in sorted(rng.sample(range(len(pairs)), limit))]
+        pairs = [pairs[i] for i in sorted(rng.sample(range(len(pairs)), PAIR_LIMIT))]
     out = []
     for a, b in pairs:
         ga = kcube.cube.vertices[a]
@@ -503,7 +494,6 @@ def growth_lower_bound_certificate(
     r: int | Fraction,
     *,
     base_oracle: LengthOracle | None = None,
-    pair_limit: int = 256,
     seed: int = 0,
 ) -> KernelCubeCertificate:
     """Build and fully check the growth-driven kernel cube at scale 3r.
@@ -514,7 +504,7 @@ def growth_lower_bound_certificate(
     """
     oracle = base_oracle if base_oracle is not None else LengthOracle(ctx.base)
     kcube = build_kernel_cube(ctx, n, r, base_oracle=oracle)
-    evidence = lipschitz_pairs(kcube, limit=pair_limit, seed=seed)
+    evidence = lipschitz_pairs(kcube, seed=seed)
     for a, b, want, got in evidence:
         if got < want:
             raise ValueError(

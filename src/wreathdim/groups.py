@@ -50,6 +50,11 @@ def max_length_below(r: Fraction) -> int:
     return math.ceil(r) - 1
 
 
+def same_group(a: "MarkedGroup", b: "MarkedGroup") -> bool:
+    """Whether two marked groups are interchangeable: their spec strings are equal."""
+    return a is b or a.spec_string() == b.spec_string()
+
+
 # ---------------------------------------------------------------------------
 # marked groups
 

@@ -28,6 +28,7 @@ from .groups import (
     LengthOracle,
     MarkedGroup,
     VirtuallyZStructure,
+    same_group,
     vz_decompose,
 )
 
@@ -405,7 +406,7 @@ def bulb_word(
             f"element {ctx.format_element(w)} is not in the kernel of the cursor projection"
         )
     base = ctx.base
-    if structure.group is not base and structure.group.spec_string() != base.spec_string():
+    if not same_group(structure.group, base):
         raise StructureError("virtually-Z structure does not describe the wreath base group")
     sym = set(base.symmetric_generators())
     if structure.t not in sym:
@@ -459,6 +460,6 @@ def kernel_window(
     """
     if oracle is None:
         oracle = LengthOracle(ctx)
-    elif oracle.ctx is not ctx and oracle.ctx.spec_string() != ctx.spec_string():
+    elif not same_group(oracle.ctx, ctx):
         raise StructureError("the oracle measures a different marked group than the window")
     return tuple(w for w in oracle.ball(r).elements if w.cursor == ctx._base_id)

@@ -43,6 +43,12 @@ def test_growth_csv(capsys):
     assert [int(r["growth"]) for r in rows] == [1, 4, 10, 22, 44, 84]
 
 
+def test_growth_radii_default_to_one_through_six(capsys):
+    payload = run_json(capsys, ["growth", "--name", "L2"])
+    assert [row["radius"] for row in payload["results"]] == ["1", "2", "3", "4", "5", "6"]
+    assert [row["growth"] for row in payload["results"]] == [1, 4, 10, 22, 44, 84]
+
+
 def test_growth_fractional_radii(capsys):
     rows = run_csv(
         capsys, ["growth", "--name", "Z", "--radii", "1 3/2 2", "--format", "csv"]
@@ -190,6 +196,11 @@ PULLBACK = ["control", "--name", "L2", "--mode", "pullback", "--window-radius", 
             [*PULLBACK, "--sub-window", "1"],
             "--sub-window must be >= 4, the largest |cursor| in the window, got 1",
         ),
+        (["verify", "--budget", "0"], "--budget must be >= 1, got 0"),
+        (
+            ["lattice", "--n", "2", "--k", "2", "--parts", "2", "--workers", "0"],
+            "--workers must be >= 1, got 0",
+        ),
     ],
 )
 def test_bad_flags_are_config_errors_naming_the_flag(capsys, args, message):
@@ -326,6 +337,25 @@ def test_out_writes_file(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     assert json.loads(out.read_text())["schema"] == "wreathdim-growth/1"
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["lattice", "--n", "2", "--k", "2", "--parts", "2", "--format", "csv"], "--format"),
+        (["cube", "--name", "W2", "--n", "2", "--r", "2", "--format", "csv"], "--format"),
+        (["growth", "--name", "L2", "--workers", "2"], "--workers"),
+        (["verify", "--config", "x.ini"], "--config"),
+    ],
+)
+def test_commands_refuse_flags_they_do_not_read(capsys, monkeypatch, args, flag):
+    monkeypatch.setattr("wreathdim.cli._COMMANDS", {})  # no command may start
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
 
 
 def test_cache_dir_flag_is_rejected(capsys):

@@ -18,10 +18,6 @@ def test_default_setup_declares_standard_instances():
     assert sorted(setup.groups) == ["C2", "C3", "F2", "Z", "Z2", "ZxC2"]
     assert sorted(setup.wreaths) == ["L2", "W2"]
     assert sorted(setup.structures) == ["Z", "ZxC2"]
-    assert setup.radii == tuple(Fraction(r) for r in range(1, 7))
-    assert setup.budget == 10_000_000
-    assert setup.workers == 1
-    assert setup.seed == 0
 
 
 def test_default_setup_context_lookup():
@@ -89,30 +85,9 @@ modulus = 3
     )
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "bulb-word-bound,kernel-cube-certificate",
-        "bulb-word-bound, kernel-cube-certificate",
-        "bulb-word-bound kernel-cube-certificate",
-    ],
-)
-def test_experiment_checks_split_on_commas_and_whitespace(text):
-    setup = parse_config(f"[experiment]\nchecks = {text}\n")
-    assert setup.checks == ("bulb-word-bound", "kernel-cube-certificate")
-
-
 def test_parse_config_full_experiment():
     setup = parse_config(
         """
-[experiment]
-radii = 1 2
-format = csv
-budget = 500
-workers = 2
-seed = 9
-checks = bulb-word-bound
-
 [group B]
 kind = integers
 generators = 1
@@ -129,22 +104,11 @@ fiber = F
 base = B
 """
     )
-    assert setup.out_format == "csv"
-    assert setup.budget == 500
-    assert setup.workers == 2
-    assert setup.seed == 9
-    assert setup.checks == ("bulb-word-bound",)
-    assert setup.radii == (Fraction(1), Fraction(2))
     assert (
         setup.wreaths["WL"].spec_string()
         == "wreath(fiber=cyclic(n=4|gens=1,3)|base=integers(gens=1))"
     )
     assert sorted(setup.structures) == ["B"]
-
-
-def test_cache_dir_key_is_rejected():
-    with pytest.raises(ConfigError, match=r"\[experiment\] has an unexpected key 'cache_dir'"):
-        parse_config("[experiment]\ncache_dir = x\n")
 
 
 def test_parse_config_structure_from_vz_keys():
@@ -239,9 +203,11 @@ def test_rejects_wreath_with_undeclared_base():
         )
 
 
-def test_rejects_unknown_experiment_key():
-    with pytest.raises(ConfigError, match="volume"):
-        parse_config("[experiment]\nvolume = 11\n")
+@pytest.mark.parametrize("text", ["[experiment]\n", "[experiment]\ncache_dir = x\n"])
+def test_experiment_section_is_rejected(text):
+    # run settings are command-line flags; the config declares structures only
+    with pytest.raises(ConfigError, match=r"section \[experiment\] must be"):
+        parse_config(text)
 
 
 def test_rejects_duplicate_sections():

@@ -19,6 +19,7 @@ from wreathdim import (
     component_diameters,
     coset_cover,
     cover_of,
+    default_setup,
     growth_linear_bound,
     kernel_control_bound,
     kernel_window,
@@ -51,6 +52,21 @@ def test_group_window_view_matches_word_metric(lamplighter, oracle_lamplighter):
         for y in window[:6]:
             assert view.dist(x, y) == oracle_lamplighter.distance(x, y)
             assert view.dist(x, y) == view.dist(y, x)
+
+
+def test_group_window_view_takes_an_oracle_of_an_equal_spec_group():
+    setup = default_setup()
+    L2, W2 = setup.wreaths["L2"], setup.wreaths["W2"]
+    oracle = LengthOracle(L2)
+    fresh = WreathContext(CyclicGroup(2), IntegerGroup())
+    assert fresh is not L2
+    window = oracle.ball(4).elements
+    view = GroupWindowView(fresh, window, oracle)
+    reference = GroupWindowView(L2, window, oracle)
+    for x in window[:6]:
+        assert view.dists_from(x, window) == reference.dists_from(x, window)
+    with pytest.raises(StructureError, match="different marked group"):
+        GroupWindowView(fresh, window, LengthOracle(W2))
 
 
 def test_window_rows_of_distances_equal_single_distances(lamplighter):

@@ -27,7 +27,6 @@ from wreathdim import (
     lattice_cover_witness,
     lattice_points,
     sampled_lattice_search,
-    verify_cube_edges,
     word_length,
 )
 from wreathdim import cubes
@@ -307,14 +306,6 @@ def test_cube_edges_and_pairs():
     )
     assert len(list(square.edges())) == 12
     assert len(list(square.vertex_pairs())) == 36
-
-
-def test_verify_cube_edges_strict_threshold():
-    tight = RCube(1, 2, Fraction(2), {(0,): 0, (1,): 1, (2,): 2})
-    spread = RCube(1, 2, Fraction(2), {(0,): 0, (1,): 2, (2,): 4})
-    dist_lt = lambda a, b, r: abs(a - b) < r
-    assert verify_cube_edges(tight, dist_lt) == []
-    assert verify_cube_edges(spread, dist_lt) == [((0,), (1,)), ((1,), (2,))]
 
 
 # -- obstructions ------------------------------------------------------------------

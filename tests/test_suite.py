@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from wreathdim import CHECKS, ConfigError, run_suite
+from wreathdim import CHECKS, ConfigError, default_setup, parse_config, run_suite
 from wreathdim.suite import CheckResult
 
 EXPECTED_CHECKS = [
@@ -36,6 +36,17 @@ def test_run_suite_subset_selection():
 def test_run_suite_rejects_unknown_check():
     with pytest.raises(ConfigError, match="no-such"):
         run_suite(checks=["no-such-check"])
+
+
+def test_run_suite_takes_its_instances_from_the_setup():
+    setup = default_setup()
+    (result,) = run_suite(setup, checks=["kernel-cube-certificate"])
+    assert result.passed
+    del setup.wreaths["W2"]
+    with pytest.raises(ConfigError, match="the suite needs 'W2'"):
+        run_suite(setup, checks=["kernel-cube-certificate"])
+    with pytest.raises(ConfigError, match="the suite needs 'Z'"):
+        run_suite(parse_config("[group A]\nkind = integers\n"))
 
 
 def test_check_results_carry_details():
