@@ -254,7 +254,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--sub-window must be >= {reach}, the largest |cursor| in the window, got {span}"
         )
-    sub_points = [ctx.base.parse_element(str(a)) for a in range(-span, span + 1)]
+    sub_points = range(-span, span + 1)
     sub_view = GroupWindowView(ctx.base, sub_points, base_oracle)
     period, length = args.cover_period, args.cover_length
     parts = [

@@ -4,9 +4,12 @@ The format is INI, one ``[group <name>]`` or ``[wreath <name>]`` section per
 structure; run settings (radii, budget, format, ...) are command-line flags.
 Element literals use each kind's text form: plain integers for the integer,
 cyclic, and table kinds; letter words like ``abA`` (capitals are inverses,
-``e`` the identity) for free groups; ``(left|right)`` pairs for products.
-Lists are whitespace-separated.  Radii accept integers, fractions like
-``5/2``, and inclusive integer ranges like ``1..6``.
+``e`` the identity) for free groups; ``(left|right)`` pairs for products;
+``(i|e)`` coset index and exponent pairs for vz wrappers; and
+``{pos:val,...}|cursor`` for wreath products.  Literals nest and hold no
+whitespace; docs/FORMAT.md gives the grammar.  Lists are whitespace-separated.
+Radii accept integers, fractions like ``5/2``, and inclusive integer ranges
+like ``1..6``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from .wreath import WreathContext
 DEFAULT_CONFIG = """\
 # Marked groups and wreath products for the built-in verification suite.
 # Element literals: integers for integer/cyclic/table kinds, letter words
-# (capitals = inverses) for free groups, (left|right) pairs for products.
+# (capitals = inverses) for free groups, (left|right) pairs for products,
+# (i|e) pairs for vz wrappers, {pos:val,...}|cursor for wreath products.
 
 [group Z]
 kind = integers

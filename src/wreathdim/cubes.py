@@ -211,8 +211,10 @@ def exhaustive_lattice_search(
     Every assignment satisfying the open-(n+1)-ball hypothesis must yield a
     witness; assignment codes that do not are reported as failures.  The
     report is identical for any worker count.  A sweep of more than
-    ``budget`` codes, or of more than ``budget`` point pairs, is refused
-    before it starts.
+    ``budget`` codes is refused before it starts, and so is a lattice of more
+    than ``budget`` point pairs: the scanner's ``balls``, ``steps`` and
+    ``far`` bitsets hold one ``points``-bit set per point, so ``points**2``
+    bounds their memory in units of the node budget.
     """
     _check_lattice_shape(n, k, num_parts)
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -223,7 +225,7 @@ def exhaustive_lattice_search(
             f"an exhaustive sweep of {radix}^({k + 1}^{n}) assignment codes exceeds "
             f"the budget of {budget}; sample the sweep or raise the budget"
         )
-    # the scanner relates every pair of points, whatever the code count
+    # the scanner's bitsets take up to points**2 bits, whatever the code count
     if points * points > budget:
         raise BudgetExceededError(
             f"the lattice scanner's ({k + 1}^{n})^2 point pairs exceed "

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, ClassVar, Iterable, Iterator
@@ -53,6 +54,25 @@ def max_length_below(r: Fraction) -> int:
 def same_group(a: "MarkedGroup", b: "MarkedGroup") -> bool:
     """Whether two marked groups are interchangeable: their spec strings are equal."""
     return a is b or a.spec_string() == b.spec_string()
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+_LETTERS = re.compile(r"[a-zA-Z]+")
+
+
+def match_at(pattern: re.Pattern[str], text: str, pos: int) -> tuple[str, int]:
+    """The text ``pattern`` matches at ``pos``, and the position after it."""
+    found = pattern.match(text, pos)
+    if found is None:
+        raise EncodingError(f"expected {pattern.pattern} at position {pos} of {text!r}")
+    return found.group(), found.end()
+
+
+def expect_at(token: str, text: str, pos: int) -> int:
+    """The position after ``token``, which must stand at ``pos``."""
+    if not text.startswith(token, pos):
+        raise EncodingError(f"expected {token!r} at position {pos} of {text!r}")
+    return pos + len(token)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +195,16 @@ class MarkedGroup:
     def format_element(self, x: Element) -> str:
         raise NotImplementedError
 
-    def parse_element(self, text: str) -> Element:
+    def parse_from(self, text: str, pos: int) -> tuple[Element, int]:
+        """Read the element literal at ``pos``; return (element, position after it)."""
         raise NotImplementedError
+
+    def parse_element(self, text: str) -> Element:
+        text = text.strip()
+        value, pos = self.parse_from(text, 0)
+        if pos != len(text):
+            raise EncodingError(f"trailing text at position {pos} of {text!r}")
+        return value
 
     # -- identity of the marked structure -----------------------------------
 
@@ -262,11 +290,9 @@ class IntegerGroup(MarkedGroup):
     def format_element(self, x: int) -> str:
         return str(x)
 
-    def parse_element(self, text: str) -> int:
-        try:
-            return int(text.strip())
-        except ValueError:
-            raise EncodingError(f"not an integer element: {text!r}") from None
+    def parse_from(self, text: str, pos: int) -> tuple[int, int]:
+        digits, pos = match_at(_INTEGER, text, pos)
+        return int(digits), pos
 
     def spec_string(self) -> str:
         return f"integers(gens={','.join(str(g) for g in self._generators)})"
@@ -326,11 +352,9 @@ class CyclicGroup(MarkedGroup):
     def format_element(self, x: int) -> str:
         return str(x)
 
-    def parse_element(self, text: str) -> int:
-        try:
-            return int(text.strip()) % self.modulus
-        except ValueError:
-            raise EncodingError(f"not a cyclic element: {text!r}") from None
+    def parse_from(self, text: str, pos: int) -> tuple[int, int]:
+        digits, pos = match_at(_INTEGER, text, pos)
+        return int(digits) % self.modulus, pos
 
     def spec_string(self) -> str:
         gens = ",".join(str(g) for g in self._generators)
@@ -350,8 +374,9 @@ class FreeGroup(MarkedGroup):
     kind = "free"
 
     def __init__(self, rank: int, generators: Iterable[tuple[int, ...]] | None = None):
-        if not 1 <= rank <= 26:
-            raise ValueError(f"free rank must be in 1..26, got {rank}")
+        # letters a..d name the basis; ``e`` stays free for the identity
+        if not 1 <= rank <= 4:
+            raise ValueError(f"free rank must be in 1..4, got {rank}")
         self.rank = rank
         if generators is None:
             generators = tuple((i,) for i in range(1, rank + 1))
@@ -406,19 +431,14 @@ class FreeGroup(MarkedGroup):
             for letter in x
         )
 
-    def parse_element(self, text: str) -> tuple[int, ...]:
-        text = text.strip()
-        if text == "e":
-            return ()
-        letters = []
-        for ch in text:
-            if "a" <= ch <= "z":
-                letters.append(ord(ch) - ord("a") + 1)
-            elif "A" <= ch <= "Z":
-                letters.append(-(ord(ch) - ord("A") + 1))
-            else:
-                raise EncodingError(f"bad free-group letter {ch!r} in {text!r}")
-        return self.canonicalize(tuple(letters))
+    def parse_from(self, text: str, pos: int) -> tuple[tuple[int, ...], int]:
+        word, pos = match_at(_LETTERS, text, pos)
+        if word == "e":
+            return (), pos
+        letters = tuple(
+            ord(ch) - ord("a") + 1 if ch.islower() else -(ord(ch) - ord("A") + 1) for ch in word
+        )
+        return self.canonicalize(letters), pos
 
     def spec_string(self) -> str:
         gens = ",".join(self.format_element(g) for g in self._generators)
@@ -539,11 +559,9 @@ class TableGroup(MarkedGroup):
     def format_element(self, x: int) -> str:
         return str(x)
 
-    def parse_element(self, text: str) -> int:
-        try:
-            return self.canonicalize(int(text.strip()))
-        except ValueError:
-            raise EncodingError(f"not a table element: {text!r}") from None
+    def parse_from(self, text: str, pos: int) -> tuple[int, int]:
+        digits, pos = match_at(_INTEGER, text, pos)
+        return self.canonicalize(int(digits)), pos
 
     def spec_string(self) -> str:
         rows = ";".join(".".join(str(v) for v in row) for row in self.table)
@@ -620,23 +638,10 @@ class ProductGroup(MarkedGroup):
     def format_element(self, x: tuple[Element, Element]) -> str:
         return f"({self.left.format_element(x[0])}|{self.right.format_element(x[1])})"
 
-    def parse_element(self, text: str) -> tuple[Element, Element]:
-        text = text.strip()
-        if not (text.startswith("(") and text.endswith(")")):
-            raise EncodingError(f"product element must look like (left|right), got {text!r}")
-        body = text[1:-1]
-        depth = 0
-        for i, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "|" and depth == 0:
-                return (
-                    self.left.parse_element(body[:i]),
-                    self.right.parse_element(body[i + 1 :]),
-                )
-        raise EncodingError(f"product element must look like (left|right), got {text!r}")
+    def parse_from(self, text: str, pos: int) -> tuple[tuple[Element, Element], int]:
+        left, pos = self.left.parse_from(text, expect_at("(", text, pos))
+        right, pos = self.right.parse_from(text, expect_at("|", text, pos))
+        return (left, right), expect_at(")", text, pos)
 
     def spec_string(self) -> str:
         gens = ",".join(self.format_element(g) for g in self._generators)
@@ -829,15 +834,10 @@ class VirtuallyZGroup(MarkedGroup):
     def format_element(self, x: tuple[int, int]) -> str:
         return f"({x[0]}|{x[1]})"
 
-    def parse_element(self, text: str) -> tuple[int, int]:
-        text = text.strip()
-        if not (text.startswith("(") and text.endswith(")")) or "|" not in text:
-            raise EncodingError(f"vz element must look like (i|e), got {text!r}")
-        i_text, _, e_text = text[1:-1].partition("|")
-        try:
-            return self.canonicalize((int(i_text), int(e_text)))
-        except ValueError:
-            raise EncodingError(f"vz element must look like (i|e), got {text!r}") from None
+    def parse_from(self, text: str, pos: int) -> tuple[tuple[int, int], int]:
+        i, pos = match_at(_INTEGER, text, expect_at("(", text, pos))
+        e, pos = match_at(_INTEGER, text, expect_at("|", text, pos))
+        return self.canonicalize((int(i), int(e))), expect_at(")", text, pos)
 
     def spec_string(self) -> str:
         reps = ",".join(self.base.format_element(g) for g in self.structure.coset_reps)

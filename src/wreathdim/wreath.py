@@ -28,6 +28,7 @@ from .groups import (
     LengthOracle,
     MarkedGroup,
     VirtuallyZStructure,
+    expect_at,
     same_group,
     vz_decompose,
 )
@@ -165,33 +166,17 @@ class WreathContext(MarkedGroup):
         )
         return f"{{{lamps}}}|{self.base.format_element(x.cursor)}"
 
-    def parse_element(self, text: str) -> WreathElement:
-        text = text.strip()
-        if not text.startswith("{"):
-            raise EncodingError(f"wreath element must look like {{pos:val,...}}|cursor, got {text!r}")
-        depth = 0
-        close = -1
-        for i, ch in enumerate(text):
-            if ch in "({":
-                depth += 1
-            elif ch in ")}":
-                depth -= 1
-                if depth == 0:
-                    close = i
-                    break
-        if close < 0 or close + 1 >= len(text) or text[close + 1] != "|":
-            raise EncodingError(f"wreath element must look like {{pos:val,...}}|cursor, got {text!r}")
-        body = text[1:close]
-        cursor = self.base.parse_element(text[close + 2 :])
+    def parse_from(self, text: str, pos: int) -> tuple[WreathElement, int]:
+        pos = expect_at("{", text, pos)
         lamps = []
-        for piece in _split_top_level(body, ","):
-            if not piece:
-                continue
-            parts = _split_top_level(piece, ":")
-            if len(parts) != 2:
-                raise EncodingError(f"lamp entry must look like pos:val, got {piece!r}")
-            lamps.append((self.base.parse_element(parts[0]), self.fiber.parse_element(parts[1])))
-        return self.canonicalize(WreathElement(tuple(lamps), cursor))
+        while not text.startswith("}", pos):
+            if lamps:
+                pos = expect_at(",", text, pos)
+            position, pos = self.base.parse_from(text, pos)
+            value, pos = self.fiber.parse_from(text, expect_at(":", text, pos))
+            lamps.append((position, value))
+        cursor, pos = self.base.parse_from(text, expect_at("}|", text, pos))
+        return self.canonicalize(WreathElement(tuple(lamps), cursor)), pos
 
     # -- identity of the marked structure ----------------------------------------------
 
@@ -214,22 +199,6 @@ class _EncodingCache(dict):
     def __missing__(self, x: Element) -> bytes:
         data = self[x] = self._encode(x)
         return data
-
-
-def _split_top_level(text: str, sep: str) -> list[str]:
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i].strip())
-            start = i + 1
-    parts.append(text[start:].strip())
-    return parts
 
 
 class _PackedLampSpace:

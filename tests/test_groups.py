@@ -8,10 +8,13 @@ come from the reduced-word recurrence (gamma(r+1) = gamma(r) + boundary * 3).
 from __future__ import annotations
 
 import hashlib
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import wreathdim
 from wreathdim import (
     BudgetExceededError,
     CyclicGroup,
@@ -19,6 +22,7 @@ from wreathdim import (
     FreeGroup,
     IntegerGroup,
     LengthOracle,
+    MarkedGroup,
     ProductGroup,
     StructureError,
     TableGroup,
@@ -187,10 +191,10 @@ def test_free_ball_matches_reduced_word_enumeration(f2):
 
 
 def test_free_rank_bounds():
-    with pytest.raises(ValueError):
-        FreeGroup(0)
-    with pytest.raises(ValueError):
-        FreeGroup(27)
+    # rank 5 would name its fifth letter e, the identity literal
+    for rank in (0, 5, 27):
+        with pytest.raises(ValueError, match="rank"):
+            FreeGroup(rank)
 
 
 # -- table ----------------------------------------------------------------
@@ -244,11 +248,14 @@ def test_product_ball_radius_2_frozen(z2):
     assert table.elements == ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0))
 
 
-def test_product_format_parse_nested(z):
-    nested = ProductGroup(z, ProductGroup(z, z))
+def test_product_format_parse_nested(z, z2):
+    nested = ProductGroup(z, z2)
     text = nested.format_element((3, (1, -2)))
     assert text == "(3|(1|-2))"
     assert nested.parse_element(text) == (3, (1, -2))
+    for bad in ("(1| 2)", "(1|2)3", "(1_000|2)", "(+3|2)", "(\u0663|2)", "(1|2"):
+        with pytest.raises(ValueError):
+            z2.parse_element(bad)
 
 
 def test_product_finite_order(c3, c2):
@@ -472,3 +479,33 @@ def test_sort_key_orders_like_encoded_bytes(f2):
     by_key = sorted(elements, key=f2.sort_key)
     by_bytes = sorted(elements, key=f2.encode)
     assert by_key == by_bytes
+
+
+# -- text forms ----------------------------------------------------------------
+
+
+def test_every_kind_reads_its_own_literal():
+    # MarkedGroup.parse_element is the only whole-text parser; each kind reads
+    # just its own literal in parse_from, so nested literals need no scanner
+    modules = [
+        importlib.import_module(f"wreathdim.{info.name}")
+        for info in pkgutil.iter_modules(wreathdim.__path__)
+    ]
+    kinds = {
+        cls
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, MarkedGroup) and cls is not MarkedGroup
+    }
+    assert {cls.__name__ for cls in kinds} >= {
+        "IntegerGroup",
+        "CyclicGroup",
+        "FreeGroup",
+        "TableGroup",
+        "ProductGroup",
+        "VirtuallyZGroup",
+        "WreathContext",
+    }
+    for cls in kinds:
+        assert "parse_from" in vars(cls), cls.__name__
+        assert "parse_element" not in vars(cls), cls.__name__

@@ -12,6 +12,8 @@ from wreathdim import (
     IntegerGroup,
     ProductGroup,
     TableGroup,
+    VirtuallyZGroup,
+    VirtuallyZStructure,
     WreathContext,
     WreathElement,
     bulb_product,
@@ -31,6 +33,25 @@ Z2 = ProductGroup(Z, Z)
 L2 = WreathContext(CyclicGroup(2), Z)
 
 GROUPS = {"Z": Z, "C3": C3, "F2": F2, "Z2": Z2, "L2": L2}
+
+# S3 as permutations of 0..2, listed so that the identity is not row 0
+_PERMS = [(1, 0, 2), (0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0)]
+S3 = TableGroup(
+    [[_PERMS.index(tuple(p[q[k]] for k in range(3))) for q in _PERMS] for p in _PERMS], (0, 2)
+)
+_ZxC2 = ProductGroup(Z, CyclicGroup(2))
+_C2wrZ2 = WreathContext(CyclicGroup(2), Z2)
+_C2wrL2 = WreathContext(CyclicGroup(2), L2)
+# literals nested up to depth 3, for the text round trip only
+NESTED = {
+    "S3": S3,
+    "L2xZ": ProductGroup(L2, Z),
+    "C2wrZ2": _C2wrZ2,
+    "C2wrL2": _C2wrL2,
+    "ZxVZ": ProductGroup(Z, VirtuallyZGroup(VirtuallyZStructure(_ZxC2, (1, 0), ((0, 0), (0, 1))))),
+    "Zx(C2wrZ2)": ProductGroup(Z, _C2wrZ2),
+    "(C2wrL2)xF2": ProductGroup(_C2wrL2, F2),
+}
 
 
 def words(ctx, max_size=6):
@@ -95,9 +116,9 @@ def test_encode_decode_round_trip(name, data):
     assert ctx.decode(ctx.encode(g)) == g
 
 
-@given(st.sampled_from(sorted(GROUPS)), st.data())
+@given(st.sampled_from(sorted(GROUPS | NESTED)), st.data())
 def test_format_parse_round_trip(name, data):
-    ctx = GROUPS[name]
+    ctx = (GROUPS | NESTED)[name]
     g = data.draw(elements(ctx))
     assert ctx.parse_element(ctx.format_element(g)) == g
 
@@ -112,15 +133,10 @@ def test_sort_key_matches_encoded_byte_order(name, data):
 
 # -- wreath arithmetic on canonical elements --------------------------------------
 
-# S3 as permutations of 0..2, listed so that the identity is not row 0
-_PERMS = [(1, 0, 2), (0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0)]
-S3 = TableGroup(
-    [[_PERMS.index(tuple(p[q[k]] for k in range(3))) for q in _PERMS] for p in _PERMS], (0, 2)
-)
 WREATHS = {
     "C3wrZ": WreathContext(C3, Z),
     "S3wrZ": WreathContext(S3, Z),
-    "C2wrZ2": WreathContext(CyclicGroup(2), Z2),
+    "C2wrZ2": _C2wrZ2,
     "C2wrF2": WreathContext(CyclicGroup(2), F2),
 }
 

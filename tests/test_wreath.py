@@ -157,7 +157,20 @@ def test_format_parse_plane_positions(plane_lamplighter):
 
 
 def test_parse_rejects_garbage(lamplighter):
-    for bad in ("", "{0:1}", "0|1", "{0:1|0", "{0:1,0:1}|0"):
+    for bad in (
+        "",
+        "{0:1}",
+        "0|1",
+        "{0:1|0",
+        "{0:1,0:1}|0",
+        "{0:1,}|0",
+        "{,0:1}|0",
+        "{0: 1}|0",
+        "{}|1_000",
+        "{}|+3",
+        "{}|\u0663",
+        "{0:1}|0 x",
+    ):
         with pytest.raises(ValueError):
             lamplighter.parse_element(bad)
 
