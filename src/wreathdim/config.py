@@ -28,6 +28,8 @@ from .groups import (
     TableGroup,
     VirtuallyZGroup,
     VirtuallyZStructure,
+    _INTEGER,
+    match_at,
 )
 from .wreath import WreathContext
 
@@ -131,11 +133,31 @@ _KIND_KEYS = {
 }
 
 
-def _section_int(section: configparser.SectionProxy, name: str, key: str) -> int:
+def _read_int(text: str) -> int | None:
+    """``text`` as one literal of the integer grammar ``-?[0-9]+``, or None."""
     try:
-        return int(section[key])
-    except ValueError:
-        raise ConfigError(f"[group {name}] {key} = {section[key]!r} is not an integer") from None
+        digits, end = match_at(_INTEGER, text, 0)
+    except EncodingError:
+        return None
+    return int(digits) if end == len(text) else None
+
+
+def _section_int(section: configparser.SectionProxy, name: str, key: str) -> int:
+    value = _read_int(section[key])
+    if value is None:
+        raise ConfigError(f"[group {name}] {key} = {section[key]!r} is not an integer")
+    return value
+
+
+def _section_ints(name: str, key: str, text: str) -> tuple[int, ...]:
+    """The whitespace-separated integers of ``text``, all or part of the value of ``key``."""
+    values = []
+    for item in text.split():
+        value = _read_int(item)
+        if value is None:
+            raise ConfigError(f"[group {name}] {key} holds {item!r}, which is not an integer")
+        values.append(value)
+    return tuple(values)
 
 
 def _build_group(
@@ -153,14 +175,13 @@ def _build_group(
             raise ConfigError(f"[group {name}] has an unexpected key {key!r} for kind {kind}")
     try:
         if kind == "integers":
-            gens_text = section.get("generators", "1")
-            return IntegerGroup(tuple(int(g) for g in gens_text.split()))
+            return IntegerGroup(_section_ints(name, "generators", section.get("generators", "1")))
         if kind == "cyclic":
             if "modulus" not in section:
                 raise ConfigError(f"[group {name}] cyclic kind needs the key 'modulus'")
             modulus = _section_int(section, name, "modulus")
             gens_text = section.get("generators")
-            gens = None if gens_text is None else tuple(int(g) for g in gens_text.split())
+            gens = None if gens_text is None else _section_ints(name, "generators", gens_text)
             return CyclicGroup(modulus, gens)
         if kind == "free":
             if "rank" not in section:
@@ -175,11 +196,11 @@ def _build_group(
             if "table" not in section or "generators" not in section:
                 raise ConfigError(f"[group {name}] table kind needs keys 'table' and 'generators'")
             rows = [
-                tuple(int(v) for v in row.split())
+                _section_ints(name, "table", row)
                 for row in section["table"].split(";")
                 if row.strip()
             ]
-            gens = tuple(int(g) for g in section["generators"].split())
+            gens = _section_ints(name, "generators", section["generators"])
             return TableGroup(rows, gens)
         if kind == "product":
             for key in ("left", "right"):
@@ -201,6 +222,8 @@ def _build_group(
         if "base" not in section:
             raise ConfigError(f"[group {name}] vz kind needs the key 'base'")
         return None  # resolved in a second pass once structures exist
+    except ConfigError:
+        raise
     except (ValueError, EncodingError, StructureError) as exc:
         raise ConfigError(f"[group {name}]: {exc}") from exc
 

@@ -70,9 +70,12 @@ def ball_window(oracle: LengthOracle, radius: Radius) -> GroupWindowView:
     """The open ball of ``radius`` as a window, with every pair distance prefilled.
 
     Two points of the ball are at distance at most twice its largest length,
-    so one larger ball search measures every pair; at scales >= 2 the whole
-    ball is one component, and every pair does get measured.  Under a budget
-    too small for that ball, each pair gets its own search instead.
+    so one larger ball search puts every pair distance in the oracle's memo.
+    ``max_diameter`` measures only the pivot distances and the pairs its
+    triangle bound cannot rule out, a few hundred on the 8-ball of the
+    lamplighter, but without the prefill each of those would be a search of
+    its own, which costs more than the one ball.  Under a budget too small
+    for that ball, each measured pair gets its own search instead.
     """
     try:
         oracle.ball(2 * max_length_below(as_radius(radius)) + 1)
@@ -170,11 +173,28 @@ class ControlMeasurement:
 
 
 def max_diameter(view: GroupWindowView, components: Iterable[Sequence[Element]]) -> int:
-    """Largest distance between two points of one component (0 if there is none)."""
+    """Largest distance between two points of one component (0 if there is none).
+
+    Each component's first point is a pivot p, measured to every point once.
+    A pair (a, b) is measured only while d(a, p) + d(p, b) exceeds the largest
+    distance found so far: by the triangle inequality, no skipped pair does.
+    """
     worst = 0
     for comp in components:
-        for i, a in enumerate(comp[:-1]):
-            worst = max(worst, *view.dists_from(a, comp[i + 1 :]))
+        if len(comp) < 2:
+            continue
+        radii = view.dists_from(comp[0], comp)
+        worst = max(worst, *radii)
+        ranked = sorted(zip(radii, comp), key=lambda item: item[0], reverse=True)
+        for i, (ra, a) in enumerate(ranked[:-1]):
+            if ra + ranked[i + 1][0] <= worst:
+                break  # every later pair sums to no more
+            partners = []
+            for rb, b in ranked[i + 1 :]:
+                if ra + rb <= worst:
+                    break
+                partners.append(b)
+            worst = max(worst, *view.dists_from(a, partners))
     return worst
 
 

@@ -11,6 +11,7 @@ from bulbs whose inverse is 1-Lipschitz by the index-counting bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -105,12 +106,52 @@ class _LatticeScanner:
                 grown.append(ball)
             balls = grown
         self.balls = balls
-        # far[i][j]: the points whose i-th coordinate is k away from that of points[j],
-        # which is the slab at k - x[i] when x[i] is 0 or k, and nothing otherwise
-        self.far = []
-        for i in range(num_parts):
-            slabs = {v: _bits(j for j, x in enumerate(pts) if x[i] == v) for v in (0, k)}
-            self.far.append([slabs[k - x[i]] if x[i] in slabs else 0 for x in pts])
+        # lifts[j][digit]: what assigning digit to points[j] ORs into each part
+        self.lifts = [
+            [
+                tuple(1 << j if i in parts else 0 for i in range(num_parts))
+                for parts in self.digit_parts
+            ]
+            for j in range(len(pts))
+        ]
+        # axes[i]: stride of coordinate i, and the points that can step up and down in it
+        self.axes = [
+            (
+                stride,
+                _bits(j for j, x in enumerate(pts) if x[i] < k),
+                _bits(j for j, x in enumerate(pts) if x[i] > 0),
+            )
+            for i, stride in enumerate(strides)
+        ]
+        # slabs[i]: the points whose i-th coordinate is 0, and those where it is k;
+        # two points are k apart in that coordinate when they lie in different slabs
+        self.slabs = [
+            tuple(_bits(j for j, x in enumerate(pts) if x[i] == v) for v in (0, k))
+            for i in range(num_parts)
+        ]
+
+    @functools.cached_property
+    def guards(self) -> list[list[int]]:
+        """guards[j]: for each closed n-ball through points[j], its points from j up.
+
+        A sweep assigns points from the last one down, so at j these are
+        assigned, and if they share no part, neither does the ball, however the
+        rest is assigned.  Of two nested guards only the larger is kept.  With
+        one part there is nothing to guard: it holds every ball.
+        """
+        through: list[set[int]] = [set() for _ in self.points]
+        if self.num_parts > 1:
+            for ball in self.balls:
+                for j in _members(ball):
+                    through[j].add(ball & ~((1 << j) - 1))
+        guards = []
+        for found in through:
+            kept: list[int] = []
+            for guard in sorted(found, key=int.bit_count, reverse=True):
+                if not any(guard & wider == guard for wider in kept):
+                    kept.append(guard)
+            guards.append(kept)
+        return guards
 
     def parts_of(self, code: int) -> list[int]:
         # Base (2**p - 1) digits, one per point; digit + 1 is the point's part bitmask.
@@ -123,31 +164,88 @@ class _LatticeScanner:
 
     def outcome(self, parts: Sequence[int]) -> LatticeOutcome:
         """Check the open-(n+1)-ball hypothesis, then find the first k-spread pair."""
+        violator = self.violator(parts)
+        if violator is not None:
+            return LatticeOutcome(False, self.points[violator], None)
+        return LatticeOutcome(True, None, self.witness(parts))
+
+    def violator(self, parts: Sequence[int]) -> int | None:
+        """The first point whose closed n-ball fits in no part, or None."""
         for j, ball in enumerate(self.balls):
             if not any(ball & part == ball for part in parts):
-                return LatticeOutcome(False, self.points[j], None)
-        for i, part in enumerate(parts):
+                return j
+        return None
+
+    def witness(self, parts: Sequence[int]) -> tuple[int, Point, Point] | None:
+        """The first k-spread pair of one 2-component, in (part, component, lex) order.
+
+        In part i the pairs k apart in coordinate i join its two slabs, so a
+        component holds one exactly when it meets both, and its first such pair
+        starts at its first slab point and ends at its first point of the other.
+        """
+        for i, (part, (low, high)) in enumerate(zip(parts, self.slabs)):
             unseen = part
             while unseen:
                 comp = self._component(unseen & -unseen, part)
                 unseen ^= comp
-                for a in _members(comp):
-                    later = comp & self.far[i][a] & ~((2 << a) - 1)
-                    if later:
-                        b = (later & -later).bit_length() - 1
-                        return LatticeOutcome(True, None, (i + 1, self.points[a], self.points[b]))
-        return LatticeOutcome(True, None, None)
+                if comp & low and comp & high:
+                    ends = comp & (low | high)
+                    a = ends & -ends
+                    rest = comp & (high if a & low else low)
+                    b = rest & -rest
+                    return i + 1, self.points[a.bit_length() - 1], self.points[b.bit_length() - 1]
+        return None
 
     def _component(self, seed: int, part: int) -> int:
-        # The 2-component of ``part`` holding ``seed``: chains of unit steps.
-        comp = frontier = seed
-        while frontier:
-            reach = 0
-            for j in _members(frontier):
-                reach |= self.steps[j]
-            frontier = reach & part & ~comp
-            comp |= frontier
-        return comp
+        # The 2-components of ``part`` meeting ``seed``: chains of unit steps, taken
+        # for all points at once by shifting the bitset one stride along each axis.
+        comp = seed
+        while True:
+            grown = comp
+            for stride, up, down in self.axes:
+                grown |= ((grown & up) << stride | (grown & down) >> stride) & part
+            if grown == comp:
+                return comp
+            comp = grown
+
+    def sweep(self, prefix: Sequence[int]) -> tuple[int, int, list[int]]:
+        """Tally every code whose leading digits are ``prefix``, most significant first.
+
+        Points are assigned depth-first from the last one, whose digit is the
+        most significant, so leaves come in increasing code order.  A subtree
+        is cut as soon as the assigned points of some closed n-ball share no
+        part (see ``guards``): the hypothesis fails on every code below it,
+        which adds to no count.  Each leaf passes the hypothesis and only hunts
+        its witness.
+        Returns the hypothesis count, the witness count and the failure codes.
+        """
+        radix, lifts, guards = self.radix, self.lifts, self.guards
+
+        def fits(parts: tuple[int, ...], j: int) -> bool:
+            return all(any(guard & part == guard for part in parts) for guard in guards[j])
+
+        top = len(self.points)
+        hypothesis_count = witness_count = 0
+        failures: list[int] = []
+        stack = [(top, 0, (0,) * self.num_parts)]
+        while stack:
+            j, code, parts = stack.pop()
+            if j == 0:
+                hypothesis_count += 1
+                if self.witness(parts) is None:
+                    failures.append(code)
+                else:
+                    witness_count += 1
+                continue
+            j -= 1
+            level = top - 1 - j
+            children = []
+            for digit in (prefix[level],) if level < len(prefix) else range(radix):
+                child = tuple(part | bit for part, bit in zip(parts, lifts[j][digit]))
+                if fits(child, j):
+                    children.append((j, code * radix + digit, child))
+            stack.extend(reversed(children))
+        return hypothesis_count, witness_count, failures
 
 
 def lattice_cover_witness(n: int, k: int, parts: Sequence[Iterable[Point]]) -> LatticeOutcome:
@@ -181,9 +279,8 @@ class LatticeSearchReport:
 
 
 def _scan_lattice_codes(
-    task: tuple[_LatticeScanner, Iterable[int]]
+    scanner: _LatticeScanner, codes: Iterable[int]
 ) -> tuple[int, int, list[int]]:
-    scanner, codes = task
     hypothesis_count = witness_count = 0
     failures: list[int] = []
     for code in codes:
@@ -198,6 +295,11 @@ def _scan_lattice_codes(
     return hypothesis_count, witness_count, failures
 
 
+def _sweep_prefix(task: tuple[_LatticeScanner, tuple[int, ...]]) -> tuple[int, int, list[int]]:
+    scanner, prefix = task
+    return scanner.sweep(prefix)
+
+
 def _pool_size(workers: int, cpus: int, chunks: int) -> int:
     """Processes worth starting: no more than requested, than CPUs, or than chunks."""
     return max(1, min(workers, cpus, chunks))
@@ -210,11 +312,17 @@ def exhaustive_lattice_search(
 
     Every assignment satisfying the open-(n+1)-ball hypothesis must yield a
     witness; assignment codes that do not are reported as failures.  The
-    report is identical for any worker count.  A sweep of more than
+    sweep assigns points depth-first, most significant digit first, and cuts
+    a subtree as soon as the assigned points of some closed n-ball share no
+    part.  The counts stay exact: every code below the cut fails the
+    hypothesis, so it counts toward ``assignments`` (always the full
+    ``radix**points``) and toward nothing else, and every code that is not
+    cut is a leaf, which passes the hypothesis and has its witness hunted.
+    The report is identical for any worker count.  A sweep of more than
     ``budget`` codes is refused before it starts, and so is a lattice of more
-    than ``budget`` point pairs: the scanner's ``balls``, ``steps`` and
-    ``far`` bitsets hold one ``points``-bit set per point, so ``points**2``
-    bounds their memory in units of the node budget.
+    than ``budget`` point pairs: the scanner's ``balls`` and ``steps``
+    bitsets hold one ``points``-bit set per point, so ``points**2`` bounds
+    their memory in units of the node budget.
     """
     _check_lattice_shape(n, k, num_parts)
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -235,17 +343,20 @@ def exhaustive_lattice_search(
     total = radix**points
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     size = _pool_size(workers, cpus or 1, total)
-    chunk = max(1, -(-total // size))
-    tasks = [(scanner, range(lo, min(lo + chunk, total))) for lo in range(0, total, chunk)]
+    # a pool gets a few leading-digit prefixes per process, in increasing code order
+    depth = 0
+    while size > 1 and depth < points and radix**depth < 4 * size:
+        depth += 1
+    tasks = [(scanner, prefix) for prefix in itertools.product(range(radix), repeat=depth)]
     if size == 1:
-        results = list(map(_scan_lattice_codes, tasks))
+        results = list(map(_sweep_prefix, tasks))
     else:
         with multiprocessing.Pool(size) as pool:
-            results = pool.map(_scan_lattice_codes, tasks)
+            results = pool.map(_sweep_prefix, tasks)
     h = sum(res[0] for res in results)
     w = sum(res[1] for res in results)
-    failures = [code for res in results for code in res[2]]
-    return LatticeSearchReport(n, k, num_parts, total, h, w, tuple(sorted(failures)))
+    failures = tuple(code for res in results for code in res[2])
+    return LatticeSearchReport(n, k, num_parts, total, h, w, failures)
 
 
 def sampled_lattice_search(
@@ -258,7 +369,7 @@ def sampled_lattice_search(
     total = scanner.radix ** len(scanner.points)
     rng = random.Random(seed)
     codes = (rng.randrange(total) for _ in range(samples))
-    h, w, failures = _scan_lattice_codes((scanner, codes))
+    h, w, failures = _scan_lattice_codes(scanner, codes)
     return LatticeSearchReport(n, k, num_parts, samples, h, w, tuple(sorted(failures)))
 
 

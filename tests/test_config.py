@@ -222,3 +222,28 @@ def test_group_construction_errors_surface_as_config_errors():
     # A cyclic marking that cannot generate the group is caught at parse time.
     with pytest.raises((ConfigError, ValueError)):
         parse_config("[group A]\nkind = cyclic\nmodulus = 6\ngenerators = 2\n")
+
+
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        ("kind = integers\ngenerators = +1_0", "generators"),
+        ("kind = integers\ngenerators = 1 ١", "generators"),
+        ("kind = integers\ngenerators = 1_0", "generators"),
+        ("kind = cyclic\nmodulus = +3", "modulus"),
+        ("kind = cyclic\nmodulus = ٣", "modulus"),
+        ("kind = cyclic\nmodulus = 3\ngenerators = 0x1", "generators"),
+        ("kind = free\nrank = 2.0", "rank"),
+        ("kind = table\ntable = 0 1;1 +0\ngenerators = 1", "table"),
+        ("kind = table\ntable = 0 1;1 0\ngenerators = １", "generators"),
+    ],
+)
+def test_integer_keys_take_only_the_literal_grammar(body, key):
+    # integers are -?[0-9]+ here as in element literals: no sign '+', no '_', ASCII digits
+    with pytest.raises(ConfigError, match=rf"^\[group G\] {key} .*not an integer"):
+        parse_config(f"[group G]\n{body}\n")
+
+
+def test_negative_integer_keys_read_as_literals():
+    setup = parse_config("[group C]\nkind = cyclic\nmodulus = 5\ngenerators = -1 2\n")
+    assert setup.groups["C"].spec_string() == "cyclic(n=5|gens=4,2)"

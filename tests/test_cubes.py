@@ -158,9 +158,18 @@ def test_scanner_bitsets_equal_an_all_pairs_build(n, k, num_parts):
     assert scanner.points == pts
     assert scanner.balls == [bits(lambda x, y: l1(x, y) <= n, x) for x in pts]
     assert scanner.steps == [bits(lambda x, y: l1(x, y) == 1, x) for x in pts]
-    assert scanner.far == [
-        [bits(lambda x, y: abs(x[i] - y[i]) == k, x) for x in pts] for i in range(num_parts)
-    ]
+    # guards[j] keeps the widest of the balls through points[j], cut to the points
+    # from j up; one part holds every ball, so it needs none
+    for j, guards in enumerate(scanner.guards):
+        cut = {ball & -(1 << j) for ball in scanner.balls if ball >> j & 1}
+        assert set(guards) <= cut
+        covered = set() if num_parts == 1 else cut
+        assert all(any(c & g == c for g in guards) for c in covered)
+    # two points are k apart in coordinate i exactly when they lie in different slabs
+    for i, (low, high) in enumerate(scanner.slabs):
+        for j, x in enumerate(pts):
+            far = (high if low >> j & 1 else 0) | (low if high >> j & 1 else 0)
+            assert far == bits(lambda x, y: abs(x[i] - y[i]) == k, x)
 
 
 # -- exhaustive sweeps -----------------------------------------------------------
@@ -183,7 +192,33 @@ def test_exhaustive_search_trivial_line():
     assert report.witness_count == 1
 
 
-def test_exhaustive_search_tallies_single_cover_outcomes():
+#: Lattice shapes of at most 20k assignment codes, from one part up to (2,2,2).
+SWEEPABLE = [(1, 1, 1), (1, 4, 1), (2, 1, 2), (2, 2, 1), (3, 1, 2), (2, 2, 2)]
+
+
+def _brute_force_report(n, k, num_parts):
+    """The sweep's report with every code judged alone, as one cover."""
+    scanner = cubes._LatticeScanner(n, k, num_parts)
+    total = scanner.radix ** len(scanner.points)
+    outcomes = [scanner.outcome(scanner.parts_of(code)) for code in range(total)]
+    failures = tuple(
+        code for code, o in enumerate(outcomes) if o.hypothesis_ok and o.witness is None
+    )
+    hypotheses = sum(o.hypothesis_ok for o in outcomes)
+    witnesses = sum(o.witness is not None for o in outcomes)
+    return cubes.LatticeSearchReport(n, k, num_parts, total, hypotheses, witnesses, failures)
+
+
+def _code_of(scanner, parts):
+    # the inverse of parts_of: point j's digit is its part bitmask minus one
+    code = 0
+    for j in reversed(range(len(scanner.points))):
+        mask = sum(1 << i for i, part in enumerate(parts) if part >> j & 1)
+        code = code * scanner.radix + mask - 1
+    return code
+
+
+def test_exhaustive_search_tallies_single_cover_outcomes(monkeypatch):
     outcomes = [lattice_cover_witness(2, 1, _cover(2, 1, 2, code)) for code in range(81)]
     report = exhaustive_lattice_search(2, 1, 2)
     assert report.hypothesis_count == sum(o.hypothesis_ok for o in outcomes)
@@ -191,12 +226,41 @@ def test_exhaustive_search_tallies_single_cover_outcomes():
     assert report.failures == tuple(
         code for code, o in enumerate(outcomes) if o.hypothesis_ok and o.witness is None
     )
+    # the pruned sweep against every code judged alone, on every sweepable shape
+    for shape in SWEEPABLE:
+        assert exhaustive_lattice_search(*shape) == _brute_force_report(*shape), shape
+    full = _brute_force_report(2, 2, 2)
+    assert (full.assignments, full.hypothesis_count, full.witness_count) == (19683, 1023, 1023)
+    assert full.failures == ()
+
+    # a witness hunt that misses on chosen codes: both sweeps report the same failures
+    hunt = cubes._LatticeScanner.witness
+
+    def lossy_hunt(scanner, parts):
+        return None if _code_of(scanner, parts) % 5 == 0 else hunt(scanner, parts)
+
+    monkeypatch.setattr(cubes._LatticeScanner, "witness", lossy_hunt)
+    for shape in SWEEPABLE:
+        pruned, brute = exhaustive_lattice_search(*shape), _brute_force_report(*shape)
+        assert pruned == brute, shape
+        assert pruned.witness_count + len(pruned.failures) == pruned.hypothesis_count
+    assert len(exhaustive_lattice_search(2, 2, 2).failures) > 100
 
 
 def test_exhaustive_search_worker_count_is_immaterial():
     assert exhaustive_lattice_search(2, 1, 2, workers=2) == exhaustive_lattice_search(
         2, 1, 2
     )
+    assert exhaustive_lattice_search(2, 2, 2, workers=2) == exhaustive_lattice_search(
+        2, 2, 2
+    )
+
+
+def test_exhaustive_search_has_no_recursion_limit():
+    # one code over 1681 points, each a level of the depth-first sweep: deeper
+    # than Python's default recursion limit of 1000
+    report = exhaustive_lattice_search(2, 40, 1)
+    assert (report.assignments, report.hypothesis_count, report.witness_count) == (1, 1, 1)
 
 
 def test_exhaustive_search_rejects_excess_parts():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +13,7 @@ from wreathdim import (
     FreeGroup,
     GroupWindowView,
     IntegerGroup,
+    LengthOracle,
     ProductGroup,
     TableGroup,
     VirtuallyZGroup,
@@ -18,8 +22,10 @@ from wreathdim import (
     WreathElement,
     bulb_product,
     evaluate_word,
+    kernel_window,
     lattice_cover_witness,
     lattice_points,
+    max_diameter,
     minimal_word,
     r_components,
     word_length,
@@ -270,6 +276,49 @@ def test_r_components_partition_and_separate(points, r):
             for x in comp:
                 for y in other:
                     assert abs(x - y) >= r
+
+
+_DIAMETER_GROUPS = {
+    "L2": L2,
+    "C3wrZ": WreathContext(C3, Z),
+    "W2": WreathContext(CyclicGroup(2), Z2),
+    "F2": F2,
+}
+
+
+@functools.cache
+def _diameter_window(name, kind):
+    ctx = _DIAMETER_GROUPS[name]
+    oracle = LengthOracle(ctx)
+    points = kernel_window(ctx, 7, oracle=oracle) if kind == "kernel" else oracle.ball(5).elements
+    return GroupWindowView(ctx, points, oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        [(name, "ball") for name in _DIAMETER_GROUPS]
+        + [(name, "kernel") for name in ("L2", "C3wrZ", "W2")]
+    ),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_max_diameter_equals_the_all_pairs_maximum(window, r, data):
+    view = _diameter_window(*window)
+    subset = data.draw(
+        st.lists(st.sampled_from(view.points), min_size=1, max_size=24, unique=True)
+    )
+    # each component's first point is its pivot, so every component of a subset
+    # listed in drawn order, and the subset without the identity, is off-centre
+    identity = view.ctx.identity()
+    for components in (
+        r_components(view, subset, r),
+        [tuple(x for x in subset if x != identity)],
+    ):
+        pairs = (pair for comp in components for pair in itertools.combinations(comp, 2))
+        assert max_diameter(view, components) == max(
+            (view.dist(a, b) for a, b in pairs), default=0
+        )
 
 
 # -- lattice claims ------------------------------------------------------------------
