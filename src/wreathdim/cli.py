@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--checks", help="comma-separated subset of checks to run")
-    _flags(p, "out", "format", "budget", "workers")
+    _flags(p, "out", "format", "budget")
 
     return parser
 
@@ -322,7 +322,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     wanted = args.checks.split(",") if args.checks else None
-    results = run_suite(checks=wanted, budget=args.budget, workers=args.workers)
+    results = run_suite(checks=wanted, budget=args.budget)
     rows = [
         {
             "check": res.name,

@@ -2,14 +2,13 @@
 
 The format is INI, one ``[group <name>]`` or ``[wreath <name>]`` section per
 structure; run settings (radii, budget, format, ...) are command-line flags.
-Element literals use each kind's text form: plain integers for the integer,
-cyclic, and table kinds; letter words like ``abA`` (capitals are inverses,
-``e`` the identity) for free groups; ``(left|right)`` pairs for products;
-``(i|e)`` coset index and exponent pairs for vz wrappers; and
-``{pos:val,...}|cursor`` for wreath products.  Literals nest and hold no
-whitespace; docs/FORMAT.md gives the grammar.  Lists are whitespace-separated.
-Radii accept integers, fractions like ``5/2``, and inclusive integer ranges
-like ``1..6``.
+Every section's keys are checked against one table of required and optional
+keys by kind.  ``left``, ``right``, ``base`` and ``fiber`` name ``[group]``
+sections declared anywhere in the file; a section is built once every group it
+names is built, so a reference cycle is an error.  Values are element literals
+in each kind's text form (docs/FORMAT.md gives the grammar), or whitespace-
+separated lists of them.  Radii accept integers, fractions like ``5/2``, and
+inclusive integer ranges like ``1..6``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import configparser
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConfigError, EncodingError, StructureError
+from .errors import ConfigError, EncodingError
 from .groups import (
     CyclicGroup,
     FreeGroup,
@@ -101,36 +100,45 @@ class ExperimentSetup:
 
 
 def parse_radii(text: str) -> tuple[Fraction, ...]:
+    """Radii ``N``, ``N/M`` (``M > 0``) and ranges ``N..M``; every number is ``-?[0-9]+``."""
     out: list[Fraction] = []
     for item in text.replace(",", " ").split():
         if ".." in item:
             lo_text, _, hi_text = item.partition("..")
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError:
-                raise ConfigError(f"bad radius range {item!r}; expected like 1..6") from None
+            lo, hi = _read_int(lo_text), _read_int(hi_text)
+            if lo is None or hi is None:
+                raise ConfigError(f"bad radius range {item!r}; expected like 1..6")
             if hi < lo:
                 raise ConfigError(f"empty radius range {item!r}")
             out.extend(Fraction(v) for v in range(lo, hi + 1))
         else:
-            try:
-                out.append(Fraction(item))
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError(f"bad radius {item!r}") from None
+            num_text, slash, den_text = item.partition("/")
+            num, den = _read_int(num_text), _read_int(den_text) if slash else 1
+            if num is None or den is None or den < 1:
+                raise ConfigError(f"bad radius {item!r}")
+            out.append(Fraction(num, den))
     for r in out:
         if r <= 0:
             raise ConfigError(f"radius must be positive, got {r}")
     return tuple(out)
 
 
-_KIND_KEYS = {
-    "integers": {"kind", "generators", "vz_t", "vz_reps", "vz_distortion"},
-    "cyclic": {"kind", "modulus", "generators", "vz_t", "vz_reps", "vz_distortion"},
-    "free": {"kind", "rank", "generators", "vz_t", "vz_reps", "vz_distortion"},
-    "table": {"kind", "table", "generators", "vz_t", "vz_reps", "vz_distortion"},
-    "product": {"kind", "left", "right", "generators", "vz_t", "vz_reps", "vz_distortion"},
-    "vz": {"kind", "base"},
+_VZ_KEYS = ("vz_t", "vz_reps", "vz_distortion")
+
+#: Keys by kind, as (required, optional).  A ``[group]`` section names its kind
+#: with the key ``kind``; a ``[wreath]`` section is of the kind ``wreath``.
+_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "integers": ((), ("generators", *_VZ_KEYS)),
+    "cyclic": (("modulus",), ("generators", *_VZ_KEYS)),
+    "free": (("rank",), ("generators", *_VZ_KEYS)),
+    "table": (("table", "generators"), _VZ_KEYS),
+    "product": (("left", "right"), ("generators", *_VZ_KEYS)),
+    "vz": (("base",), ()),
+    "wreath": (("fiber", "base"), ()),
 }
+
+#: Keys whose value is the name of a ``[group]`` section.
+_REFERENCES = ("left", "right", "base", "fiber")
 
 
 def _read_int(text: str) -> int | None:
@@ -160,90 +168,80 @@ def _section_ints(name: str, key: str, text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _checked_kind(label: str, name: str, section: configparser.SectionProxy) -> str:
+    """The kind of a section whose keys match ``_KEYS``; a ConfigError naming the key otherwise."""
+    kind, keys = "wreath", list(section)
+    if label == "group":
+        kind = section.get("kind")
+        if kind is None:
+            raise ConfigError(f"[group {name}] is missing the key 'kind'")
+        if kind not in _KEYS or kind == "wreath":
+            raise ConfigError(f"[group {name}] kind = {kind!r} is not a known kind")
+        keys.remove("kind")
+    required, optional = _KEYS[kind]
+    for key in keys:
+        if key not in required and key not in optional:
+            raise ConfigError(f"[{label} {name}] has an unexpected key {key!r} for kind {kind}")
+    for key in required:
+        if key not in keys:
+            raise ConfigError(f"[{label} {name}] needs the key {key!r}")
+    return kind
+
+
 def _build_group(
-    name: str, section: configparser.SectionProxy, groups: dict[str, MarkedGroup]
-) -> MarkedGroup | None:
-    """Build one group section; None when a product's factors are not ready yet."""
-    kind = section.get("kind")
-    if kind is None:
-        raise ConfigError(f"[group {name}] is missing the key 'kind'")
-    allowed = _KIND_KEYS.get(kind)
-    if allowed is None:
-        raise ConfigError(f"[group {name}] kind = {kind!r} is not a known kind")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"[group {name}] has an unexpected key {key!r} for kind {kind}")
-    try:
-        if kind == "integers":
-            return IntegerGroup(_section_ints(name, "generators", section.get("generators", "1")))
-        if kind == "cyclic":
-            if "modulus" not in section:
-                raise ConfigError(f"[group {name}] cyclic kind needs the key 'modulus'")
-            modulus = _section_int(section, name, "modulus")
-            gens_text = section.get("generators")
-            gens = None if gens_text is None else _section_ints(name, "generators", gens_text)
-            return CyclicGroup(modulus, gens)
-        if kind == "free":
-            if "rank" not in section:
-                raise ConfigError(f"[group {name}] free kind needs the key 'rank'")
-            rank = _section_int(section, name, "rank")
-            proto = FreeGroup(rank)
-            gens_text = section.get("generators")
-            if gens_text is None:
-                return proto
-            return FreeGroup(rank, tuple(proto.parse_element(g) for g in gens_text.split()))
-        if kind == "table":
-            if "table" not in section or "generators" not in section:
-                raise ConfigError(f"[group {name}] table kind needs keys 'table' and 'generators'")
-            rows = [
-                _section_ints(name, "table", row)
-                for row in section["table"].split(";")
-                if row.strip()
-            ]
-            gens = _section_ints(name, "generators", section["generators"])
-            return TableGroup(rows, gens)
-        if kind == "product":
-            for key in ("left", "right"):
-                if key not in section:
-                    raise ConfigError(f"[group {name}] product kind needs the key {key!r}")
-            left_name, right_name = section["left"], section["right"]
-            if left_name not in groups or right_name not in groups:
-                return None  # factor not built yet; retried by the resolution loop
-            proto = ProductGroup(groups[left_name], groups[right_name])
-            gens_text = section.get("generators")
-            if gens_text is None:
-                return proto
-            return ProductGroup(
-                groups[left_name],
-                groups[right_name],
-                tuple(proto.parse_element(g) for g in gens_text.split()),
-            )
-        # kind == "vz": wrap an already-declared group through its structure
-        if "base" not in section:
-            raise ConfigError(f"[group {name}] vz kind needs the key 'base'")
-        return None  # resolved in a second pass once structures exist
-    except ConfigError:
-        raise
-    except (ValueError, EncodingError, StructureError) as exc:
-        raise ConfigError(f"[group {name}]: {exc}") from exc
+    name: str, kind: str, section: configparser.SectionProxy, setup: ExperimentSetup
+) -> MarkedGroup:
+    """Build one section whose referenced groups are all built; a wreath is a group too."""
+    if kind == "integers":
+        return IntegerGroup(_section_ints(name, "generators", section.get("generators", "1")))
+    if kind == "cyclic":
+        gens_text = section.get("generators")
+        gens = None if gens_text is None else _section_ints(name, "generators", gens_text)
+        return CyclicGroup(_section_int(section, name, "modulus"), gens)
+    if kind == "free":
+        rank = _section_int(section, name, "rank")
+        proto = FreeGroup(rank)
+        gens_text = section.get("generators")
+        if gens_text is None:
+            return proto
+        return FreeGroup(rank, tuple(proto.parse_element(g) for g in gens_text.split()))
+    if kind == "table":
+        rows = [_section_ints(name, "table", r) for r in section["table"].split(";") if r.strip()]
+        return TableGroup(rows, _section_ints(name, "generators", section["generators"]))
+    if kind == "product":
+        left, right = setup.groups[section["left"]], setup.groups[section["right"]]
+        proto = ProductGroup(left, right)
+        gens_text = section.get("generators")
+        if gens_text is None:
+            return proto
+        return ProductGroup(left, right, tuple(proto.parse_element(g) for g in gens_text.split()))
+    if kind == "wreath":
+        return WreathContext(setup.groups[section["fiber"]], setup.groups[section["base"]])
+    # kind == "vz": wrap a declared group through its structure
+    structure = setup.structures.get(section["base"])
+    if structure is None:
+        raise ConfigError(
+            f"[group {name}] wraps {section['base']!r}, which has no vz structure declared"
+        )
+    return VirtuallyZGroup(structure)
 
 
-def _build_structure(
-    name: str, section: configparser.SectionProxy, group: MarkedGroup
-) -> VirtuallyZStructure | None:
+def _add_structure(name: str, section: configparser.SectionProxy, setup: ExperimentSetup) -> None:
+    """Build the vz structure a group section declares, if any, right after the group."""
     if "vz_t" not in section:
         for key in ("vz_reps", "vz_distortion"):
             if key in section:
                 raise ConfigError(f"[group {name}] has {key} but no vz_t")
-        return None
+        return
     if "vz_reps" not in section:
         raise ConfigError(f"[group {name}] has vz_t but no vz_reps")
+    group = setup.groups[name]
     try:
         t = group.parse_element(section["vz_t"])
         reps = tuple(group.parse_element(r) for r in section["vz_reps"].split())
         distortion = Fraction(section.get("vz_distortion", "1"))
-        return VirtuallyZStructure(group, t, reps, distortion)
-    except (ValueError, ZeroDivisionError, EncodingError, StructureError) as exc:
+        setup.structures[name] = VirtuallyZStructure(group, t, reps, distortion)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"[group {name}] vz structure: {exc}") from exc
 
 
@@ -255,9 +253,8 @@ def parse_config(text: str) -> ExperimentSetup:
     except configparser.Error as exc:
         raise ConfigError(f"config is not valid INI: {exc}") from exc
 
-    setup = ExperimentSetup()
-    group_sections: dict[str, configparser.SectionProxy] = {}
-    wreath_sections: dict[str, configparser.SectionProxy] = {}
+    # name -> ("[label name]", kind, section), each section's keys checked against _KEYS
+    sections: dict[str, tuple[str, str, configparser.SectionProxy]] = {}
     for section_name in parser.sections():
         words = section_name.split()
         if len(words) != 2 or words[0] not in ("group", "wreath"):
@@ -265,74 +262,48 @@ def parse_config(text: str) -> ExperimentSetup:
                 f"section [{section_name}] must be [group <name>] or [wreath <name>]"
             )
         label, name = words
-        if name in group_sections or name in wreath_sections:
+        if name in sections:
             raise ConfigError(f"the name {name!r} is declared twice")
-        if label == "group":
-            group_sections[name] = parser[section_name]
-        else:
-            wreath_sections[name] = parser[section_name]
+        section = parser[section_name]
+        sections[name] = (f"[{label} {name}]", _checked_kind(label, name, section), section)
 
-    pending = dict(group_sections)
+    refs: dict[str, list[str]] = {}  # name -> the [group] sections it references
+    for name, (where, _, section) in sections.items():
+        refs[name] = [section[key] for key in _REFERENCES if key in section]
+        for key in _REFERENCES:
+            value = section.get(key)
+            if value is not None and (value not in sections or sections[value][1] == "wreath"):
+                raise ConfigError(f"{where} {key} = {value!r}: [group {value}] is never declared")
+
+    # build in rounds: each section once every group it references is built
+    setup = ExperimentSetup()
+    pending = list(sections)
     while pending:
-        built = []
-        for name, section in pending.items():
-            if section.get("kind") == "vz":
+        waiting = []
+        for name in pending:
+            where, kind, section = sections[name]
+            if any(ref not in setup.groups for ref in refs[name]):
+                waiting.append(name)
                 continue
-            group = _build_group(name, section, setup.groups)
-            if group is not None:
-                setup.groups[name] = group
-                built.append(name)
-        if not built:
-            stuck = [n for n, s in pending.items() if s.get("kind") != "vz"]
-            if stuck:
-                raise ConfigError(
-                    f"[group {stuck[0]}] references groups that are never declared"
-                )
-            break
-        for name in built:
-            del pending[name]
-
-    for name, section in group_sections.items():
-        if section.get("kind") == "vz":
-            continue
-        structure = _build_structure(name, section, setup.groups[name])
-        if structure is not None:
-            setup.structures[name] = structure
-
-    for name, section in pending.items():
-        # only vz wrappers remain
-        for key in section:
-            if key not in _KIND_KEYS["vz"]:
-                raise ConfigError(f"[group {name}] has an unexpected key {key!r} for kind vz")
-        base_name = section["base"]
-        structure = setup.structures.get(base_name)
-        if structure is None:
-            raise ConfigError(
-                f"[group {name}] wraps {base_name!r}, which has no vz structure declared"
-            )
-        try:
-            setup.groups[name] = VirtuallyZGroup(structure)
-        except (EncodingError, StructureError) as exc:
-            raise ConfigError(f"[group {name}]: {exc}") from exc
-
-    for name, section in wreath_sections.items():
-        for key in section:
-            if key not in ("fiber", "base"):
-                raise ConfigError(f"[wreath {name}] has an unexpected key {key!r}")
-        for key in ("fiber", "base"):
-            if key not in section:
-                raise ConfigError(f"[wreath {name}] needs the key {key!r}")
-            if section[key] not in setup.groups:
-                raise ConfigError(
-                    f"[wreath {name}] {key} = {section[key]!r} is not a declared group"
-                )
-        try:
-            setup.wreaths[name] = WreathContext(
-                setup.groups[section["fiber"]], setup.groups[section["base"]]
-            )
-        except StructureError as exc:
-            raise ConfigError(f"[wreath {name}]: {exc}") from exc
-
+            try:
+                built = _build_group(name, kind, section, setup)
+            except ConfigError:
+                raise
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+            if kind == "wreath":
+                setup.wreaths[name] = built
+            else:
+                setup.groups[name] = built
+                _add_structure(name, section, setup)
+        if len(waiting) == len(pending):
+            # every waiting section references another one: walk the references to a cycle
+            path = [waiting[0]]
+            while path.count(path[-1]) < 2:
+                path.append(next(ref for ref in refs[path[-1]] if ref in waiting))
+            cycle = path[path.index(path[-1]) :]
+            raise ConfigError("reference cycle: " + " -> ".join(sections[n][0] for n in cycle))
+        pending = waiting
     return setup
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -465,7 +464,7 @@ class TableGroup(MarkedGroup):
     elements are the row indices.  The table is validated on construction:
     rows and columns must be permutations, a two-sided identity must exist,
     every element needs a two-sided inverse, and associativity is checked
-    exhaustively up to order 64 (random triples beyond that).
+    exactly by Light's test against the symmetric generators.
     """
 
     kind = "table"
@@ -486,7 +485,6 @@ class TableGroup(MarkedGroup):
         self._order = n
         self._identity = self._find_identity()
         self._inverses = self._find_inverses()
-        self._check_associativity()
         super().__init__(generators)
 
     def _find_identity(self) -> int:
@@ -510,19 +508,15 @@ class TableGroup(MarkedGroup):
         return tuple(inv)
 
     def _check_associativity(self) -> None:
-        n = self._order
-        if n <= 64:
-            triples: Iterable[tuple[int, int, int]] = (
-                (x, y, z) for x in range(n) for y in range(n) for z in range(n)
-            )
-        else:
-            rng = random.Random(0)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(4096)
-            )
-        for x, y, z in triples:
-            if self.table[self.table[x][y]][z] != self.table[x][self.table[y][z]]:
-                raise StructureError(f"table: associativity fails at ({x}, {y}, {z})")
+        # Light's test: the s with (xy)s == x(ys) for all x, y are closed under
+        # products, so once every generator passes, every element the marking
+        # generates does; _check_generation then makes the test exact.
+        table = self.table
+        for s in self.symmetric_generators():
+            for x, row in enumerate(table):
+                for y in range(self._order):
+                    if table[row[y]][s] != row[table[y][s]]:
+                        raise StructureError(f"table: associativity fails at ({x}, {y}, {s})")
 
     def identity(self) -> int:
         return self._identity
@@ -545,6 +539,7 @@ class TableGroup(MarkedGroup):
         return tuple(range(self._order))
 
     def _post_validate(self) -> None:
+        self._check_associativity()
         self._check_generation()
 
     def _encode_into(self, out: bytearray, x: int) -> None:

@@ -57,7 +57,7 @@ class CheckResult:
 class _Suite:
     """Shared contexts and oracles for one run of the checks."""
 
-    def __init__(self, setup: ExperimentSetup, budget: int, workers: int):
+    def __init__(self, setup: ExperimentSetup, budget: int):
         try:
             self.Z = setup.groups["Z"]
             self.F2 = setup.groups["F2"]
@@ -71,7 +71,6 @@ class _Suite:
             name = exc.args[0]
             raise ConfigError(f"the suite needs {name!r}, which the setup does not declare") from None
         self.budget = budget
-        self.workers = workers
         self.oracle_L2 = LengthOracle(self.L2, budget=budget)
         self.oracle_Z = LengthOracle(self.Z, budget=budget)
         self.oracle_Z2 = LengthOracle(self.Z2, budget=budget)
@@ -217,7 +216,7 @@ class _Suite:
 
     def check_lattice_witness_exhaustive(self) -> tuple[bool, dict]:
         """All 19683 two-part covers of the 3x3 lattice obey the spread witness claim."""
-        report = exhaustive_lattice_search(2, 2, 2, workers=self.workers)
+        report = exhaustive_lattice_search(2, 2, 2)
         ok = report.assignments == 19683 and not report.failures
         return ok, {
             "assignments": report.assignments,
@@ -370,7 +369,6 @@ def run_suite(
     *,
     checks: Any = None,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> list[CheckResult]:
     """Run the verification checks (all, or the named subset) and report results.
 
@@ -385,7 +383,7 @@ def run_suite(
             raise ConfigError(
                 f"unknown check {name!r}; available: {', '.join(CHECKS)}"
             )
-    suite = _Suite(setup, budget, workers)
+    suite = _Suite(setup, budget)
     results = []
     for name in wanted:
         fn: Callable[[], tuple[bool, dict]] = getattr(suite, CHECKS[name])

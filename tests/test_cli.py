@@ -201,6 +201,7 @@ PULLBACK = ["control", "--name", "L2", "--mode", "pullback", "--window-radius", 
             ["lattice", "--n", "2", "--k", "2", "--parts", "2", "--workers", "0"],
             "--workers must be >= 1, got 0",
         ),
+        (["components", "--name", "Z", "--window-radius", "+4"], "--window-radius must be"),
     ],
 )
 def test_bad_flags_are_config_errors_naming_the_flag(capsys, args, message):
@@ -346,6 +347,7 @@ def test_out_writes_file(tmp_path, capsys):
         (["cube", "--name", "W2", "--n", "2", "--r", "2", "--format", "csv"], "--format"),
         (["growth", "--name", "L2", "--workers", "2"], "--workers"),
         (["verify", "--config", "x.ini"], "--config"),
+        (["verify", "--workers", "2"], "--workers"),
     ],
 )
 def test_commands_refuse_flags_they_do_not_read(capsys, monkeypatch, args, flag):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,46 @@ def test_parse_radii_rejects_empty_range():
 def test_parse_radii_rejects_garbage():
     with pytest.raises(ConfigError):
         parse_radii("zero")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("+1..3", "bad radius range"),
+        ("١..٣", "bad radius range"),
+        ("1..+3", "bad radius range"),
+        ("1/2..3", "bad radius range"),
+        ("1_0", "bad radius"),
+        ("1e2", "bad radius"),
+        ("1.5", "bad radius"),
+        ("+4", "bad radius"),
+        ("1/0", "bad radius"),
+        ("1/-2", "bad radius"),
+        ("1/", "bad radius"),
+        ("3..1", "empty radius range"),
+        ("-2", "radius must be positive"),
+        ("0..2", "radius must be positive"),
+        ("-3/2", "radius must be positive"),
+    ],
+)
+def test_parse_radii_refuses_what_the_literal_grammar_refuses(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_radii(text)
+
+
+@pytest.mark.parametrize(
+    "text, radii",
+    [
+        ("4", (4,)),
+        ("5/2", (Fraction(5, 2),)),
+        ("6/3", (2,)),
+        ("007", (7,)),
+        ("2..2", (2,)),
+        ("1/2, 2..3", (Fraction(1, 2), 2, 3)),
+    ],
+)
+def test_parse_radii_accepts_integers_fractions_and_ranges(text, radii):
+    assert parse_radii(text) == tuple(Fraction(r) for r in radii)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -160,6 +201,36 @@ def test_vz_wrapper_requires_declared_structure():
         parse_config("[group B]\nkind = integers\n[group V]\nkind = vz\nbase = B\n")
 
 
+def test_vz_group_can_be_a_product_factor():
+    setup = parse_config(
+        """
+[group P]
+kind = product
+left = V
+right = Z
+
+[group V]
+kind = vz
+base = Z
+
+[group Z]
+kind = integers
+vz_t = 1
+vz_reps = 0
+"""
+    )
+    assert setup.groups["P"].spec_string() == (
+        "product(left=vz(base=integers(gens=1)|t=1|reps=0)|right=integers(gens=1)"
+        "|gens=((1|1)|0),((1|0)|1))"
+    )
+
+
+def test_vz_wrapper_of_an_undeclared_group_is_a_reference_error():
+    message = r"^\[group V\] base = 'B': \[group B\] is never declared"
+    with pytest.raises(ConfigError, match=message):
+        parse_config("[group V]\nkind = vz\nbase = B\n")
+
+
 def test_load_config_reads_file(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text("[group A]\nkind = cyclic\nmodulus = 5\n")
@@ -193,6 +264,70 @@ def test_rejects_unexpected_key_naming_it():
 def test_rejects_unresolvable_product_reference():
     with pytest.raises(ConfigError, match="never declared"):
         parse_config("[group P]\nkind = product\nleft = X\nright = X\n")
+
+
+def test_rejects_a_wreath_named_as_a_group():
+    message = r"\[wreath M\] base = 'L': \[group L\] is never declared"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(
+            "[group C]\nkind = cyclic\nmodulus = 2\n"
+            "[wreath L]\nfiber = C\nbase = C\n[wreath M]\nfiber = C\nbase = L\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "text, cycle",
+    [
+        (
+            "[group P]\nkind = product\nleft = Q\nright = Q\n"
+            "[group Q]\nkind = product\nleft = P\nright = P\n",
+            "[group P] -> [group Q] -> [group P]",
+        ),
+        ("[group P]\nkind = product\nleft = P\nright = P\n", "[group P] -> [group P]"),
+        (
+            # the wreath and R wait on the cycle without being in it
+            "[wreath W]\nfiber = C\nbase = R\n[group C]\nkind = cyclic\nmodulus = 2\n"
+            "[group R]\nkind = product\nleft = Q\nright = C\n"
+            "[group Q]\nkind = product\nleft = P\nright = C\n"
+            "[group P]\nkind = product\nleft = Q\nright = Q\n",
+            "[group Q] -> [group P] -> [group Q]",
+        ),
+    ],
+)
+def test_reference_cycle_is_reported_by_its_sections(text, cycle):
+    with pytest.raises(ConfigError, match=rf"^reference cycle: {re.escape(cycle)}$"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("[group T]\nkind = table\ntable = 0 1;1 0\n", "generators"),
+        ("[group T]\nkind = table\ngenerators = 1\n", "table"),
+        ("[group F]\nkind = free\n", "rank"),
+        ("[group P]\nkind = product\nleft = T\n", "right"),
+        ("[group V]\nkind = vz\n", "base"),
+        ("[wreath W]\nfiber = C\n", "base"),
+    ],
+)
+def test_missing_key_is_named(section, key):
+    where = section.split("\n", 1)[0]
+    with pytest.raises(ConfigError, match=rf"^{re.escape(where)} needs the key '{key}'$"):
+        parse_config(section)
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("[group V]\nkind = vz\nbase = Z\nvz_t = 1\n", "vz_t"),
+        ("[wreath W]\nfiber = C\nbase = C\nkind = cyclic\n", "kind"),
+        ("[group T]\nkind = table\ntable = 0\ngenerators = 0\nmodulus = 1\n", "modulus"),
+    ],
+)
+def test_unexpected_key_is_named(section, key):
+    where = section.split("\n", 1)[0]
+    with pytest.raises(ConfigError, match=rf"^{re.escape(where)} has an unexpected key '{key}'"):
+        parse_config(section)
 
 
 def test_rejects_wreath_with_undeclared_base():

@@ -224,6 +224,16 @@ def test_table_rejects_nonassociative_loop():
         TableGroup(NONASSOCIATIVE_LOOP, (1,))
 
 
+def test_table_rejects_a_swapped_intercalate_past_order_64():
+    # Z/66 with one 2x2 subsquare swapped is still a loop, but not a group
+    n = 66
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    table[1][1], table[34][34], table[1][34], table[34][1] = 35, 35, 2, 2
+    with pytest.raises(StructureError, match="associativity"):
+        TableGroup(table, (1,))
+    assert TableGroup([[(i + j) % n for j in range(n)] for i in range(n)], (1,)).order() == n
+
+
 # -- product --------------------------------------------------------------
 
 
