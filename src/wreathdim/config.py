@@ -99,8 +99,16 @@ class ExperimentSetup:
         raise ConfigError(f"no group or wreath named {name!r} is declared")
 
 
+#: Most radii one list may name, counted before any range is expanded.
+MAX_RADII = 10_000
+
+
 def parse_radii(text: str) -> tuple[Fraction, ...]:
-    """Radii ``N``, ``N/M`` (``M > 0``) and ranges ``N..M``; every number is ``-?[0-9]+``."""
+    """Radii ``N``, ``N/M`` (``M > 0``) and ranges ``N..M``; every number is ``-?[0-9]+``.
+
+    A list of more than ``MAX_RADII`` radii is refused at the item that
+    crosses the limit, before that item is expanded.
+    """
     out: list[Fraction] = []
     for item in text.replace(",", " ").split():
         if ".." in item:
@@ -110,13 +118,20 @@ def parse_radii(text: str) -> tuple[Fraction, ...]:
                 raise ConfigError(f"bad radius range {item!r}; expected like 1..6")
             if hi < lo:
                 raise ConfigError(f"empty radius range {item!r}")
-            out.extend(Fraction(v) for v in range(lo, hi + 1))
+            # a range's length is counted, not taken: len() overflows past sys.maxsize
+            count, values = hi - lo + 1, range(lo, hi + 1)
         else:
             num_text, slash, den_text = item.partition("/")
             num, den = _read_int(num_text), _read_int(den_text) if slash else 1
             if num is None or den is None or den < 1:
                 raise ConfigError(f"bad radius {item!r}")
-            out.append(Fraction(num, den))
+            count, values = 1, (Fraction(num, den),)
+        if len(out) + count > MAX_RADII:
+            raise ConfigError(
+                f"radius item {item!r} brings the list to {len(out) + count} radii; "
+                f"at most {MAX_RADII} are allowed"
+            )
+        out.extend(map(Fraction, values))
     for r in out:
         if r <= 0:
             raise ConfigError(f"radius must be positive, got {r}")

@@ -850,7 +850,11 @@ class VirtuallyZGroup(MarkedGroup):
 
 
 class _CayleySpace:
-    """Default BFS state space: states are canonical element values."""
+    """Default BFS state space: states are canonical element values.
+
+    Every search space has the same kernel, ``expand``; the searches below
+    call nothing else per state.
+    """
 
     __slots__ = ("ctx", "letters")
 
@@ -869,9 +873,28 @@ class _CayleySpace:
         encode = self.ctx.encode
         return [encode(s) for s in values], values
 
-    def neighbors(self, state: Any) -> list[Any]:
+    def expand(
+        self, frontier: list[Any], seen: dict[Any, int], depth: int, budget: int
+    ) -> list[Any] | None:
+        """Expand one BFS level: record each unseen neighbour in ``seen`` at ``depth``.
+
+        Neighbours are the products with ``ctx.symmetric_generators()``, in
+        that order, state by state.  Returns the new states in discovery
+        order, or None as soon as ``seen`` holds more than ``budget`` states.
+        """
         mul = self.ctx.multiply
-        return [mul(state, g) for g in self.letters]
+        letters = self.letters
+        nxt: list[Any] = []
+        append = nxt.append
+        for state in frontier:
+            for g in letters:
+                other = mul(state, g)
+                if other not in seen:
+                    seen[other] = depth
+                    append(other)
+            if len(seen) > budget:
+                return None
+        return nxt
 
 
 @dataclass
@@ -896,22 +919,16 @@ class BallTable:
 def _bfs_lengths(space: Any, max_len: int, budget: int) -> dict[Any, int]:
     start = space.identity_state()
     dist: dict[Any, int] = {start: 0}
-    frontier = [start]
+    frontier: list[Any] | None = [start]
     for depth in range(1, max_len + 1):
         if not frontier:
             break
-        nxt = []
-        for state in frontier:
-            for other in space.neighbors(state):
-                if other not in dist:
-                    dist[other] = depth
-                    nxt.append(other)
-                    if len(dist) > budget:
-                        raise BudgetExceededError(
-                            f"ball search exceeded the node budget of {budget} "
-                            f"at depth {depth}; raise the budget to continue"
-                        )
-        frontier = nxt
+        frontier = space.expand(frontier, dist, depth, budget)
+        if frontier is None:
+            raise BudgetExceededError(
+                f"ball search exceeded the node budget of {budget} "
+                f"at depth {depth}; raise the budget to continue"
+            )
     return dist
 
 
@@ -926,9 +943,11 @@ def ball(
 
     With a ball store attached, a stored ball of radius >= r for the same
     marked structure is reused (filtered down); fresh results are saved.
-    A searched ball's elements and encodings are built in one batch by the
-    search space, once per lamp mask on wreath products, and then ordered
-    by encoding.
+    The search expands one whole level per call of the space's ``expand``;
+    on wreath products the states are ints in the context's packed lamp
+    space.  A searched ball's elements and encodings are then built in one
+    batch by the space, once per lamp mask on wreath products, and ordered
+    by encoding, so neither depends on the ids earlier searches handed out.
     """
     radius = as_radius(r)
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -977,10 +996,10 @@ def word_length(
     if g == ctx.identity():
         return 0
     space = ctx._search_space()
-    dist_f: dict[Any, int] = {space.identity_state(): 0}
-    dist_b: dict[Any, int] = {space.state_of(g): 0}
-    front_f = [space.identity_state()]
-    front_b = [space.state_of(g)]
+    start, target = space.identity_state(), space.state_of(g)
+    dist_f: dict[Any, int] = {start: 0}
+    dist_b: dict[Any, int] = {target: 0}
+    front_f, front_b = [start], [target]
     depth_f = depth_b = 0
     best: int | None = None
     while True:
@@ -992,64 +1011,59 @@ def word_length(
             raise StructureError("element is not generated by the declared marking")
         # expand the smaller live frontier one full level
         if front_f and (not front_b or len(front_f) <= len(front_b)):
-            ours, theirs, frontier = dist_f, dist_b, front_f
             depth_f += 1
-            depth = depth_f
+            depth, theirs = depth_f, dist_b
+            nxt = front_f = space.expand(front_f, dist_f, depth, budget - len(theirs))
         else:
-            ours, theirs, frontier = dist_b, dist_f, front_b
             depth_b += 1
-            depth = depth_b
-        nxt = []
-        for state in frontier:
-            for other in space.neighbors(state):
-                if other not in ours:
-                    ours[other] = depth
-                    nxt.append(other)
-                    hit = theirs.get(other)
-                    if hit is not None and (best is None or depth + hit < best):
-                        best = depth + hit
-                    if len(dist_f) + len(dist_b) > budget:
-                        raise BudgetExceededError(
-                            f"word-length search exceeded the node budget of {budget}"
-                        )
-        if ours is dist_f:
-            front_f = nxt
-        else:
-            front_b = nxt
+            depth, theirs = depth_b, dist_f
+            nxt = front_b = space.expand(front_b, dist_b, depth, budget - len(theirs))
+        if nxt is None:
+            raise BudgetExceededError(f"word-length search exceeded the node budget of {budget}")
+        met = theirs.keys() & nxt
+        if met:
+            reach = depth + min(map(theirs.__getitem__, met))
+            if best is None or reach < best:
+                best = reach
 
 
 def minimal_word(ctx: Any, g: Element, *, budget: int | None = None) -> tuple[Element, ...]:
-    """One geodesic word for ``g`` as a tuple of generator values (left to right)."""
+    """One geodesic word for ``g`` as a tuple of generator values (left to right).
+
+    Of the geodesics, the word is the one BFS meets first: each letter's
+    source is the earliest state of its level, in search order, that
+    reaches the next state.
+    """
     budget = DEFAULT_BUDGET if budget is None else budget
     g = ctx.canonicalize(g)
-    # every search space lists neighbours in symmetric-generator order
-    letters = ctx.symmetric_generators()
     space = ctx._search_space()
-    target = space.state_of(g)
-    start = space.identity_state()
-    parents: dict[Any, tuple[Any, Element] | None] = {start: None}
-    frontier = [start]
-    while target not in parents:
-        if not frontier:
+    target, start = space.state_of(g), space.identity_state()
+    seen: dict[Any, int] = {start: 0}
+    levels = [[start]]
+    while target not in seen:
+        if not levels[-1]:
             raise StructureError("element is not generated by the declared marking")
-        nxt = []
-        for state in frontier:
-            for letter, other in zip(letters, space.neighbors(state)):
-                if other not in parents:
-                    parents[other] = (state, letter)
-                    nxt.append(other)
-                    if len(parents) > budget:
-                        raise BudgetExceededError(
-                            f"geodesic search exceeded the node budget of {budget}"
-                        )
-        frontier = nxt
-    letters: list[Element] = []
+        nxt = space.expand(levels[-1], seen, len(levels), budget)
+        if nxt is None:
+            raise BudgetExceededError(f"geodesic search exceeded the node budget of {budget}")
+        levels.append(nxt)
+    # The i-th neighbour of a state is its product with letter i, so the
+    # state is that neighbour times the letter's inverse.
+    letters = ctx.symmetric_generators()
+    undo = [letters.index(ctx.inverse(x)) for x in letters]
+    word: list[Element] = []
     state = target
-    while parents[state] is not None:
-        state, letter = parents[state]  # type: ignore[misc]
-        letters.append(letter)
-    letters.reverse()
-    return tuple(letters)
+    for depth in range(len(levels) - 2, -1, -1):
+        level = levels[depth]
+        around = space.expand([state], {}, depth, len(letters))
+        i = min(
+            (i for i, other in enumerate(around) if seen.get(other) == depth),
+            key=lambda i: level.index(around[i]),
+        )
+        word.append(letters[undo[i]])
+        state = around[i]
+    word.reverse()
+    return tuple(word)
 
 
 def evaluate_word(ctx: Any, letters: Iterable[Element]) -> Element:

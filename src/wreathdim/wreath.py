@@ -12,8 +12,9 @@ bound counting lit lamps, a decomposition of arbitrary words, and an
 explicit short word through a virtually-Z structure on the base) are
 implemented here.
 
-Searches over every finite fiber run on one packed lamp state: an integer
-holding a fixed-width field per visited base position, plus the cursor.
+Searches over every finite fiber run on packed lamp states: one integer
+holding the cursor's position id in a low field and, above it, a fixed-width
+lamp field per visited base position.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
 from .encoding import EncodingError, encode_uvarint, read_uvarint, write_uvarint
-from .errors import StructureError
+from .errors import BudgetExceededError, StructureError
 from .groups import (
     Element,
     LengthOracle,
@@ -67,6 +68,8 @@ class WreathContext(MarkedGroup):
             [WreathElement(((self._base_id, h),), self._base_id) for h in self._lamp_values]
             + [WreathElement((), g) for g in base.generators]
         )
+        # one search space for the context's lifetime, so searches share its ids
+        self._space = _PackedLampSpace(self)
 
     # -- group structure ----------------------------------------------------
 
@@ -186,7 +189,7 @@ class WreathContext(MarkedGroup):
     # -- search ------------------------------------------------------------------------
 
     def _search_space(self) -> "_PackedLampSpace":
-        return _PackedLampSpace(self)
+        return self._space
 
 
 class _EncodingCache(dict):
@@ -201,16 +204,31 @@ class _EncodingCache(dict):
         return data
 
 
-class _PackedLampSpace:
-    """BFS states for any finite fiber: (packed lamp fields, cursor value).
+#: Width of the low field of a packed lamp state that holds the cursor's
+#: position id; the lamp fields sit above it.
+_CURSOR_BITS = 32
 
-    Each base position met during the search gets the next small-int id and
-    owns the ``width``-bit field at ``id * width`` of the mask.  The field holds
-    the index of the lamp's value in ``(identity, *lamp values)``, so an unlit
-    lamp is field 0 and the empty configuration is mask 0.
+# A position's row: its lamp field's shift, the bits each lamp letter
+# toggles for each field value, and the ids of ``position * g`` per base move.
+_Row = tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]
+
+
+class _PackedLampSpace:
+    """BFS states for any finite fiber, each one int: lamp fields over a cursor id.
+
+    Each base position met during a search gets the next small-int id.  The
+    low ``_CURSOR_BITS`` bits of a state hold the cursor's id, and position
+    ``id`` owns the ``width``-bit lamp field at ``_CURSOR_BITS + id * width``.
+    The field holds the index of the lamp's value in ``(identity, *lamp
+    values)``, so an unlit lamp is field 0 and the identity is state 0.
+
+    Ids, and each position's row of moves, live as long as the space, and a
+    ``WreathContext`` keeps one space for its lifetime, so its searches share
+    them; a row is filled on the first expansion at that cursor.  Search
+    results and their order never depend on which ids were handed out.
 
     A ball's elements are built in one batch by ``encoded_values``: each
-    distinct mask is decoded once, and its states share one lamps tuple.
+    distinct lamp mask is decoded once, and its states share one lamps tuple.
     """
 
     def __init__(self, ctx: WreathContext):
@@ -220,6 +238,7 @@ class _PackedLampSpace:
         self._value_index = {v: i for i, v in enumerate(self._values)}
         self._width = (len(self._values) - 1).bit_length()
         self._full = (1 << self._width) - 1
+        self._low = (1 << _CURSOR_BITS) - 1
         # the k-th lamp letter turns field i into i ^ _flips[k][i]
         self._flips = tuple(
             tuple(i ^ self._value_index[fiber.multiply(v, h)] for i, v in enumerate(self._values))
@@ -228,77 +247,121 @@ class _PackedLampSpace:
         self._moves = ctx.base.symmetric_generators()
         self._ids: dict[Element, int] = {}
         self._positions: list[Element] = []
+        self._rows: list[_Row | None] = []
+        self._id_of(ctx._base_id)
 
     def _id_of(self, pos: Element) -> int:
         idx = self._ids.get(pos)
         if idx is None:
-            idx = self._ids[pos] = len(self._positions)
+            idx = len(self._positions)
+            if idx > self._low:
+                raise BudgetExceededError(
+                    f"packed lamp state: the {_CURSOR_BITS}-bit cursor-id field "
+                    f"holds at most {idx} base positions"
+                )
+            self._ids[pos] = idx
             self._positions.append(pos)
+            self._rows.append(None)
         return idx
 
-    def identity_state(self) -> tuple[int, Element]:
-        return (0, self.ctx._base_id)
+    def _fill_row(self, idx: int) -> _Row:
+        shift = _CURSOR_BITS + idx * self._width
+        toggles = tuple(
+            tuple(flip[field] << shift for flip in self._flips)
+            for field in range(len(self._values))
+        )
+        mul, pos = self.ctx.base.multiply, self._positions[idx]
+        steps = tuple(self._id_of(mul(pos, g)) for g in self._moves)
+        row = self._rows[idx] = (shift, toggles, steps)
+        return row
 
-    def state_of(self, value: WreathElement) -> tuple[int, Element]:
-        mask = 0
+    def identity_state(self) -> int:
+        return 0
+
+    def state_of(self, value: WreathElement) -> int:
+        state = self._id_of(value.cursor)
         for pos, val in value.lamps:
-            mask |= self._value_index[val] << (self._id_of(pos) * self._width)
-        return (mask, value.cursor)
+            state |= self._value_index[val] << (_CURSOR_BITS + self._id_of(pos) * self._width)
+        return state
 
-    def encoded_values(
-        self, states: Iterable[tuple[int, Element]]
-    ) -> tuple[list[bytes], list[WreathElement]]:
+    def lamp_mask(self, state: int) -> int:
+        """The lamp fields of ``state``; field ``id`` sits at bit ``id * width``."""
+        return state >> _CURSOR_BITS
+
+    def encoded_values(self, states: Iterable[int]) -> tuple[list[bytes], list[WreathElement]]:
         """Each state's ``ctx.encode`` and element, in the order given.
 
         The lamps of each distinct mask are read once, from its lit fields
         only; states with that mask share the encoded prefix and lamps tuple.
         """
-        width, full, values = self._width, self._full, self._values
+        width, full, low, values = self._width, self._full, self._low, self._values
+        positions = self._positions
         position_bytes, value_bytes = self.ctx._position_bytes, self.ctx._value_bytes
         # Cell rank * len(values) + field is that lamp at the position whose
         # bytes have that rank, so sorting a mask's cells sorts its lamps.
-        keys = [position_bytes[pos] for pos in self._positions]
+        keys = [position_bytes[pos] for pos in positions]
         ranked = sorted(range(len(keys)), key=keys.__getitem__)
         first_cell = [0] * len(ranked)
         cell_bytes: list[bytes] = []
         cell_lamps: list[tuple[Element, Element]] = []
         for rank, idx in enumerate(ranked):
             first_cell[idx] = rank * len(values)
-            pos = self._positions[idx]
+            pos = positions[idx]
             cell_bytes += [keys[idx] + value_bytes[value] for value in values]
             cell_lamps += [(pos, value) for value in values]
         by_mask: dict[int, tuple[bytes, tuple[tuple[Element, Element], ...]]] = {}
         encodings: list[bytes] = []
         elements: list[WreathElement] = []
-        for mask, cursor in states:
-            entry = by_mask.get(mask)
+        for state in states:
+            cursor = state & low
+            lit = state ^ cursor
+            entry = by_mask.get(lit)
             if entry is None:
                 cells = []
-                rest = mask
+                rest = self.lamp_mask(lit)
                 while rest:
                     idx = ((rest & -rest).bit_length() - 1) // width
                     field = (rest >> (idx * width)) & full
                     rest ^= field << (idx * width)
                     cells.append(first_cell[idx] + field)
                 cells.sort()
-                entry = by_mask[mask] = (
+                entry = by_mask[lit] = (
                     encode_uvarint(len(cells)) + b"".join([cell_bytes[c] for c in cells]),
                     tuple([cell_lamps[c] for c in cells]),
                 )
             prefix, lamps = entry
-            encodings.append(prefix + position_bytes[cursor])
-            elements.append(WreathElement(lamps, cursor))
+            encodings.append(prefix + keys[cursor])
+            elements.append(WreathElement(lamps, positions[cursor]))
         return encodings, elements
 
-    def neighbors(self, state: tuple[int, Element]) -> list[tuple[int, Element]]:
-        """One neighbour per letter of ``ctx.symmetric_generators()``, in that order."""
-        mask, cursor = state
-        shift = self._id_of(cursor) * self._width
-        field = (mask >> shift) & self._full
-        out = [(mask ^ (flip[field] << shift), cursor) for flip in self._flips]
-        mul = self.ctx.base.multiply
-        out.extend((mask, mul(cursor, g)) for g in self._moves)
-        return out
+    def expand(
+        self, frontier: list[int], seen: dict[int, int], depth: int, budget: int
+    ) -> list[int] | None:
+        """Expand one BFS level; the contract of ``groups._CayleySpace.expand``.
+
+        A lamp letter XORs its toggle for the cursor's field value into the
+        state; a cursor move swaps the low field for the id in the row.
+        """
+        low, full, rows = self._low, self._full, self._rows
+        nxt: list[int] = []
+        append = nxt.append
+        for state in frontier:
+            cursor = state & low
+            shift, toggles, steps = rows[cursor] or self._fill_row(cursor)
+            for bits in toggles[(state >> shift) & full]:
+                other = state ^ bits
+                if other not in seen:
+                    seen[other] = depth
+                    append(other)
+            rest = state ^ cursor
+            for step in steps:
+                other = rest | step
+                if other not in seen:
+                    seen[other] = depth
+                    append(other)
+            if len(seen) > budget:
+                return None
+        return nxt
 
 
 # ---------------------------------------------------------------------------

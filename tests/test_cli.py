@@ -405,6 +405,12 @@ def test_exit_codes():
     assert main(["growth", "--name", "L2", "--radii", "12", "--budget", "10"]) == 3
 
 
+def test_too_many_radii_are_a_configuration_error(capsys):
+    assert main(["growth", "--name", "Z", "--radii", "1..100000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: radius item '1..100000000' brings the list to 100000000")
+
+
 def test_malformed_config_file(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[group A]\nkind = quantum\n")

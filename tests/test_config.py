@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from wreathdim import ConfigError, default_setup, load_config, parse_config
-from wreathdim.config import parse_radii
+from wreathdim.config import MAX_RADII, parse_radii
 
 
 # -- defaults ---------------------------------------------------------------
@@ -62,6 +62,15 @@ def test_parse_radii_rejects_empty_range():
 def test_parse_radii_rejects_garbage():
     with pytest.raises(ConfigError):
         parse_radii("zero")
+
+
+def test_parse_radii_counts_a_range_before_expanding_it():
+    # a hundred million radii would take gigabytes; the count alone refuses them
+    with pytest.raises(ConfigError, match=r"item '1\.\.100000000' brings the list to 100000000"):
+        parse_radii("1..100000000")
+    assert len(parse_radii(f"1..{MAX_RADII}")) == MAX_RADII
+    with pytest.raises(ConfigError, match=rf"radius item '7/2' .* at most {MAX_RADII}"):
+        parse_radii(f"1..{MAX_RADII - 1} 3 7/2")
 
 
 @pytest.mark.parametrize(

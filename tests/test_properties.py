@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathdim import (
+    DEFAULT_BUDGET,
     CyclicGroup,
     FreeGroup,
     GroupWindowView,
@@ -48,7 +49,7 @@ S3 = TableGroup(
 _ZxC2 = ProductGroup(Z, CyclicGroup(2))
 _C2wrZ2 = WreathContext(CyclicGroup(2), Z2)
 _C2wrL2 = WreathContext(CyclicGroup(2), L2)
-# literals nested up to depth 3, for the text round trip only
+# literals nested up to depth 3, for the text round trip and the search kernel
 NESTED = {
     "S3": S3,
     "L2xZ": ProductGroup(L2, Z),
@@ -199,6 +200,27 @@ def test_wreath_arithmetic_sorts_lamps_by_base_sort_key(name, data):
     y = data.draw(wreath_elements(ctx))
     assert ctx.multiply(x, y) == _reference_multiply(ctx, x, y)
     assert ctx.inverse(x) == _reference_inverse(ctx, x)
+
+
+# -- the search kernel ----------------------------------------------------------------
+
+# every kind of search space: generic Cayley states, and packed lamp states
+# over Z, Z^2, F2 and L2 bases
+SPACES = {**GROUPS, **NESTED, **WREATHS}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SPACES)), st.data())
+def test_expand_lists_the_products_with_the_symmetric_generators_in_order(name, data):
+    ctx = SPACES[name]
+    far = isinstance(ctx, WreathContext) and data.draw(st.booleans())
+    g = data.draw(wreath_elements(ctx) if far else elements(ctx))
+    space = ctx._search_space()
+    seen = {}
+    around = space.expand([space.state_of(g)], seen, 3, DEFAULT_BUDGET)
+    products = [ctx.multiply(g, s) for s in ctx.symmetric_generators()]
+    assert space.encoded_values(around) == ([ctx.encode(x) for x in products], products)
+    assert list(seen) == around and set(seen.values()) == {3}
 
 
 # -- word metric -----------------------------------------------------------------

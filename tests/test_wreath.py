@@ -13,6 +13,7 @@ import pytest
 from wreathdim import (
     DEFAULT_BUDGET,
     BallStore,
+    BudgetExceededError,
     CyclicGroup,
     EncodingError,
     FreeGroup,
@@ -36,6 +37,7 @@ from wreathdim import (
     minimal_word,
     word_length,
 )
+from wreathdim import wreath as wreath_module
 from wreathdim.encoding import encode_uvarint
 from wreathdim.groups import _bfs_lengths, _CayleySpace
 
@@ -307,7 +309,7 @@ def test_packed_space_matches_cayley_bfs(make_ctx, r, small_r):
         assert space.encoded_values([state]) == ([ctx.encode(g)], [g])
         # the i-th neighbour is the product with the i-th symmetric letter
         products = [ctx.multiply(g, s) for s in ctx.symmetric_generators()]
-        others = space.neighbors(state)
+        others = space.expand([state], {}, 1, DEFAULT_BUDGET)
         assert space.encoded_values(others) == ([ctx.encode(h) for h in products], products)
 
 
@@ -322,8 +324,8 @@ def test_packed_encoded_values_build_each_mask_once(make_ctx, r, small_r):
         assert data == _reference_encoding(ctx, x) == ctx.encode(x)
         assert ctx.canonicalize(x) == x
     lamps_of: dict[int, list[WreathElement]] = {}
-    for (mask, _), x in zip(states, elements):
-        lamps_of.setdefault(mask, []).append(x)
+    for state, x in zip(states, elements):
+        lamps_of.setdefault(space.lamp_mask(state), []).append(x)
     assert len(lamps_of) < len(states)
     shared = [xs for xs in lamps_of.values() if len({x.cursor for x in xs}) > 1]
     assert shared
@@ -414,6 +416,144 @@ def test_minimal_word_round_trip(lamplighter):
         word = minimal_word(ctx, g)
         assert len(word) == word_length(ctx, g)
         assert evaluate_word(ctx, word) == g
+
+
+# -- the search kernel -----------------------------------------------------------
+
+
+def _far_element(ctx):
+    """Lamps at ``t^-3`` and ``t^4`` and the cursor at ``t^5``, for the first base generator t."""
+    t = ctx.base.generators[0]
+    lit = [h for h in ctx.fiber.elements() if h != ctx.fiber.identity()]
+    lamps = [(ctx.base.power(t, -3), lit[0]), (ctx.base.power(t, 4), lit[-1])]
+    return ctx.element(lamps, ctx.base.power(t, 5))
+
+
+@pytest.mark.parametrize(("make_ctx", "r", "small_r"), PACKED_CASES)
+def test_ball_does_not_depend_on_earlier_searches(make_ctx, r, small_r):
+    fresh = make_ctx()
+    warm = make_ctx()
+    # the far element's positions take the first ids, and its search many more
+    far = _far_element(warm)
+    assert word_length(warm, far) == word_length(make_ctx(), far) > r
+    assert len(warm._search_space()._positions) > len(fresh._search_space()._positions)
+    cold_table, warm_table = ball(fresh, r), ball(warm, r)
+    assert warm_table.elements == cold_table.elements
+    assert list(warm_table.lengths.items()) == list(cold_table.lengths.items())
+    # the spaces list the ball in the same search order, with the same encodings
+    in_search_order = []
+    for ctx in (fresh, warm):
+        space = ctx._search_space()
+        states = _bfs_lengths(space, max_length_below(as_radius(r)), DEFAULT_BUDGET)
+        in_search_order.append((space.encoded_values(states), list(states.values())))
+    assert in_search_order[0] == in_search_order[1]
+    words = [[minimal_word(ctx, x) for x in warm_table] for ctx in (fresh, warm)]
+    assert words[0] == words[1]
+
+
+# The smallest budgets these searches succeed with, their results there, and
+# the message one less raises, as measured on the search loops before they
+# shared one kernel.
+_BALL_MESSAGE = (
+    "ball search exceeded the node budget of {} at depth {}; raise the budget to continue"
+)
+_FAR = "{-2:1,3:1}|1"
+BUDGET_CASES = [
+    pytest.param(
+        "lamplighter",
+        lambda ctx, b: len(ball(ctx, 9, budget=b)),
+        490,
+        490,
+        _BALL_MESSAGE.format(489, 8),
+        id="ball-L2-9",
+    ),
+    pytest.param(
+        "f2",
+        lambda ctx, b: len(ball(ctx, 5, budget=b)),
+        161,
+        161,
+        _BALL_MESSAGE.format(160, 4),
+        id="ball-F2-5",
+    ),
+    pytest.param(
+        "lamplighter",
+        lambda ctx, b: word_length(ctx, ctx.parse_element(_FAR), budget=b),
+        239,
+        11,
+        "word-length search exceeded the node budget of 238",
+        id="word-length-L2",
+    ),
+    pytest.param(
+        "lamplighter",
+        lambda ctx, b: word_length(ctx, ctx.parse_element(_FAR), at_most=9, budget=b),
+        128,
+        None,
+        "word-length search exceeded the node budget of 127",
+        id="word-length-at-most-L2",
+    ),
+    pytest.param(
+        "lamplighter",
+        lambda ctx, b: len(minimal_word(ctx, ctx.parse_element(_FAR), budget=b)),
+        2474,
+        11,
+        "geodesic search exceeded the node budget of 2473",
+        id="minimal-word-L2",
+    ),
+    pytest.param(
+        "f2",
+        lambda ctx, b: len(minimal_word(ctx, ctx.parse_element("abAAb"), budget=b)),
+        485,
+        5,
+        "geodesic search exceeded the node budget of 484",
+        id="minimal-word-F2",
+    ),
+]
+
+
+@pytest.mark.parametrize(("name", "search", "smallest", "result", "message"), BUDGET_CASES)
+def test_budget_boundaries_are_frozen(name, search, smallest, result, message, request):
+    ctx = request.getfixturevalue(name)
+    assert search(ctx, smallest) == result
+    with pytest.raises(BudgetExceededError) as exc:
+        search(ctx, smallest - 1)
+    assert str(exc.value) == message
+
+
+def _first_geodesics(ctx, max_len):
+    """Each element's word along the BFS tree that keeps every first discovery."""
+    words = {ctx.identity(): ()}
+    frontier = [ctx.identity()]
+    for _ in range(max_len):
+        nxt = []
+        for x in frontier:
+            for letter in ctx.symmetric_generators():
+                y = ctx.multiply(x, letter)
+                if y not in words:
+                    words[y] = (*words[x], letter)
+                    nxt.append(y)
+        frontier = nxt
+    return words
+
+
+@pytest.mark.parametrize(("make_ctx", "r", "small_r"), PACKED_CASES)
+def test_minimal_word_follows_the_first_discovery_tree(make_ctx, r, small_r):
+    ctx = make_ctx()
+    reference = _first_geodesics(ctx, max_length_below(as_radius(r)))
+    assert {g: minimal_word(ctx, g) for g in reference} == reference
+
+
+def test_cursor_id_field_overflow_is_a_budget_error(monkeypatch):
+    monkeypatch.setattr(wreath_module, "_CURSOR_BITS", 2)  # ids 0..3
+    ctx = WreathContext(CyclicGroup(2), IntegerGroup())
+    assert len(ball(ctx, 2)) == 4  # positions 0, 1, -1
+    with pytest.raises(BudgetExceededError, match="the 2-bit cursor-id field holds at most 4"):
+        ball(ctx, 3)  # expanding at cursors 1 and -1 meets 2 and -2
+    with pytest.raises(BudgetExceededError, match="cursor-id field"):
+        word_length(ctx, ctx.element([(7, 1)], 0))
+    space = ctx._search_space()
+    assert len(space._positions) == 4
+    # no state carries a lamp written over the field, and the space still works
+    assert ball(ctx, 2).elements == ball(WreathContext(CyclicGroup(2), IntegerGroup()), 2).elements
 
 
 # -- bulbs ---------------------------------------------------------------------
