@@ -70,15 +70,16 @@ def ball_window(oracle: LengthOracle, radius: Radius) -> GroupWindowView:
     """The open ball of ``radius`` as a window, with every pair distance prefilled.
 
     Two points of the ball are at distance at most twice its largest length,
-    so one larger ball search puts every pair distance in the oracle's memo.
+    so one BFS to that depth, ``oracle.search``, answers every pair distance
+    from its states, without building the elements of the larger ball.
     ``max_diameter`` measures only the pivot distances and the pairs its
     triangle bound cannot rule out, a few hundred on the 8-ball of the
-    lamplighter, but without the prefill each of those would be a search of
-    its own, which costs more than the one ball.  Under a budget too small
-    for that ball, each measured pair gets its own search instead.
+    lamplighter, but without the search each of those would be a search of
+    its own, which costs more than the one BFS.  Under a budget too small
+    for that BFS, each measured pair gets its own search instead.
     """
     try:
-        oracle.ball(2 * max_length_below(as_radius(radius)) + 1)
+        oracle.search(2 * max_length_below(as_radius(radius)) + 1)
     except BudgetExceededError:
         pass
     return GroupWindowView(oracle.ctx, oracle.ball(radius).elements, oracle)

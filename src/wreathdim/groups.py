@@ -1077,9 +1077,14 @@ def evaluate_word(ctx: Any, letters: Iterable[Element]) -> Element:
 class LengthOracle:
     """Memoizing exact length/distance oracle for one marked context.
 
-    Balls computed through the oracle prefill the length memo, so repeated
-    distance queries inside a window cost one dict lookup.  Distances use
-    left-invariance: ``d(x, y) = word_length(x^-1 y)``.
+    Balls computed through the oracle prefill the length memo.  ``search(r)``
+    instead keeps the lengths of a plain BFS up to ``max_length_below(r)``,
+    keyed by search state, and its *reach*, the largest length it covers.
+    A memo miss looks its element's state up there, so repeated distance
+    queries inside a window cost one dict lookup, with no element of the
+    searched ball ever built.  A miss with ``bound <= reach`` is past the
+    bound without a search, since the BFS is complete up to its reach.
+    Distances use left-invariance: ``d(x, y) = word_length(x^-1 y)``.
 
     The public ``length``, ``length_at_most``, ``distance`` and
     ``distance_at_most`` canonicalize their input first, so a malformed
@@ -1093,6 +1098,20 @@ class LengthOracle:
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self._memo: dict[Element, int] = {ctx.identity(): 0}
         self._tables: dict[int, BallTable] = {}
+        self._space = ctx._search_space()
+        self._searched: dict[Any, int] = {}
+        self._reach = -1
+
+    def search(self, r: int | Fraction) -> None:
+        """Keep the BFS lengths of the open ``r``-ball by state, if deeper than held.
+
+        Builds no element, encoding or table.  A search over the budget
+        raises ``BudgetExceededError`` and leaves the held search as it was.
+        """
+        max_len = max_length_below(as_radius(r))
+        if max_len > self._reach:
+            self._searched = _bfs_lengths(self._space, max_len, self.budget)
+            self._reach = max_len
 
     def ball(self, r: int | Fraction) -> BallTable:
         radius = as_radius(r)
@@ -1116,8 +1135,18 @@ class LengthOracle:
         return len(self.ball(r))
 
     def _known_length(self, g: Element, bound: int | None = None) -> int | None:
-        """Length of a canonical ``g`` (None past ``bound``): memo first, search on a miss."""
+        """Length of a canonical ``g`` (None past ``bound``).
+
+        The memo first, then the searched states, and a search of its own
+        only when neither can answer.
+        """
         hit = self._memo.get(g)
+        if hit is None and self._searched:
+            hit = self._searched.get(self._space.state_of(g))
+            if hit is not None:
+                self._memo[g] = hit
+            elif bound is not None and bound <= self._reach:
+                return None
         if hit is not None:
             return hit if bound is None or hit <= bound else None
         value = word_length(self.ctx, g, at_most=bound, budget=self.budget)

@@ -94,26 +94,47 @@ def test_group_window_view_neighbors_by_translation(z, oracle_z):
 # -- components ----------------------------------------------------------------
 
 
-def test_ball_window_prefills_every_pair_distance(lamplighter, searched_balls):
-    view = ball_window(LengthOracle(lamplighter), Fraction(5, 2))
+def test_ball_window_prefills_every_pair_distance(lamplighter, searched_balls, monkeypatch):
+    oracle = LengthOracle(lamplighter)
+    searches = []
+    search = LengthOracle.search
+
+    def recording_search(self, r):
+        searches.append(r)
+        return search(self, r)
+
+    monkeypatch.setattr(LengthOracle, "search", recording_search)
+    view = ball_window(oracle, Fraction(5, 2))
     # window points have length <= 2, so pairs reach distance 4: one search of
     # the radius-5 ball holds every pair, a radius-4 ball (lengths <= 3) would not.
-    (table,) = searched_balls
-    assert table.radius == 5
-    assert view.points == tuple(x for x in table.elements if table.lengths[x] <= 2)
-    ctx = lamplighter
+    assert searches == [5]
+    assert oracle._reach == 4
+    # the search built no radius-5 table: the only ball built is the window's
+    assert [table.radius for table in searched_balls] == [Fraction(5, 2)]
+    ctx, searched, state_of = lamplighter, oracle._searched, oracle._space.state_of
+    assert list(view.points) == sorted(view.points, key=ctx.encode)
+    assert sorted(map(state_of, view.points)) == sorted(s for s, n in searched.items() if n <= 2)
     gaps = [ctx.multiply(ctx.inverse(a), b) for a in view.points for b in view.points]
-    assert all(g in table.lengths for g in gaps)
-    assert max(table.lengths[g] for g in gaps) == 4
+    assert all(state_of(g) in searched for g in gaps)
+    assert max(searched[state_of(g)] for g in gaps) == 4
 
 
 def test_ball_window_under_a_small_budget_measures_pairs_one_by_one(lamplighter):
     small = LengthOracle(lamplighter, budget=200)
     with pytest.raises(BudgetExceededError):
-        LengthOracle(lamplighter, budget=200).ball(9)
+        small.search(9)
+    # a search over the budget keeps no partial result
+    assert small._searched == {} and small._reach == -1
+    small.search(3)
+    held = dict(small._searched)
+    with pytest.raises(BudgetExceededError):
+        small.search(9)
+    assert small._searched == held and small._reach == 2
     view = ball_window(small, 5)
     full = ball_window(LengthOracle(lamplighter), 5)
     assert view.points == full.points
+    for a in view.points:
+        assert view.dists_from(a, view.points) == full.dists_from(a, full.points)
     for r in (1, 2, 3):
         assert max_diameter(view, r_components(view, None, r)) == max_diameter(
             full, r_components(full, None, r)

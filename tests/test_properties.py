@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wreathdim import groups
 from wreathdim import (
     DEFAULT_BUDGET,
     CyclicGroup,
@@ -21,6 +23,7 @@ from wreathdim import (
     VirtuallyZStructure,
     WreathContext,
     WreathElement,
+    ball,
     bulb_product,
     evaluate_word,
     kernel_window,
@@ -244,6 +247,41 @@ def test_minimal_word_never_longer_than_any_witness(letters):
     word = minimal_word(L2, g)
     assert len(word) <= len(letters)
     assert evaluate_word(L2, word) == g
+
+
+# each oracle's search radius, over packed lamp states (L2, C3wrZ, W2) and over
+# Cayley states (F2)
+SEARCHED = {"L2": (L2, 7), "C3wrZ": (WREATHS["C3wrZ"], 6), "W2": (_C2wrZ2, 5), "F2": (F2, 5)}
+
+
+@functools.cache
+def _spheres(name):
+    """The elements of each length up to two past the search's reach."""
+    ctx, radius = SEARCHED[name]
+    spheres = [[] for _ in range(radius + 2)]
+    for g, n in ball(ctx, radius + 2).lengths.items():
+        spheres[n].append(g)
+    return spheres
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(SEARCHED)), st.data())
+def test_searched_oracle_lengths_equal_word_lengths(name, data):
+    ctx, radius = SEARCHED[name]
+    oracle = LengthOracle(ctx)
+    oracle.search(radius)
+    reach = radius - 1
+    assert oracle._reach == reach
+    near = st.integers(reach - 1, reach + 2).flatmap(lambda n: st.sampled_from(_spheres(name)[n]))
+    g = data.draw(elements(ctx, reach + 3) | near)
+    bound = data.draw(st.sampled_from([None, 0, reach - 1, reach, reach + 1, reach + 2]))
+    expected = word_length(ctx, g, at_most=bound)
+    if bound is not None and bound <= reach:
+        # complete up to its reach, the search answers a miss with no search of its own
+        with mock.patch.object(groups, "word_length", side_effect=AssertionError):
+            assert oracle._known_length(g, bound) == expected
+    else:
+        assert oracle._known_length(g, bound) == expected
 
 
 # -- bulbs ------------------------------------------------------------------------

@@ -77,10 +77,26 @@ def test_order_finite_iff_both_factors_finite(lamplighter, c2, c3):
     assert WreathContext(c2, c3).order() == 24
 
 
-def test_unenumerable_finite_fiber_is_a_structure_error(c2, c3, z):
-    # a finite wreath has an order but no element list, so it cannot be a fiber
-    with pytest.raises(StructureError, match=r"enumerate the elements of wreath\(fiber=.*\)"):
-        WreathContext(WreathContext(c2, c3), z)
+def test_finite_wreath_lists_its_elements_in_canonical_order(c2, c3):
+    ctx = WreathContext(c2, c3)
+    values = ctx.elements()
+    assert len(values) == len(set(values)) == ctx.order() == 24
+    assert list(values) == sorted(values, key=ctx.encode)
+    assert set(values) == set(_bfs_lengths(_CayleySpace(ctx), 24, DEFAULT_BUDGET))
+    with pytest.raises(StructureError, match="infinite"):
+        WreathContext(c2, IntegerGroup()).elements()
+    # 2**24 * 24 elements: refused before any is built
+    with pytest.raises(BudgetExceededError, match="402653184 elements"):
+        WreathContext(c2, CyclicGroup(24)).elements()
+
+
+def test_finite_wreath_can_be_a_fiber(c2, c3, z):
+    outer = WreathContext(WreathContext(c2, c3), z)
+    assert len(outer.generators) == 23 + 1
+    for r in (1, 2, 3, 4):
+        table = ball(outer, r)
+        assert table.lengths == _bfs_lengths(_CayleySpace(outer), r - 1, DEFAULT_BUDGET)
+        assert list(table.elements) == sorted(table.lengths, key=outer.encode)
 
 
 # -- canonical form -----------------------------------------------------------
