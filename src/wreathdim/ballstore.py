@@ -26,6 +26,7 @@ under a content id.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import struct
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .encoding import EncodingError, encode_uvarint, read_uvarint
+from .encoding import EncodingError, read_uvarint, write_uvarint
 from .errors import IntegrityError
 from .groups import max_length_below
 
@@ -70,12 +71,19 @@ class BallRecord:
         return len(self.encodings)
 
     def to_bytes(self) -> bytes:
+        # a uvarint below 0x80 is its one byte
         body = bytearray()
         for enc in self.encodings:
-            body += encode_uvarint(len(enc))
+            if len(enc) < 0x80:
+                body.append(len(enc))
+            else:
+                write_uvarint(body, len(enc))
             body += enc
-        for l in self.lengths:
-            body += encode_uvarint(l)
+        if max(self.lengths, default=0) < 0x80:
+            body += bytes(self.lengths)
+        else:
+            for l in self.lengths:
+                write_uvarint(body, l)
         body_bytes = bytes(body)
         header = HEADER.pack(
             MAGIC,
@@ -106,19 +114,27 @@ class BallRecord:
         body = data[HEADER.size :]
         if hashlib.sha256(body).digest() != body_sha:
             raise IntegrityError("body checksum mismatch")
-        pos = 0
+        # a byte below 0x80 is a whole uvarint; any other goes to read_uvarint
+        pos, end = 0, len(body)
         encodings = []
         try:
             for _ in range(count):
-                size, pos = read_uvarint(body, pos)
-                if pos + size > len(body):
+                if pos < end and body[pos] < 0x80:
+                    size, pos = body[pos], pos + 1
+                else:
+                    size, pos = read_uvarint(body, pos)
+                if pos + size > end:
                     raise IntegrityError("element encoding runs past the body")
                 encodings.append(bytes(body[pos : pos + size]))
                 pos += size
-            lengths = []
-            for _ in range(count):
-                l, pos = read_uvarint(body, pos)
-                lengths.append(l)
+            table = body[pos : pos + count]
+            if len(table) == count and table.isascii():
+                lengths, pos = list(table), pos + count
+            else:
+                lengths = []
+                for _ in range(count):
+                    l, pos = read_uvarint(body, pos)
+                    lengths.append(l)
         except EncodingError as exc:
             raise IntegrityError(f"corrupt varint in ball body: {exc}") from exc
         if pos != len(body):
@@ -133,12 +149,12 @@ class BallRecord:
         if radius > self.radius:
             raise ValueError(f"cannot widen a radius-{self.radius} ball to {radius}")
         cutoff = max_length_below(radius)
-        keep = [i for i, l in enumerate(self.lengths) if l <= cutoff]
+        keep = [l <= cutoff for l in self.lengths]
         return BallRecord(
             self.spec_hash,
             radius,
-            tuple(self.encodings[i] for i in keep),
-            tuple(self.lengths[i] for i in keep),
+            tuple(itertools.compress(self.encodings, keep)),
+            tuple(itertools.compress(self.lengths, keep)),
         )
 
 

@@ -15,6 +15,7 @@ the ball cache.  All arithmetic is exact: lengths are ints, radii are
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -54,6 +55,9 @@ def same_group(a: "MarkedGroup", b: "MarkedGroup") -> bool:
     """Whether two marked groups are interchangeable: their spec strings are equal."""
     return a is b or a.spec_string() == b.spec_string()
 
+
+#: The signed value of each one-byte svarint, by byte.
+_ZIGZAG_BYTES = tuple(read_svarint(bytes([b]), 0)[0] for b in range(0x80))
 
 _INTEGER = re.compile(r"-?[0-9]+")
 _LETTERS = re.compile(r"[a-zA-Z]+")
@@ -185,6 +189,10 @@ class MarkedGroup:
         if pos != len(data):
             raise EncodingError(f"{len(data) - pos} trailing bytes after element encoding")
         return value
+
+    def decode_many(self, encodings: Iterable[bytes]) -> list[Element]:
+        """``[decode(e) for e in encodings]``; kinds may share work across the batch."""
+        return [self.decode(e) for e in encodings]
 
     def sort_key(self, x: Element) -> bytes:
         return self.encode(x)
@@ -421,6 +429,22 @@ class FreeGroup(MarkedGroup):
             letter, pos = read_svarint(data, pos)
             letters.append(letter)
         return self.canonicalize(tuple(letters)), pos
+
+    def decode_many(self, encodings: Iterable[bytes]) -> list[tuple[int, ...]]:
+        """``[decode(e) for e in encodings]``, reading one-byte words from a table.
+
+        A word whose count and letters are all single-byte varints is its
+        count byte then one byte per letter: all bytes below 0x80 and the
+        length one more than the count.  Any other encoding goes to ``decode``.
+        """
+        letter_of = _ZIGZAG_BYTES
+        canonicalize, decode = self.canonicalize, self.decode
+        return [
+            canonicalize(tuple(map(letter_of.__getitem__, e[1:])))
+            if e and e.isascii() and len(e) == e[0] + 1
+            else decode(e)
+            for e in encodings
+        ]
 
     def format_element(self, x: tuple[int, ...]) -> str:
         if not x:
@@ -942,7 +966,9 @@ def ball(
     """Open ball of radius ``r`` around the identity, with exact lengths.
 
     With a ball store attached, a stored ball of radius >= r for the same
-    marked structure is reused (filtered down); fresh results are saved.
+    marked structure is reused (filtered down): its sorted encodings are
+    decoded in one batch by ``ctx.decode_many``, which on wreath products
+    reads each lamp prefix once.  Fresh results are saved.
     The search expands one whole level per call of the space's ``expand``;
     on wreath products the states are ints in the context's packed lamp
     space.  A searched ball's elements and encodings are then built in one
@@ -954,17 +980,12 @@ def ball(
     if store is not None:
         record = store.load(ctx.spec_hash, radius)
         if record is not None:
-            elements = tuple(ctx.decode(enc) for enc in record.encodings)
+            elements = tuple(ctx.decode_many(record.encodings))
             lengths = dict(zip(elements, record.lengths))
             return BallTable(ctx, radius, elements, lengths)
     space = ctx._search_space()
     dist = _bfs_lengths(space, max_length_below(radius), budget)
-    encodings, values = space.encoded_values(dist)
-    order = sorted(range(len(encodings)), key=encodings.__getitem__)
-    depths = list(dist.values())
-    elements = tuple(values[i] for i in order)
-    lengths = {values[i]: depths[i] for i in order}
-    table = BallTable(ctx, radius, elements, lengths)
+    table, encodings = _sorted_table(ctx, space, radius, dist)
     if store is not None:
         from .ballstore import BallRecord
 
@@ -972,11 +993,27 @@ def ball(
             BallRecord(
                 spec_hash=ctx.spec_hash,
                 radius=radius,
-                encodings=tuple(encodings[i] for i in order),
-                lengths=tuple(depths[i] for i in order),
+                encodings=tuple(encodings),
+                lengths=tuple(table.lengths.values()),
             )
         )
     return table
+
+
+def _sorted_table(
+    ctx: Any, space: Any, radius: Fraction, dist: dict[Any, int]
+) -> tuple[BallTable, list[bytes]]:
+    """The ball of the states ``dist`` maps to their lengths, ordered by encoding.
+
+    Returns the table, whose ``lengths`` follow the same order, and the
+    elements' encodings in that order.
+    """
+    encodings, values = space.encoded_values(dist)
+    order = sorted(range(len(encodings)), key=encodings.__getitem__)
+    depths = list(dist.values())
+    elements = tuple(values[i] for i in order)
+    lengths = {values[i]: depths[i] for i in order}
+    return BallTable(ctx, radius, elements, lengths), [encodings[i] for i in order]
 
 
 def word_length(
@@ -1083,8 +1120,10 @@ class LengthOracle:
     A memo miss looks its element's state up there, so repeated distance
     queries inside a window cost one dict lookup, with no element of the
     searched ball ever built.  A miss with ``bound <= reach`` is past the
-    bound without a search, since the BFS is complete up to its reach.
-    Distances use left-invariance: ``d(x, y) = word_length(x^-1 y)``.
+    bound without a search, since the BFS is complete up to its reach, and
+    a ball no deeper than the reach is built from the held states without
+    a search of its own.  Distances use left-invariance:
+    ``d(x, y) = word_length(x^-1 y)``.
 
     The public ``length``, ``length_at_most``, ``distance`` and
     ``distance_at_most`` canonicalize their input first, so a malformed
@@ -1126,7 +1165,12 @@ class LengthOracle:
                 sub = BallTable(self.ctx, radius, elements, lengths)
                 self._tables[max_len] = sub
                 return sub
-        table = ball(self.ctx, radius, budget=self.budget)
+        if max_len <= self._reach:
+            # BFS records states level by level, so the ball is a prefix of the search
+            held = itertools.takewhile(lambda item: item[1] <= max_len, self._searched.items())
+            table, _ = _sorted_table(self.ctx, self._space, radius, dict(held))
+        else:
+            table = ball(self.ctx, radius, budget=self.budget)
         self._tables[max_len] = table
         self._memo.update(table.lengths)
         return table

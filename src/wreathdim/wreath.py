@@ -163,7 +163,10 @@ class WreathContext(MarkedGroup):
             out += value_bytes[val]
         out += keys[x.cursor]
 
-    def decode_from(self, data: bytes | memoryview, pos: int) -> tuple[WreathElement, int]:
+    def _decode_lamps(
+        self, data: bytes | memoryview, pos: int
+    ) -> tuple[tuple[tuple[Element, Element], ...], int]:
+        """The lamp count and lamps at ``pos``; return (lamps, position of the cursor)."""
         count, pos = read_uvarint(data, pos)
         lamps = []
         prev_key: bytes | None = None
@@ -179,8 +182,38 @@ class WreathContext(MarkedGroup):
                 raise EncodingError("lamp positions not in strictly increasing canonical order")
             prev_key = key
             lamps.append((position, value))
+        return tuple(lamps), pos
+
+    def decode_from(self, data: bytes | memoryview, pos: int) -> tuple[WreathElement, int]:
+        lamps, pos = self._decode_lamps(data, pos)
         cursor, pos = self.base.decode_from(data, pos)
-        return WreathElement(tuple(lamps), cursor), pos
+        return WreathElement(lamps, cursor), pos
+
+    def decode_many(self, encodings: Iterable[bytes]) -> list[WreathElement]:
+        """``[decode(e) for e in encodings]``, reading each run of equal lamps once.
+
+        In sorted encodings, elements with the same lamps are adjacent and
+        share the lamp bytes as a prefix.  The lamp parser reads left to
+        right and looks at no byte past the lamps, so an encoding that starts
+        with the last parsed prefix has those lamps; its tail must then
+        decode as exactly one cursor, memoized by its bytes.  Elements of one
+        run share one lamps tuple.
+        """
+        base_decode = self.base.decode
+        cursors: dict[bytes, Element] = {}
+        prefix: bytes | None = None
+        lamps: tuple[tuple[Element, Element], ...] = ()
+        out = []
+        for enc in encodings:
+            if prefix is None or not enc.startswith(prefix):
+                lamps, end = self._decode_lamps(enc, 0)
+                prefix = enc[:end]
+            tail = enc[len(prefix) :]
+            cursor = cursors.get(tail)
+            if cursor is None:
+                cursor = cursors[tail] = base_decode(tail)
+            out.append(WreathElement(lamps, cursor))
+        return out
 
     # -- text forms ----------------------------------------------------------------
 

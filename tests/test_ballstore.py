@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from wreathdim import (
     IntegrityError,
     ball,
 )
-from wreathdim.ballstore import FORMAT_VERSION, MAGIC
+from wreathdim.ballstore import FORMAT_VERSION, HEADER, MAGIC
+from wreathdim.encoding import encode_uvarint
 
 
 def make_record(ctx, radius):
@@ -87,6 +89,49 @@ def test_from_bytes_rejects_trailing_bytes(z):
     raw = make_record(z, 3).to_bytes()
     with pytest.raises(IntegrityError):
         BallRecord.from_bytes(raw + b"\x00")
+
+
+def _ball_file(record, body):
+    """A ball file with ``record``'s header fields around ``body``, checksums correct."""
+    header = HEADER.pack(
+        MAGIC,
+        FORMAT_VERSION,
+        bytes.fromhex(record.spec_hash),
+        record.radius.numerator,
+        record.radius.denominator,
+        record.count,
+        hashlib.sha256(body).digest(),
+    )
+    return header + body
+
+
+def test_record_bytes_round_trip_through_multi_byte_varints():
+    long = b"\x02" * 130
+    rec = BallRecord("ab" * 32, Fraction(200), (b"\x01", long, b"\x03"), (0, 150, 199))
+    raw = rec.to_bytes()
+    sizes = b"\x01\x01" + encode_uvarint(130) + long + b"\x01\x03"
+    assert raw == _ball_file(rec, sizes + b"\x00" + encode_uvarint(150) + encode_uvarint(199))
+    assert len(encode_uvarint(130)) == len(encode_uvarint(150)) == 2
+    assert BallRecord.from_bytes(raw) == rec
+
+
+def test_from_bytes_rejects_non_minimal_and_truncated_varints(z):
+    rec = BallRecord(z.spec_hash, Fraction(3), (z.encode(0),), (0,))
+    assert rec.to_bytes() == _ball_file(rec, b"\x01\x00\x00")
+    # the size 1 and the length 0 each written in two bytes
+    for body in (b"\x81\x00\x00\x00", b"\x01\x00\x80\x00"):
+        with pytest.raises(IntegrityError, match="non-minimal"):
+            BallRecord.from_bytes(_ball_file(rec, body))
+    for body in (b"", b"\x01\x00"):
+        with pytest.raises(IntegrityError, match="truncated"):
+            BallRecord.from_bytes(_ball_file(rec, body))
+
+
+def test_ball_file_bytes_are_frozen(lamplighter):
+    # the content id of ball(L2, 6)'s record: any change to the file bytes changes it
+    rec = make_record(lamplighter, 6)
+    assert rec.count == 84
+    assert rec.content_id == "ef055cdc6f674bfebc2c511689338e1f19a1abb78ab2ef533c89163be6b67e8e"
 
 
 def test_filter_to_smaller_radius(z):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from wreathdim import groups
 from wreathdim import (
     BudgetExceededError,
     CyclicGroup,
@@ -15,6 +16,7 @@ from wreathdim import (
     StructureError,
     VirtuallyZStructure,
     WreathContext,
+    ball,
     ball_window,
     component_diameters,
     coset_cover,
@@ -109,14 +111,31 @@ def test_ball_window_prefills_every_pair_distance(lamplighter, searched_balls, m
     # the radius-5 ball holds every pair, a radius-4 ball (lengths <= 3) would not.
     assert searches == [5]
     assert oracle._reach == 4
-    # the search built no radius-5 table: the only ball built is the window's
-    assert [table.radius for table in searched_balls] == [Fraction(5, 2)]
+    # the search built no radius-5 table, and the window's ball came from its states
+    assert searched_balls == []
     ctx, searched, state_of = lamplighter, oracle._searched, oracle._space.state_of
     assert list(view.points) == sorted(view.points, key=ctx.encode)
     assert sorted(map(state_of, view.points)) == sorted(s for s, n in searched.items() if n <= 2)
     gaps = [ctx.multiply(ctx.inverse(a), b) for a in view.points for b in view.points]
     assert all(state_of(g) in searched for g in gaps)
     assert max(searched[state_of(g)] for g in gaps) == 4
+
+
+def test_ball_window_runs_one_search(lamplighter, monkeypatch):
+    oracle = LengthOracle(lamplighter)
+    depths = []
+    bfs = groups._bfs_lengths
+
+    def recording_bfs(space, max_len, budget):
+        depths.append(max_len)
+        return bfs(space, max_len, budget)
+
+    monkeypatch.setattr(groups, "_bfs_lengths", recording_bfs)
+    view = ball_window(oracle, 8)
+    assert depths == [14]
+    fresh = ball(lamplighter, 8)
+    assert view.points == fresh.elements
+    assert oracle.ball(8).lengths == fresh.lengths
 
 
 def test_ball_window_under_a_small_budget_measures_pairs_one_by_one(lamplighter):

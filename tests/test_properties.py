@@ -6,6 +6,7 @@ import functools
 import itertools
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,13 @@ from wreathdim import (
     r_components,
     word_length,
 )
-from wreathdim.encoding import encode_svarint, encode_uvarint, read_svarint, read_uvarint
+from wreathdim.encoding import (
+    EncodingError,
+    encode_svarint,
+    encode_uvarint,
+    read_svarint,
+    read_uvarint,
+)
 
 Z = IntegerGroup()
 C3 = CyclicGroup(3)
@@ -203,6 +210,90 @@ def test_wreath_arithmetic_sorts_lamps_by_base_sort_key(name, data):
     y = data.draw(wreath_elements(ctx))
     assert ctx.multiply(x, y) == _reference_multiply(ctx, x, y)
     assert ctx.inverse(x) == _reference_inverse(ctx, x)
+
+
+# -- batch decoding -------------------------------------------------------------------
+
+_C2 = CyclicGroup(2)
+# (context, radius of the ball whose encodings are decoded)
+BATCHED = {
+    "L2": (L2, 6),
+    "C3wrZ": (WREATHS["C3wrZ"], 5),
+    "W2": (_C2wrZ2, 4),
+    "F2": (F2, 4),
+    "ZxC2": (_ZxC2, 5),
+    "C2wr(ZxC2)": (WreathContext(_C2, _ZxC2), 5),
+    "(C2wrC2)wrZ": (WreathContext(WreathContext(_C2, _C2), Z), 4),
+}
+
+
+@functools.cache
+def ball_encodings(name):
+    ctx, r = BATCHED[name]
+    return tuple(ctx.encode(x) for x in ball(ctx, r).elements)
+
+
+def _wreath_bytes(ctx, lamps, cursor):
+    """The encoding layout of ``(lamps, cursor)`` as given: no sorting, no dropped values."""
+    lit = b"".join(ctx.base.encode(pos) + ctx.fiber.encode(val) for pos, val in lamps)
+    return encode_uvarint(len(lamps)) + lit + ctx.base.encode(cursor)
+
+
+def mutations(ctx, enc):
+    """Encodings near ``enc`` that ``decode`` refuses."""
+    out = [enc + b"\x00", enc[:-1]]
+    if isinstance(ctx, WreathContext):
+        x = ctx.decode(enc)
+        prefix = enc[: len(enc) - len(ctx.base.encode(x.cursor))]
+        out.append(prefix + b"\x80\x00")  # a non-minimal cursor varint
+        if x.lamps:
+            (pos, _), *rest = x.lamps
+            out.append(_wreath_bytes(ctx, [(pos, ctx.fiber.identity()), *rest], x.cursor))
+        if len(x.lamps) >= 2:
+            out.append(_wreath_bytes(ctx, x.lamps[::-1], x.cursor))
+    elif isinstance(ctx, FreeGroup):
+        # letter 0, an unreduced word, a letter past the rank, a non-minimal letter
+        out += [bytes([1, 0]), bytes([2, 2, 1]), bytes([1, 9]), bytes([1, 0x82, 0x00])]
+    return out
+
+
+def _refused_or(decode, batch):
+    try:
+        return decode(batch)
+    except EncodingError:
+        return EncodingError
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_decode_many_equals_decode_on_a_sorted_ball(name):
+    ctx, _ = BATCHED[name]
+    encs = ball_encodings(name)
+    assert list(encs) == sorted(encs)
+    assert ctx.decode_many(encs) == [ctx.decode(e) for e in encs]
+    for enc in encs:
+        for bad in mutations(ctx, enc):
+            with pytest.raises(EncodingError):
+                ctx.decode(bad)
+            # right after its source, a mutation shares the source's lamp prefix
+            with pytest.raises(EncodingError):
+                ctx.decode_many([enc, bad])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(BATCHED)), st.data())
+def test_decode_many_refuses_exactly_what_decode_refuses(name, data):
+    ctx, _ = BATCHED[name]
+    encs = ball_encodings(name)
+    batch = sorted(data.draw(st.lists(st.sampled_from(encs), max_size=20, unique=True)))
+    source = data.draw(st.sampled_from(encs))
+    at = data.draw(st.integers(0, len(source) - 1))
+    edited = source[:at] + bytes([data.draw(st.integers(0, 255))]) + source[at + 1 :]
+    odd = data.draw(st.sampled_from([*mutations(ctx, source), edited]) | st.binary(max_size=8))
+    batch.insert(data.draw(st.integers(0, len(batch))), odd)
+    if data.draw(st.booleans()):
+        batch.sort()
+    one_by_one = _refused_or(lambda b: [ctx.decode(e) for e in b], batch)
+    assert _refused_or(ctx.decode_many, batch) == one_by_one
 
 
 # -- the search kernel ----------------------------------------------------------------
