@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -59,12 +60,11 @@ class BallRecord:
         if len(self.encodings) != len(self.lengths):
             raise ValueError("length table does not match the element list")
         cutoff = max_length_below(self.radius)
-        for prev, cur in zip(self.encodings, self.encodings[1:]):
-            if cur <= prev:
-                raise ValueError("encodings must be strictly increasing")
-        for l in self.lengths:
-            if not 0 <= l <= cutoff:
-                raise ValueError(f"word length {l} outside the open ball of radius {self.radius}")
+        if not all(map(operator.lt, self.encodings, itertools.islice(self.encodings, 1, None))):
+            raise ValueError("encodings must be strictly increasing")
+        if self.lengths and not 0 <= min(self.lengths) <= max(self.lengths) <= cutoff:
+            l = next(l for l in self.lengths if not 0 <= l <= cutoff)
+            raise ValueError(f"word length {l} outside the open ball of radius {self.radius}")
 
     @property
     def count(self) -> int:
@@ -111,22 +111,25 @@ class BallRecord:
             raise IntegrityError(f"unsupported ball format version {version}")
         if den == 0:
             raise IntegrityError("radius denominator is zero")
-        body = data[HEADER.size :]
+        body = bytes(data[HEADER.size :])
         if hashlib.sha256(body).digest() != body_sha:
             raise IntegrityError("body checksum mismatch")
         # a byte below 0x80 is a whole uvarint; any other goes to read_uvarint
         pos, end = 0, len(body)
         encodings = []
+        append = encodings.append
         try:
             for _ in range(count):
                 if pos < end and body[pos] < 0x80:
-                    size, pos = body[pos], pos + 1
+                    stop = pos + 1 + body[pos]
+                    pos += 1
                 else:
                     size, pos = read_uvarint(body, pos)
-                if pos + size > end:
+                    stop = pos + size
+                if stop > end:
                     raise IntegrityError("element encoding runs past the body")
-                encodings.append(bytes(body[pos : pos + size]))
-                pos += size
+                append(body[pos:stop])
+                pos = stop
             table = body[pos : pos + count]
             if len(table) == count and table.isascii():
                 lengths, pos = list(table), pos + count

@@ -292,6 +292,9 @@ class IntegerGroup(MarkedGroup):
         write_svarint(out, x)
 
     def decode_from(self, data: bytes | memoryview, pos: int) -> tuple[int, int]:
+        # a byte below 0x80 is a whole svarint; any other input goes to read_svarint
+        if pos < len(data) and data[pos] < 0x80:
+            return _ZIGZAG_BYTES[data[pos]], pos + 1
         return read_svarint(data, pos)
 
     def format_element(self, x: int) -> str:
@@ -351,7 +354,11 @@ class CyclicGroup(MarkedGroup):
         write_uvarint(out, x)
 
     def decode_from(self, data: bytes | memoryview, pos: int) -> tuple[int, int]:
-        value, pos = read_uvarint(data, pos)
+        # a byte below 0x80 is a whole uvarint; any other input goes to read_uvarint
+        if pos < len(data) and data[pos] < 0x80:
+            value, pos = data[pos], pos + 1
+        else:
+            value, pos = read_uvarint(data, pos)
         if value >= self.modulus:
             raise EncodingError(f"cyclic residue {value} out of range for modulus {self.modulus}")
         return value, pos
@@ -968,7 +975,8 @@ def ball(
     With a ball store attached, a stored ball of radius >= r for the same
     marked structure is reused (filtered down): its sorted encodings are
     decoded in one batch by ``ctx.decode_many``, which on wreath products
-    reads each lamp prefix once.  Fresh results are saved.
+    has each lamp parsed once per run of shared leading lamps.  Fresh
+    results are saved.
     The search expands one whole level per call of the space's ``expand``;
     on wreath products the states are ints in the context's packed lamp
     space.  A searched ball's elements and encodings are then built in one

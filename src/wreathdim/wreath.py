@@ -164,55 +164,91 @@ class WreathContext(MarkedGroup):
         out += keys[x.cursor]
 
     def _decode_lamps(
-        self, data: bytes | memoryview, pos: int
-    ) -> tuple[tuple[tuple[Element, Element], ...], int]:
-        """The lamp count and lamps at ``pos``; return (lamps, position of the cursor)."""
-        count, pos = read_uvarint(data, pos)
-        lamps = []
-        prev_key: bytes | None = None
-        for _ in range(count):
+        self,
+        data: bytes | memoryview,
+        pos: int,
+        count: int,
+        ends: list[int],
+        keys: list[bytes],
+        pairs: list[tuple[Element, Element]],
+    ) -> int:
+        """Read lamps at ``pos`` until ``pairs`` holds ``count``; return the position after them.
+
+        Each lamp's position must follow the last of ``keys``.  Appends its
+        end offset, position key and (position, value) pair.
+        """
+        base_from, fiber_from = self.base.decode_from, self.fiber.decode_from
+        fiber_id = self._fiber_id
+        prev_key = keys[-1] if keys else None
+        for _ in range(count - len(pairs)):
             start = pos
-            position, pos = self.base.decode_from(data, pos)
-            # decoders accept only canonical bytes, so these are sort_key(position)
+            position, pos = base_from(data, pos)
+            # decoders accept only canonical bytes, so this is sort_key(position)
             key = bytes(data[start:pos])
-            value, pos = self.fiber.decode_from(data, pos)
-            if value == self._fiber_id:
+            value, pos = fiber_from(data, pos)
+            if value == fiber_id:
                 raise EncodingError("identity fiber value stored as a lamp")
             if prev_key is not None and key <= prev_key:
                 raise EncodingError("lamp positions not in strictly increasing canonical order")
             prev_key = key
-            lamps.append((position, value))
-        return tuple(lamps), pos
+            ends.append(pos)
+            keys.append(key)
+            pairs.append((position, value))
+        return pos
 
     def decode_from(self, data: bytes | memoryview, pos: int) -> tuple[WreathElement, int]:
-        lamps, pos = self._decode_lamps(data, pos)
+        count, pos = read_uvarint(data, pos)
+        pairs: list[tuple[Element, Element]] = []
+        pos = self._decode_lamps(data, pos, count, [], [], pairs)
         cursor, pos = self.base.decode_from(data, pos)
-        return WreathElement(lamps, cursor), pos
+        return WreathElement(tuple(pairs), cursor), pos
 
     def decode_many(self, encodings: Iterable[bytes]) -> list[WreathElement]:
-        """``[decode(e) for e in encodings]``, reading each run of equal lamps once.
+        """``[decode(e) for e in encodings]``, with each lamp parsed once per
+        run of shared leading lamps.
 
-        In sorted encodings, elements with the same lamps are adjacent and
-        share the lamp bytes as a prefix.  The lamp parser reads left to
-        right and looks at no byte past the lamps, so an encoding that starts
-        with the last parsed prefix has those lamps; its tail must then
-        decode as exactly one cursor, memoized by its bytes.  Elements of one
-        run share one lamps tuple.
+        Every kind's encoding is prefix-free and read left to right, so lamp
+        bytes at the same offset decode to the same pair and end at the
+        same place.  An encoding with the last parsed prefix's lamp-count
+        bytes keeps that prefix's leading lamps whose bytes it repeats and
+        parses from the first lamp that differs, whose position key must
+        follow the last kept lamp's.  An encoding that starts with the whole
+        prefix has its lamps; its tail must then decode as exactly one
+        cursor, memoized by its bytes.  Kept lamp pairs are shared.
         """
-        base_decode = self.base.decode
+        base_decode, new = self.base.decode, tuple.__new__
         cursors: dict[bytes, Element] = {}
+        # the last parsed prefix, its count bytes, and per lamp its end
+        # offset, position key and (position, value) pair
         prefix: bytes | None = None
+        head = b""
+        ends: list[int] = []
+        keys: list[bytes] = []
+        pairs: list[tuple[Element, Element]] = []
         lamps: tuple[tuple[Element, Element], ...] = ()
         out = []
         for enc in encodings:
             if prefix is None or not enc.startswith(prefix):
-                lamps, end = self._decode_lamps(enc, 0)
-                prefix = enc[:end]
+                kept = 0
+                if head and enc.startswith(head):
+                    # not the whole prefix, so some lamp differs
+                    count, pos = len(pairs), len(head)
+                    while enc.startswith(prefix[pos : ends[kept]], pos):
+                        pos = ends[kept]
+                        kept += 1
+                else:
+                    count, pos = read_uvarint(enc, 0)
+                    head = enc[:pos]
+                del ends[kept:], keys[kept:], pairs[kept:]
+                pos = self._decode_lamps(enc, pos, count, ends, keys, pairs)
+                lamps = tuple(pairs)
+                prefix = enc[:pos]
             tail = enc[len(prefix) :]
             cursor = cursors.get(tail)
             if cursor is None:
                 cursor = cursors[tail] = base_decode(tail)
-            out.append(WreathElement(lamps, cursor))
+            # tuple.__new__ skips the NamedTuple constructor's Python frame
+            out.append(new(WreathElement, (lamps, cursor)))
         return out
 
     # -- text forms ----------------------------------------------------------------

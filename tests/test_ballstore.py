@@ -127,6 +127,24 @@ def test_from_bytes_rejects_non_minimal_and_truncated_varints(z):
             BallRecord.from_bytes(_ball_file(rec, body))
 
 
+def test_from_bytes_refuses_a_size_varint_at_the_body_end(z):
+    rec = BallRecord(z.spec_hash, Fraction(3), (z.encode(0), z.encode(-1)), (0, 1))
+    # the first entry ends the body, so the second size starts at its end
+    with pytest.raises(IntegrityError) as info:
+        BallRecord.from_bytes(_ball_file(rec, b"\x01\x00"))
+    assert str(info.value) == "corrupt varint in ball body: truncated varint at byte 2"
+
+
+def test_from_bytes_refuses_a_last_encoding_one_byte_past_the_body(z):
+    rec = BallRecord(z.spec_hash, Fraction(3), (z.encode(0), z.encode(-1)), (0, 1))
+    long = BallRecord("ab" * 32, Fraction(3), (b"\x02" * 130,), (0,))
+    # one-byte and two-byte sizes, each one more than the bytes left
+    for record, body in ((rec, b"\x01\x00\x02\x01"), (long, encode_uvarint(130) + b"\x02" * 129)):
+        with pytest.raises(IntegrityError) as info:
+            BallRecord.from_bytes(_ball_file(record, body))
+        assert str(info.value) == "element encoding runs past the body"
+
+
 def test_ball_file_bytes_are_frozen(lamplighter):
     # the content id of ball(L2, 6)'s record: any change to the file bytes changes it
     rec = make_record(lamplighter, 6)

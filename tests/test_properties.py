@@ -296,6 +296,87 @@ def test_decode_many_refuses_exactly_what_decode_refuses(name, data):
     assert _refused_or(ctx.decode_many, batch) == one_by_one
 
 
+BATCHED_WREATHS = [name for name in sorted(BATCHED) if isinstance(BATCHED[name][0], WreathContext)]
+
+
+@pytest.mark.parametrize("name", BATCHED_WREATHS)
+def test_decode_many_orders_the_first_parsed_lamp_after_the_kept_ones(name):
+    ctx, _ = BATCHED[name]
+    for enc in ball_encodings(name):
+        x = ctx.decode(enc)
+        if len(x.lamps) >= 2:
+            # every lamp but the last kept, then the first lamp again
+            bad = _wreath_bytes(ctx, [*x.lamps[:-1], x.lamps[0]], x.cursor)
+            for batch in ([bad], [enc, bad]):
+                with pytest.raises(EncodingError, match="strictly increasing"):
+                    ctx.decode_many(batch)
+
+
+def _lamp_and_cursor_parses(elements):
+    """Base decodes a batch needs: per distinct lamps, those past the leading run it
+    shares with the previous distinct lamps of equal count; per distinct cursor, one."""
+    parses, prev = 0, ()
+    for lamps in dict.fromkeys(x.lamps for x in elements):
+        shared = 0
+        if len(lamps) == len(prev):
+            while shared < len(lamps) and lamps[shared] == prev[shared]:
+                shared += 1
+        parses += len(lamps) - shared
+        prev = lamps
+    return parses + len({x.cursor for x in elements})
+
+
+@pytest.mark.parametrize("fiber, r, parses", [(2, 12, 959), (3, 10, 2237)])
+def test_decode_many_parses_each_lamp_once_per_run_of_shared_leading_lamps(fiber, r, parses):
+    # a context of its own, so patching its base touches no other test's group
+    ctx = WreathContext(CyclicGroup(fiber), IntegerGroup())
+    elements = ball(ctx, r).elements
+    encs = [ctx.encode(x) for x in elements]
+    assert encs == sorted(encs)
+    base_decode_from = ctx.base.decode_from
+    with mock.patch.object(ctx.base, "decode_from", side_effect=base_decode_from) as calls:
+        assert ctx.decode_many(encs) == list(elements)
+    assert calls.call_count == _lamp_and_cursor_parses(elements) == parses
+
+
+def _outcome(decode_from, data, pos):
+    try:
+        return decode_from(data, pos)
+    except EncodingError as exc:
+        return str(exc)
+
+
+def _read_residue(modulus):
+    def read(data, pos):
+        value, pos = read_uvarint(data, pos)
+        if value >= modulus:
+            raise EncodingError(f"cyclic residue {value} out of range for modulus {modulus}")
+        return value, pos
+
+    return read
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=6), st.data())
+def test_one_byte_decoders_match_the_varint_readers(data, draw):
+    pos = draw.draw(st.integers(0, len(data)))
+    for raw in (data, memoryview(data)):
+        assert _outcome(Z.decode_from, raw, pos) == _outcome(read_svarint, raw, pos)
+        for modulus in (3, 100, 300):
+            assert _outcome(CyclicGroup(modulus).decode_from, raw, pos) == _outcome(
+                _read_residue(modulus), raw, pos
+            )
+
+
+def test_one_byte_decoders_still_refuse_non_minimal_and_truncated_varints():
+    for decode_from in (Z.decode_from, CyclicGroup(300).decode_from):
+        with pytest.raises(EncodingError, match="non-minimal varint at byte 0"):
+            decode_from(b"\x80\x00", 0)
+        for data, pos in ((b"", 0), (b"\x05", 1), (b"\x80", 0), (b"\x01\xff", 1)):
+            with pytest.raises(EncodingError, match=f"truncated varint at byte {pos}"):
+                decode_from(data, pos)
+
+
 # -- the search kernel ----------------------------------------------------------------
 
 # every kind of search space: generic Cayley states, and packed lamp states
