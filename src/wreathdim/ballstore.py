@@ -148,9 +148,15 @@ class BallRecord:
             raise IntegrityError(f"ball record invariant violated: {exc}") from exc
 
     def filter_to(self, radius: Fraction) -> "BallRecord":
-        """Restrict to the open ball of a smaller (or equal) radius."""
+        """Restrict to the open ball of a smaller (or equal) radius.
+
+        At the record's own radius this is the record itself: it is frozen
+        and was validated when built.
+        """
         if radius > self.radius:
             raise ValueError(f"cannot widen a radius-{self.radius} ball to {radius}")
+        if radius == self.radius:
+            return self
         cutoff = max_length_below(radius)
         keep = [l <= cutoff for l in self.lengths]
         return BallRecord(

@@ -14,6 +14,8 @@ the ball cache.  All arithmetic is exact: lengths are ints, radii are
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import itertools
 import math
@@ -947,6 +949,27 @@ class BallTable:
         return iter(self.elements)
 
 
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the body with the cyclic garbage collector off, then restore its state.
+
+    Building a table allocates ~10^5 containers that outlive the call.
+    ``WreathElement`` is a NamedTuple, and CPython untracks only exact
+    tuples, so every held wreath element (and every dict keyed by one) stays
+    tracked; with the collector on, such a burst sets off full collections
+    that rescan all of them.  Callers build only acyclic objects here, which
+    reference counting alone frees.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def _bfs_lengths(space: Any, max_len: int, budget: int) -> dict[Any, int]:
     start = space.identity_state()
     dist: dict[Any, int] = {start: 0}
@@ -982,18 +1005,22 @@ def ball(
     space.  A searched ball's elements and encodings are then built in one
     batch by the space, once per lamp mask on wreath products, and ordered
     by encoding, so neither depends on the ids earlier searches handed out.
+    The load, or the search and build, runs with the cyclic garbage collector
+    paused (``_collector_paused``), which is safe since what it builds holds
+    no reference cycle.
     """
     radius = as_radius(r)
     budget = DEFAULT_BUDGET if budget is None else budget
-    if store is not None:
-        record = store.load(ctx.spec_hash, radius)
-        if record is not None:
-            elements = tuple(ctx.decode_many(record.encodings))
-            lengths = dict(zip(elements, record.lengths))
-            return BallTable(ctx, radius, elements, lengths)
-    space = ctx._search_space()
-    dist = _bfs_lengths(space, max_length_below(radius), budget)
-    table, encodings = _sorted_table(ctx, space, radius, dist)
+    with _collector_paused():
+        if store is not None:
+            record = store.load(ctx.spec_hash, radius)
+            if record is not None:
+                elements = tuple(ctx.decode_many(record.encodings))
+                lengths = dict(zip(elements, record.lengths))
+                return BallTable(ctx, radius, elements, lengths)
+        space = ctx._search_space()
+        dist = _bfs_lengths(space, max_length_below(radius), budget)
+        table, encodings = _sorted_table(ctx, space, radius, dist)
     if store is not None:
         from .ballstore import BallRecord
 
@@ -1131,7 +1158,9 @@ class LengthOracle:
     bound without a search, since the BFS is complete up to its reach, and
     a ball no deeper than the reach is built from the held states without
     a search of its own.  Distances use left-invariance:
-    ``d(x, y) = word_length(x^-1 y)``.
+    ``d(x, y) = word_length(x^-1 y)``.  A new table is built and copied into
+    the memo with the cyclic garbage collector paused, as in ``ball()``,
+    which is safe since neither holds a reference cycle.
 
     The public ``length``, ``length_at_most``, ``distance`` and
     ``distance_at_most`` canonicalize their input first, so a malformed
@@ -1173,14 +1202,15 @@ class LengthOracle:
                 sub = BallTable(self.ctx, radius, elements, lengths)
                 self._tables[max_len] = sub
                 return sub
-        if max_len <= self._reach:
-            # BFS records states level by level, so the ball is a prefix of the search
-            held = itertools.takewhile(lambda item: item[1] <= max_len, self._searched.items())
-            table, _ = _sorted_table(self.ctx, self._space, radius, dict(held))
-        else:
-            table = ball(self.ctx, radius, budget=self.budget)
-        self._tables[max_len] = table
-        self._memo.update(table.lengths)
+        with _collector_paused():
+            if max_len <= self._reach:
+                # BFS records states level by level, so the ball is a prefix of the search
+                held = itertools.takewhile(lambda item: item[1] <= max_len, self._searched.items())
+                table, _ = _sorted_table(self.ctx, self._space, radius, dict(held))
+            else:
+                table = ball(self.ctx, radius, budget=self.budget)
+            self._tables[max_len] = table
+            self._memo.update(table.lengths)
         return table
 
     def growth(self, r: int | Fraction) -> int:

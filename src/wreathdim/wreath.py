@@ -38,7 +38,12 @@ from .groups import (
 
 
 class WreathElement(NamedTuple):
-    """Lamps as ((position, fiber value), ...) sorted by position encoding, plus cursor."""
+    """Lamps as ((position, fiber value), ...) sorted by position encoding, plus cursor.
+
+    Instances stay tracked by the cyclic garbage collector for as long as
+    they live, since CPython untracks only exact tuples, so tables of them
+    are built with the collector paused.
+    """
 
     lamps: tuple[tuple[Element, Element], ...]
     cursor: Element

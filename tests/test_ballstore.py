@@ -160,6 +160,11 @@ def test_filter_to_smaller_radius(z):
     assert max(small.lengths) <= 2
 
 
+def test_filter_to_own_radius_is_the_record(z):
+    rec = make_record(z, 4)
+    assert rec.filter_to(rec.radius) is rec
+
+
 def test_filter_to_cannot_widen(z):
     rec = make_record(z, 4)
     with pytest.raises(ValueError):
