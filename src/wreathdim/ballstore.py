@@ -192,7 +192,7 @@ class BallStore:
         return list(data.get("balls", []))
 
     def _write_manifest(self, entries: list[dict]) -> None:
-        payload = json.dumps({"version": 1, "balls": entries}, indent=0, sort_keys=True)
+        payload = json.dumps({"version": 1, "balls": entries}, sort_keys=True)
         tmp = self._manifest_path.with_suffix(".json.tmp")
         tmp.write_text(payload)
         os.replace(tmp, self._manifest_path)

@@ -20,6 +20,7 @@ import hashlib
 import itertools
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, ClassVar, Iterable, Iterator
@@ -60,6 +61,8 @@ def same_group(a: "MarkedGroup", b: "MarkedGroup") -> bool:
 
 #: The signed value of each one-byte svarint, by byte.
 _ZIGZAG_BYTES = tuple(read_svarint(bytes([b]), 0)[0] for b in range(0x80))
+#: The one-byte uvarint of each count below 0x80.
+_COUNT_BYTES = tuple(bytes([n]) for n in range(0x80))
 
 _INTEGER = re.compile(r"-?[0-9]+")
 _LETTERS = re.compile(r"[a-zA-Z]+")
@@ -380,6 +383,21 @@ class CyclicGroup(MarkedGroup):
         return self._solutions_in_finite(t, h)
 
 
+def _free_letter_tables(rank: int) -> tuple[bytes, tuple[int | None, ...]]:
+    """By a letter's signed byte, its one-byte svarint if within ``rank``, else
+    0x80; and by a one-byte svarint, its letter if within ``rank``, else None."""
+    letter_bytes = bytearray([0x80] * 256)
+    for b, letter in enumerate(_ZIGZAG_BYTES):
+        if 0 < abs(letter) <= rank:
+            letter_bytes[letter & 0xFF] = b
+    in_rank = tuple(letter if 0 < abs(letter) <= rank else None for letter in _ZIGZAG_BYTES)
+    return bytes(letter_bytes), in_rank
+
+
+#: ``_free_letter_tables`` of each free rank, 1 to 4.
+_FREE_LETTER_TABLES = tuple(_free_letter_tables(rank) for rank in range(1, 5))
+
+
 class FreeGroup(MarkedGroup):
     """Free group of finite rank; elements are reduced tuples of signed letters.
 
@@ -394,6 +412,7 @@ class FreeGroup(MarkedGroup):
         if not 1 <= rank <= 4:
             raise ValueError(f"free rank must be in 1..4, got {rank}")
         self.rank = rank
+        self._letter_bytes, self._byte_letters = _FREE_LETTER_TABLES[rank - 1]
         if generators is None:
             generators = tuple((i,) for i in range(1, rank + 1))
         super().__init__(generators)
@@ -427,6 +446,17 @@ class FreeGroup(MarkedGroup):
         return None
 
     def _encode_into(self, out: bytearray, x: tuple[int, ...]) -> None:
+        if len(x) < 0x80:
+            # fewer than 0x80 letters, all within the rank: every varint is one byte
+            try:
+                letters = array("b", x).tobytes().translate(self._letter_bytes)
+            except (OverflowError, TypeError):
+                pass
+            else:
+                if letters.isascii():
+                    out.append(len(x))
+                    out += letters
+                    return
         write_uvarint(out, len(x))
         for letter in x:
             write_svarint(out, letter)
@@ -440,20 +470,38 @@ class FreeGroup(MarkedGroup):
         return self.canonicalize(tuple(letters)), pos
 
     def decode_many(self, encodings: Iterable[bytes]) -> list[tuple[int, ...]]:
-        """``[decode(e) for e in encodings]``, reading one-byte words from a table.
+        """``[decode(e) for e in encodings]``, building each word from its parent.
 
         A word whose count and letters are all single-byte varints is its
         count byte then one byte per letter: all bytes below 0x80 and the
-        length one more than the count.  Any other encoding goes to ``decode``.
+        length one more than the count.  Such a word of n letters looks up
+        its parent (itself minus the last letter) under the parent's
+        encoding, the count byte n - 1 then the word's letters but the last,
+        among the batch's n - 1 letter words decoded so far.  Found, the word
+        is the parent plus its last letter, which must be within the rank
+        and not the inverse of the parent's last letter; that is exact, since
+        the parent was itself checked.  Any other such word goes through
+        ``canonicalize``, and any other encoding to ``decode``.
         """
-        letter_of = _ZIGZAG_BYTES
+        letter_of, byte_letters = _ZIGZAG_BYTES, self._byte_letters
         canonicalize, decode = self.canonicalize, self.decode
-        return [
-            canonicalize(tuple(map(letter_of.__getitem__, e[1:])))
-            if e and e.isascii() and len(e) == e[0] + 1
-            else decode(e)
-            for e in encodings
-        ]
+        # per word length, the batch's words of that length by their encodings
+        words: list[dict[bytes, tuple[int, ...]]] = [{} for _ in range(0x80)]
+        out = []
+        for e in encodings:
+            if e and e.isascii() and len(e) == e[0] + 1:
+                n = e[0]
+                parent = words[n - 1].get(_COUNT_BYTES[n - 1] + e[1:-1]) if n else None
+                letter = byte_letters[e[-1]]
+                if parent is None or letter is None or parent and parent[-1] == -letter:
+                    word = canonicalize(tuple(map(letter_of.__getitem__, e[1:])))
+                else:
+                    word = parent + (letter,)
+                words[n][e] = word
+            else:
+                word = decode(e)
+            out.append(word)
+        return out
 
     def format_element(self, x: tuple[int, ...]) -> str:
         if not x:

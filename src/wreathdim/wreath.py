@@ -406,6 +406,7 @@ class _PackedLampSpace:
             cell_bytes += [keys[idx] + value_bytes[value] for value in values]
             cell_lamps += [(pos, value) for value in values]
         by_mask: dict[int, tuple[bytes, tuple[tuple[Element, Element], ...]]] = {}
+        new = tuple.__new__
         encodings: list[bytes] = []
         elements: list[WreathElement] = []
         for state in states:
@@ -427,7 +428,8 @@ class _PackedLampSpace:
                 )
             prefix, lamps = entry
             encodings.append(prefix + keys[cursor])
-            elements.append(WreathElement(lamps, positions[cursor]))
+            # tuple.__new__ skips the NamedTuple constructor's Python frame
+            elements.append(new(WreathElement, (lamps, positions[cursor])))
         return encodings, elements
 
     def expand(

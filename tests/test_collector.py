@@ -107,13 +107,8 @@ def test_tables_are_built_with_the_collector_off(lamplighter, collector, monkeyp
     [("L2", 9), ("C3wrZ", 7), ("W2", 5), ("F2", 6)],
 )
 def test_built_tables_leave_no_cyclic_garbage(name, r, collector, tmp_path, lamplighter, plane_lamplighter, f2):
-    """A pause that loses no memory: ball building leaves nothing for the collector.
-
-    Saving is left out, and runs outside the pause: ``BallStore._write_manifest``
-    formats the manifest with ``json.dumps(indent=0)``, which runs the
-    standard library's pure-Python encoder, and that leaves 33 cyclic
-    objects per save (Python 3.11).
-    """
+    """A pause that loses no memory: building, saving and loading balls leave
+    nothing for the collector."""
     ctx = {
         "L2": lamplighter,
         "C3wrZ": WreathContext(CyclicGroup(3), IntegerGroup()),
@@ -121,9 +116,9 @@ def test_built_tables_leave_no_cyclic_garbage(name, r, collector, tmp_path, lamp
         "F2": f2,
     }[name]
     collector(False)
-    store = BallStore(tmp_path)
-    ball(ctx, r, store=store)
     gc.collect()
+    store = BallStore(tmp_path)
+    ball(ctx, r, store=store)  # cold, then saved: store.save writes the manifest
     ball(ctx, r)
     ball(ctx, r, store=store)
     ball(ctx, r - 2, store=store)

@@ -220,7 +220,9 @@ BATCHED = {
     "L2": (L2, 6),
     "C3wrZ": (WREATHS["C3wrZ"], 5),
     "W2": (_C2wrZ2, 4),
+    "F1": (FreeGroup(1), 7),
     "F2": (F2, 4),
+    "F4": (FreeGroup(4), 4),
     "ZxC2": (_ZxC2, 5),
     "C2wr(ZxC2)": (WreathContext(_C2, _ZxC2), 5),
     "(C2wrC2)wrZ": (WreathContext(WreathContext(_C2, _C2), Z), 4),
@@ -254,7 +256,18 @@ def mutations(ctx, enc):
     elif isinstance(ctx, FreeGroup):
         # letter 0, an unreduced word, a letter past the rank, a non-minimal letter
         out += [bytes([1, 0]), bytes([2, 2, 1]), bytes([1, 9]), bytes([1, 0x82, 0x00])]
+        # the source word (the parent) plus a letter past the rank, and plus
+        # the inverse of its last letter
+        x = ctx.decode(enc)
+        out.append(_free_bytes((*x, ctx.rank + 1)))
+        if x:
+            out.append(_free_bytes((*x, -x[-1])))
     return out
+
+
+def _free_bytes(letters):
+    """The varint layout of a word of ``letters`` as given: nothing checked."""
+    return encode_uvarint(len(letters)) + b"".join(encode_svarint(a) for a in letters)
 
 
 def _refused_or(decode, batch):
@@ -310,6 +323,76 @@ def test_decode_many_orders_the_first_parsed_lamp_after_the_kept_ones(name):
             for batch in ([bad], [enc, bad]):
                 with pytest.raises(EncodingError, match="strictly increasing"):
                     ctx.decode_many(batch)
+
+
+BATCHED_FREE = [name for name in sorted(BATCHED) if isinstance(BATCHED[name][0], FreeGroup)]
+
+
+@pytest.mark.parametrize("r", [2, 6, 9])
+def test_free_decode_many_canonicalizes_only_the_identity_of_a_sorted_ball(r):
+    # a group of its own, so patching it touches no other test's group
+    ctx = FreeGroup(2)
+    elements = ball(ctx, r).elements
+    encs = [ctx.encode(x) for x in elements]
+    assert encs == sorted(encs)
+    with mock.patch.object(ctx, "canonicalize", side_effect=ctx.canonicalize) as calls:
+        assert ctx.decode_many(encs) == list(elements)
+    assert calls.call_count == 1
+
+
+def test_free_decode_many_canonicalizes_each_word_whose_parent_is_not_before_it():
+    ctx = FreeGroup(2)
+    encs = [ctx.encode(x) for x in ball(ctx, 5).elements]
+    two_letters = [e for e in encs if e[0] == 2]
+    for batch, canonicalized in (
+        (encs[::-1], 161),  # every parent after its words
+        ([e for e in encs if e[0] != 2], 1 + 36),  # the identity and the 3-letter words
+        (two_letters + encs, 12 + 1),  # the 2-letter words before their parents
+    ):
+        one_by_one = [ctx.decode(e) for e in batch]
+        with mock.patch.object(ctx, "canonicalize", side_effect=ctx.canonicalize) as calls:
+            assert ctx.decode_many(batch) == one_by_one
+        assert calls.call_count == canonicalized
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BATCHED_FREE), st.data())
+def test_free_decode_many_equals_decode_with_parents_missing_or_out_of_order(name, data):
+    ctx, _ = BATCHED[name]
+    encs = ball_encodings(name)
+    batch = data.draw(st.lists(st.sampled_from(encs), max_size=40))
+    if data.draw(st.booleans()):
+        batch.sort(reverse=data.draw(st.booleans()))
+    assert ctx.decode_many(batch) == [ctx.decode(e) for e in batch]
+
+
+@st.composite
+def reduced_words(draw, rank):
+    """Reduced words of up to 300 letters within ``rank``, some of 0x80 letters or more."""
+    size = draw(st.integers(0, 0x7F) | st.integers(0x7E, 300) | st.integers(0, 3))
+    letters = [a for a in range(-rank, rank + 1) if a]
+    word: list[int] = []
+    for pick in draw(st.lists(st.integers(0, 2 * rank - 1), min_size=size, max_size=size)):
+        choices = [a for a in letters if not word or a != -word[-1]]
+        word.append(choices[pick % len(choices)])
+    return tuple(word)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda rank: st.tuples(st.just(rank), reduced_words(rank))))
+def test_free_encode_writes_the_varint_bytes(rank_and_word):
+    rank, word = rank_and_word
+    ctx = FreeGroup(rank)
+    assert ctx.encode(word) == _free_bytes(word)
+    assert ctx.decode(ctx.encode(word)) == word
+    assert ctx.decode_many([ctx.encode(word)]) == [word]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(-300, 300), max_size=0x90))
+def test_free_encode_keeps_the_varint_bytes_of_any_letters(rank, letters):
+    # letter 0, letters past the rank and multi-byte letters take the varint path
+    assert FreeGroup(rank).encode(tuple(letters)) == _free_bytes(letters)
 
 
 def _lamp_and_cursor_parses(elements):
