@@ -76,7 +76,8 @@ def ball_window(oracle: LengthOracle, radius: Radius) -> GroupWindowView:
     triangle bound cannot rule out, a few hundred on the 8-ball of the
     lamplighter, but without the search each of those would be a search of
     its own, which costs more than the one BFS.  Under a budget too small
-    for that BFS, each measured pair gets its own search instead.
+    for that BFS, the search keeps its complete levels, and each measured
+    pair past them gets its own search.
     """
     try:
         oracle.search(2 * max_length_below(as_radius(radius)) + 1)

@@ -170,7 +170,7 @@ class MarkedGroup:
         # Exhaustive closure check; only called for finite kinds.
         total = self.order()
         assert total is not None
-        reached = len(_bfs_lengths(_CayleySpace(self), total, DEFAULT_BUDGET))
+        reached = LengthOracle(self).growth(total + 1)
         if reached != total:
             raise StructureError(
                 f"{self.kind}: marking generates only {reached} of {total} elements"
@@ -1018,20 +1018,43 @@ def _collector_paused() -> Iterator[None]:
         gc.enable()
 
 
-def _bfs_lengths(space: Any, max_len: int, budget: int) -> dict[Any, int]:
-    start = space.identity_state()
-    dist: dict[Any, int] = {start: 0}
-    frontier: list[Any] | None = [start]
-    for depth in range(1, max_len + 1):
-        if not frontier:
-            break
-        frontier = space.expand(frontier, dist, depth, budget)
-        if frontier is None:
-            raise BudgetExceededError(
-                f"ball search exceeded the node budget of {budget} "
-                f"at depth {depth}; raise the budget to continue"
-            )
-    return dist
+class _BallSearch:
+    """One BFS from the identity of a search space, resumed one level at a time.
+
+    ``seen`` maps each state found to its depth, in discovery order,
+    ``frontier`` lists the last level searched, and ``counts[d]`` is the
+    number of states of depth at most ``d``.  ``seen`` is complete up to
+    depth ``reach``, infinite once a level comes out empty.  A level over
+    the budget is dropped again, so a resumed search holds, and fails at,
+    what a fresh one does.
+    """
+
+    def __init__(self, space: Any, budget: int):
+        start = space.identity_state()
+        self.space, self.budget, self.reach = space, budget, 0
+        self.seen, self.frontier, self.counts = {start: 0}, [start], [1]
+
+    def extend(self, max_len: int) -> int:
+        """Search up to depth ``max_len``, collector paused; return the states that deep."""
+        seen, counts = self.seen, self.counts
+        with _collector_paused():
+            while self.reach < max_len:
+                depth = self.reach + 1
+                try:
+                    frontier = self.space.expand(self.frontier, seen, depth, self.budget)
+                    if frontier is None:
+                        raise BudgetExceededError(
+                            f"ball search exceeded the node budget of {self.budget} "
+                            f"at depth {depth}; raise the budget to continue"
+                        )
+                except BaseException:  # keep only complete levels
+                    while len(seen) > counts[-1]:
+                        seen.popitem()
+                    raise
+                self.frontier = frontier
+                counts.append(len(seen))
+                self.reach = depth if frontier else math.inf
+        return counts[min(max_len, len(counts) - 1)]
 
 
 def ball(
@@ -1046,19 +1069,12 @@ def ball(
     With a ball store attached, a stored ball of radius >= r for the same
     marked structure is reused (filtered down): its sorted encodings are
     decoded in one batch by ``ctx.decode_many``, which on wreath products
-    has each lamp parsed once per run of shared leading lamps.  Fresh
-    results are saved.
-    The search expands one whole level per call of the space's ``expand``;
-    on wreath products the states are ints in the context's packed lamp
-    space.  A searched ball's elements and encodings are then built in one
-    batch by the space, once per lamp mask on wreath products, and ordered
-    by encoding, so neither depends on the ids earlier searches handed out.
-    The load, or the search and build, runs with the cyclic garbage collector
-    paused (``_collector_paused``), which is safe since what it builds holds
-    no reference cycle.
+    has each lamp parsed once per run of shared leading lamps.  Otherwise
+    the ball is ``LengthOracle(ctx, budget=budget).ball(r)``, saved with the
+    encodings its ordering computed.  Loads, like searches, run with the
+    cyclic garbage collector paused (``_collector_paused``).
     """
     radius = as_radius(r)
-    budget = DEFAULT_BUDGET if budget is None else budget
     with _collector_paused():
         if store is not None:
             record = store.load(ctx.spec_hash, radius)
@@ -1066,20 +1082,11 @@ def ball(
                 elements = tuple(ctx.decode_many(record.encodings))
                 lengths = dict(zip(elements, record.lengths))
                 return BallTable(ctx, radius, elements, lengths)
-        space = ctx._search_space()
-        dist = _bfs_lengths(space, max_length_below(radius), budget)
-        table, encodings = _sorted_table(ctx, space, radius, dist)
+        table, encodings = LengthOracle(ctx, budget=budget)._sorted_ball(radius)
     if store is not None:
         from .ballstore import BallRecord
 
-        store.save(
-            BallRecord(
-                spec_hash=ctx.spec_hash,
-                radius=radius,
-                encodings=tuple(encodings),
-                lengths=tuple(table.lengths.values()),
-            )
-        )
+        store.save(BallRecord(ctx.spec_hash, radius, tuple(encodings), tuple(table.lengths.values())))
     return table
 
 
@@ -1088,8 +1095,10 @@ def _sorted_table(
 ) -> tuple[BallTable, list[bytes]]:
     """The ball of the states ``dist`` maps to their lengths, ordered by encoding.
 
-    Returns the table, whose ``lengths`` follow the same order, and the
-    elements' encodings in that order.
+    The space builds the elements and encodings in one batch (once per lamp
+    mask on wreath products), and the order does not depend on the ids
+    earlier searches handed out.  Returns the table, whose ``lengths``
+    follow the same order, and the elements' encodings in that order.
     """
     encodings, values = space.encoded_values(dist)
     order = sorted(range(len(encodings)), key=encodings.__getitem__)
@@ -1197,18 +1206,16 @@ def evaluate_word(ctx: Any, letters: Iterable[Element]) -> Element:
 class LengthOracle:
     """Memoizing exact length/distance oracle for one marked context.
 
-    Balls computed through the oracle prefill the length memo.  ``search(r)``
-    instead keeps the lengths of a plain BFS up to ``max_length_below(r)``,
-    keyed by search state, and its *reach*, the largest length it covers.
-    A memo miss looks its element's state up there, so repeated distance
-    queries inside a window cost one dict lookup, with no element of the
-    searched ball ever built.  A miss with ``bound <= reach`` is past the
-    bound without a search, since the BFS is complete up to its reach, and
-    a ball no deeper than the reach is built from the held states without
-    a search of its own.  Distances use left-invariance:
-    ``d(x, y) = word_length(x^-1 y)``.  A new table is built and copied into
-    the memo with the cyclic garbage collector paused, as in ``ball()``,
-    which is safe since neither holds a reference cycle.
+    The oracle holds one BFS from the identity (``_BallSearch``), which each
+    query resumes: ``search(r)`` extends it to ``max_length_below(r)``,
+    ``growth(r)`` counts its states by depth, and ``ball(r)`` builds the
+    table of its states to that depth, a prefix of the search, with the
+    collector paused as in ``ball()`` and cached per radius.  A length query
+    looks its element's state up in the search, one dict lookup with no
+    element of the searched ball built; a miss with ``bound <= reach`` is
+    past the bound, as the BFS is complete to its reach, and other misses
+    run ``word_length`` and are memoized.  Distances use left-invariance:
+    ``d(x, y) = word_length(x^-1 y)``.
 
     The public ``length``, ``length_at_most``, ``distance`` and
     ``distance_at_most`` canonicalize their input first, so a malformed
@@ -1220,49 +1227,38 @@ class LengthOracle:
     def __init__(self, ctx: Any, *, budget: int | None = None):
         self.ctx = ctx
         self.budget = DEFAULT_BUDGET if budget is None else budget
-        self._memo: dict[Element, int] = {ctx.identity(): 0}
+        self._memo: dict[Element, int] = {}
         self._tables: dict[int, BallTable] = {}
-        self._space = ctx._search_space()
-        self._searched: dict[Any, int] = {}
-        self._reach = -1
+        self._bfs = _BallSearch(ctx._search_space(), self.budget)
 
     def search(self, r: int | Fraction) -> None:
-        """Keep the BFS lengths of the open ``r``-ball by state, if deeper than held.
+        """Extend the held BFS to the open ``r``-ball, building no element or table.
 
-        Builds no element, encoding or table.  A search over the budget
-        raises ``BudgetExceededError`` and leaves the held search as it was.
+        A level over the budget raises ``BudgetExceededError`` and is
+        dropped; the levels before it stay, and a later call resumes there.
         """
-        max_len = max_length_below(as_radius(r))
-        if max_len > self._reach:
-            self._searched = _bfs_lengths(self._space, max_len, self.budget)
-            self._reach = max_len
+        self._bfs.extend(max_length_below(as_radius(r)))
 
     def ball(self, r: int | Fraction) -> BallTable:
         radius = as_radius(r)
-        max_len = max_length_below(radius)
-        cached = self._tables.get(max_len)
-        if cached is not None:
-            return BallTable(self.ctx, radius, cached.elements, cached.lengths)
-        for have_len, table in sorted(self._tables.items()):
-            if have_len >= max_len:
-                elements = tuple(x for x in table.elements if table.lengths[x] <= max_len)
-                lengths = {x: table.lengths[x] for x in elements}
-                sub = BallTable(self.ctx, radius, elements, lengths)
-                self._tables[max_len] = sub
-                return sub
+        cached = self._tables.get(max_length_below(radius))
+        if cached is None:
+            return self._sorted_ball(radius)[0]
+        return BallTable(self.ctx, radius, cached.elements, cached.lengths)
+
+    def _sorted_ball(self, radius: Fraction) -> tuple[BallTable, list[bytes]]:
+        """Build and cache the ``radius``-ball; return it and its encodings in table order."""
+        max_len, seen = max_length_below(radius), self._bfs.seen
         with _collector_paused():
-            if max_len <= self._reach:
-                # BFS records states level by level, so the ball is a prefix of the search
-                held = itertools.takewhile(lambda item: item[1] <= max_len, self._searched.items())
-                table, _ = _sorted_table(self.ctx, self._space, radius, dict(held))
-            else:
-                table = ball(self.ctx, radius, budget=self.budget)
-            self._tables[max_len] = table
-            self._memo.update(table.lengths)
-        return table
+            count = self._bfs.extend(max_len)
+            # BFS records states level by level, so the ball is a prefix of the search
+            held = seen if count == len(seen) else dict(itertools.islice(seen.items(), count))
+            table, encodings = _sorted_table(self.ctx, self._bfs.space, radius, held)
+        self._tables[max_len] = table
+        return table, encodings
 
     def growth(self, r: int | Fraction) -> int:
-        return len(self.ball(r))
+        return self._bfs.extend(max_length_below(as_radius(r)))
 
     def _known_length(self, g: Element, bound: int | None = None) -> int | None:
         """Length of a canonical ``g`` (None past ``bound``).
@@ -1271,11 +1267,11 @@ class LengthOracle:
         only when neither can answer.
         """
         hit = self._memo.get(g)
-        if hit is None and self._searched:
-            hit = self._searched.get(self._space.state_of(g))
+        if hit is None:
+            hit = self._bfs.seen.get(self._bfs.space.state_of(g))
             if hit is not None:
                 self._memo[g] = hit
-            elif bound is not None and bound <= self._reach:
+            elif bound is not None and bound <= self._bfs.reach:
                 return None
         if hit is not None:
             return hit if bound is None or hit <= bound else None

@@ -585,8 +585,8 @@ def kernel_window(
 ) -> tuple[WreathElement, ...]:
     """Kernel elements of the open ball of radius ``r``, in canonical order.
 
-    The ball comes from ``oracle`` (a fresh one for ``ctx`` if omitted), so a
-    larger ball the oracle already holds is filtered instead of searched again.
+    The ball comes from ``oracle`` (a fresh one for ``ctx`` if omitted), so
+    levels the oracle has searched already are read, not searched again.
     """
     if oracle is None:
         oracle = LengthOracle(ctx)

@@ -79,15 +79,17 @@ def oracle_lamplighter(lamplighter):
 
 
 @pytest.fixture
-def searched_balls(monkeypatch):
-    """Every ball that a fresh search builds during the test, in order."""
-    tables = []
-    search = groups.ball
+def searched_levels(monkeypatch):
+    """The depth of every BFS level a held search expands during the test, in order."""
+    levels = []
+    extend = groups._BallSearch.extend
 
-    def recording_ball(ctx, r, **kwargs):
-        table = search(ctx, r, **kwargs)
-        tables.append(table)
-        return table
+    def recording_extend(search, max_len):
+        before = len(search.counts)
+        try:
+            return extend(search, max_len)
+        finally:
+            levels.extend(range(before, len(search.counts)))
 
-    monkeypatch.setattr(groups, "ball", recording_ball)
-    return tables
+    monkeypatch.setattr(groups._BallSearch, "extend", recording_extend)
+    return levels

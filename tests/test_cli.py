@@ -116,7 +116,7 @@ def test_components_whole_window(capsys):
 # -- control -------------------------------------------------------------------
 
 
-def test_control_kernel_mode(capsys, searched_balls):
+def test_control_kernel_mode(capsys, searched_levels):
     rows = run_csv(
         capsys,
         [
@@ -139,8 +139,8 @@ def test_control_kernel_mode(capsys, searched_balls):
         ("35", 1),
     ]
     assert all(r["ok"] == "True" for r in rows)
-    # the kernel window is filtered from ball(10); no pair-distance ball is searched
-    assert max(table.radius for table in searched_balls) == 10
+    # the kernel window comes from the 10-ball's levels; no pair-distance level is searched
+    assert max(searched_levels) == 9
 
 
 def test_control_pullback_mode(capsys):

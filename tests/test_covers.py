@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from wreathdim import groups
 from wreathdim import (
     BudgetExceededError,
     CyclicGroup,
@@ -96,7 +95,7 @@ def test_group_window_view_neighbors_by_translation(z, oracle_z):
 # -- components ----------------------------------------------------------------
 
 
-def test_ball_window_prefills_every_pair_distance(lamplighter, searched_balls, monkeypatch):
+def test_ball_window_prefills_every_pair_distance(lamplighter, searched_levels, monkeypatch):
     oracle = LengthOracle(lamplighter)
     searches = []
     search = LengthOracle.search
@@ -110,10 +109,11 @@ def test_ball_window_prefills_every_pair_distance(lamplighter, searched_balls, m
     # window points have length <= 2, so pairs reach distance 4: one search of
     # the radius-5 ball holds every pair, a radius-4 ball (lengths <= 3) would not.
     assert searches == [5]
-    assert oracle._reach == 4
+    assert searched_levels == [1, 2, 3, 4]
+    assert oracle._bfs.reach == 4
     # the search built no radius-5 table, and the window's ball came from its states
-    assert searched_balls == []
-    ctx, searched, state_of = lamplighter, oracle._searched, oracle._space.state_of
+    assert list(oracle._tables) == [2]
+    ctx, searched, state_of = lamplighter, oracle._bfs.seen, oracle._bfs.space.state_of
     assert list(view.points) == sorted(view.points, key=ctx.encode)
     assert sorted(map(state_of, view.points)) == sorted(s for s, n in searched.items() if n <= 2)
     gaps = [ctx.multiply(ctx.inverse(a), b) for a in view.points for b in view.points]
@@ -121,18 +121,11 @@ def test_ball_window_prefills_every_pair_distance(lamplighter, searched_balls, m
     assert max(searched[state_of(g)] for g in gaps) == 4
 
 
-def test_ball_window_runs_one_search(lamplighter, monkeypatch):
+def test_ball_window_runs_one_search(lamplighter, searched_levels):
     oracle = LengthOracle(lamplighter)
-    depths = []
-    bfs = groups._bfs_lengths
-
-    def recording_bfs(space, max_len, budget):
-        depths.append(max_len)
-        return bfs(space, max_len, budget)
-
-    monkeypatch.setattr(groups, "_bfs_lengths", recording_bfs)
     view = ball_window(oracle, 8)
-    assert depths == [14]
+    # each level to depth 14 once: the window's 8-ball is a prefix of that search
+    assert searched_levels == list(range(1, 15))
     fresh = ball(lamplighter, 8)
     assert view.points == fresh.elements
     assert oracle.ball(8).lengths == fresh.lengths
@@ -140,15 +133,20 @@ def test_ball_window_runs_one_search(lamplighter, monkeypatch):
 
 def test_ball_window_under_a_small_budget_measures_pairs_one_by_one(lamplighter):
     small = LengthOracle(lamplighter, budget=200)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="at depth 7;"):
         small.search(9)
-    # a search over the budget keeps no partial result
-    assert small._searched == {} and small._reach == -1
-    small.search(3)
-    held = dict(small._searched)
-    with pytest.raises(BudgetExceededError):
+    # a search over the budget keeps exactly its complete levels, as a fresh search lists them
+    held = small._bfs
+    assert held.reach == 6 and held.counts == [1, 4, 10, 22, 44, 84, 155]
+    fresh = LengthOracle(lamplighter)
+    fresh.search(7)
+    assert list(held.seen.items()) == list(fresh._bfs.seen.items())
+    with pytest.raises(BudgetExceededError, match="at depth 7;"):
         small.search(9)
-    assert small._searched == held and small._reach == 2
+    assert list(held.seen.items()) == list(fresh._bfs.seen.items())
+    # and later calls within the budget still answer from it
+    assert small.growth(7) == 155
+    assert small.ball(6).elements == ball(lamplighter, 6).elements
     view = ball_window(small, 5)
     full = ball_window(LengthOracle(lamplighter), 5)
     assert view.points == full.points

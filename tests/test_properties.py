@@ -504,6 +504,47 @@ def test_minimal_word_never_longer_than_any_witness(letters):
     assert evaluate_word(L2, word) == g
 
 
+# the largest radius each resumed oracle is asked for: packed lamp states over
+# Z and Z^2, Cayley states of an infinite group and of a finite one (S3)
+RESUMED = {
+    "L2": (L2, 8),
+    "C3wrZ": (WREATHS["C3wrZ"], 6),
+    "W2": (_C2wrZ2, 5),
+    "F2": (F2, 5),
+    "ZxC2": (_ZxC2, 8),
+    "S3": (S3, 6),
+}
+
+
+@functools.cache
+def _fresh_ball(name, r):
+    table = ball(RESUMED[name][0], r)
+    return table.elements, list(table.lengths.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(RESUMED)), st.data())
+def test_a_resumed_search_answers_as_a_fresh_one(name, data):
+    ctx, most = RESUMED[name]
+    oracle = LengthOracle(ctx)
+    query = st.tuples(st.sampled_from(["search", "growth", "ball"]), st.integers(1, most))
+    for kind, r in data.draw(st.lists(query, max_size=8)):
+        if kind == "search":
+            oracle.search(r)
+        elif kind == "growth":
+            assert oracle.growth(r) == len(_fresh_ball(name, r)[0])
+        else:
+            table = oracle.ball(r)
+            assert (table.elements, list(table.lengths.items())) == _fresh_ball(name, r)
+    held = oracle._bfs
+    fresh = groups._BallSearch(ctx._search_space(), DEFAULT_BUDGET)
+    fresh.extend(held.reach)
+    assert list(held.seen.items()) == list(fresh.seen.items())
+    if ctx.order() is not None:
+        # past the diameter the frontier is empty, and the count stays the order
+        assert oracle.growth(most + 1) == oracle.growth(4 * most) == ctx.order() == len(held.seen)
+
+
 # each oracle's search radius, over packed lamp states (L2, C3wrZ, W2) and over
 # Cayley states (F2)
 SEARCHED = {"L2": (L2, 7), "C3wrZ": (WREATHS["C3wrZ"], 6), "W2": (_C2wrZ2, 5), "F2": (F2, 5)}
@@ -526,7 +567,7 @@ def test_searched_oracle_lengths_equal_word_lengths(name, data):
     oracle = LengthOracle(ctx)
     oracle.search(radius)
     reach = radius - 1
-    assert oracle._reach == reach
+    assert oracle._bfs.reach == reach
     near = st.integers(reach - 1, reach + 2).flatmap(lambda n: st.sampled_from(_spheres(name)[n]))
     g = data.draw(elements(ctx, reach + 3) | near)
     bound = data.draw(st.sampled_from([None, 0, reach - 1, reach, reach + 1, reach + 2]))

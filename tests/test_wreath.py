@@ -39,7 +39,14 @@ from wreathdim import (
 )
 from wreathdim import wreath as wreath_module
 from wreathdim.encoding import encode_uvarint
-from wreathdim.groups import _bfs_lengths, _CayleySpace
+from wreathdim.groups import _BallSearch, _CayleySpace
+
+
+def _bfs_lengths(space, max_len):
+    """The depth of every state of one BFS of ``space`` to ``max_len``, in search order."""
+    search = _BallSearch(space, DEFAULT_BUDGET)
+    search.extend(max_len)
+    return search.seen
 
 
 # -- construction -----------------------------------------------------------
@@ -82,7 +89,7 @@ def test_finite_wreath_lists_its_elements_in_canonical_order(c2, c3):
     values = ctx.elements()
     assert len(values) == len(set(values)) == ctx.order() == 24
     assert list(values) == sorted(values, key=ctx.encode)
-    assert set(values) == set(_bfs_lengths(_CayleySpace(ctx), 24, DEFAULT_BUDGET))
+    assert set(values) == set(_bfs_lengths(_CayleySpace(ctx), 24))
     with pytest.raises(StructureError, match="infinite"):
         WreathContext(c2, IntegerGroup()).elements()
     # 2**24 * 24 elements: refused before any is built
@@ -95,7 +102,7 @@ def test_finite_wreath_can_be_a_fiber(c2, c3, z):
     assert len(outer.generators) == 23 + 1
     for r in (1, 2, 3, 4):
         table = ball(outer, r)
-        assert table.lengths == _bfs_lengths(_CayleySpace(outer), r - 1, DEFAULT_BUDGET)
+        assert table.lengths == _bfs_lengths(_CayleySpace(outer), r - 1)
         assert list(table.elements) == sorted(table.lengths, key=outer.encode)
 
 
@@ -311,7 +318,7 @@ PACKED_CASES = [
 @pytest.mark.parametrize(("make_ctx", "r", "small_r"), PACKED_CASES)
 def test_packed_space_matches_cayley_bfs(make_ctx, r, small_r):
     ctx = make_ctx()
-    reference = _bfs_lengths(_CayleySpace(ctx), max_length_below(as_radius(r)), DEFAULT_BUDGET)
+    reference = _bfs_lengths(_CayleySpace(ctx), max_length_below(as_radius(r)))
     table = ball(ctx, r)
     assert table.elements == tuple(sorted(reference, key=ctx.encode))
     assert table.lengths == reference
@@ -333,7 +340,7 @@ def test_packed_space_matches_cayley_bfs(make_ctx, r, small_r):
 def test_packed_encoded_values_build_each_mask_once(make_ctx, r, small_r):
     ctx = make_ctx()
     space = ctx._search_space()
-    states = list(_bfs_lengths(space, max_length_below(as_radius(r)), DEFAULT_BUDGET))
+    states = list(_bfs_lengths(space, max_length_below(as_radius(r))))
     encodings, elements = space.encoded_values(states)
     assert len(encodings) == len(elements) == len(states)
     for data, x in zip(encodings, elements):
@@ -377,7 +384,7 @@ def test_ball_orders_elements_by_their_encoding(make_ctx, r):
     assert all(a < b for a, b in zip(encodings, encodings[1:]))
     assert encodings == [ctx.encode(x) for x in table.elements]
     space = ctx._search_space()
-    states = _bfs_lengths(space, max_length_below(as_radius(r)), DEFAULT_BUDGET)
+    states = _bfs_lengths(space, max_length_below(as_radius(r)))
     assert sorted(zip(*space.encoded_values(states))) == list(zip(encodings, table.elements))
 
 
@@ -460,7 +467,7 @@ def test_ball_does_not_depend_on_earlier_searches(make_ctx, r, small_r):
     in_search_order = []
     for ctx in (fresh, warm):
         space = ctx._search_space()
-        states = _bfs_lengths(space, max_length_below(as_radius(r)), DEFAULT_BUDGET)
+        states = _bfs_lengths(space, max_length_below(as_radius(r)))
         in_search_order.append((space.encoded_values(states), list(states.values())))
     assert in_search_order[0] == in_search_order[1]
     words = [[minimal_word(ctx, x) for x in warm_table] for ctx in (fresh, warm)]
@@ -474,6 +481,15 @@ _BALL_MESSAGE = (
     "ball search exceeded the node budget of {} at depth {}; raise the budget to continue"
 )
 _FAR = "{-2:1,3:1}|1"
+
+
+def _resumed_ball(ctx, budget, r):
+    """``len(oracle.ball(r))`` of an oracle that answered ``growth(3)`` first."""
+    oracle = LengthOracle(ctx, budget=budget)
+    oracle.growth(3)
+    return len(oracle.ball(r))
+
+
 BUDGET_CASES = [
     pytest.param(
         "lamplighter",
@@ -490,6 +506,22 @@ BUDGET_CASES = [
         161,
         _BALL_MESSAGE.format(160, 4),
         id="ball-F2-5",
+    ),
+    pytest.param(
+        "lamplighter",
+        lambda ctx, b: _resumed_ball(ctx, b, 9),
+        490,
+        490,
+        _BALL_MESSAGE.format(489, 8),
+        id="resumed-ball-L2-9",
+    ),
+    pytest.param(
+        "f2",
+        lambda ctx, b: _resumed_ball(ctx, b, 5),
+        161,
+        161,
+        _BALL_MESSAGE.format(160, 4),
+        id="resumed-ball-F2-5",
     ),
     pytest.param(
         "lamplighter",
