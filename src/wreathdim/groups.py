@@ -1034,27 +1034,36 @@ class _BallSearch:
         self.space, self.budget, self.reach = space, budget, 0
         self.seen, self.frontier, self.counts = {start: 0}, [start], [1]
 
+    def step(self, budget: int) -> bool:
+        """Search one more level while ``seen`` holds at most ``budget`` states.
+
+        Returns False, with the level dropped, when it would hold more.
+        """
+        seen, counts = self.seen, self.counts
+        frontier = None
+        try:
+            frontier = self.space.expand(self.frontier, seen, self.reach + 1, budget)
+        finally:
+            if frontier is None:  # keep only complete levels
+                while len(seen) > counts[-1]:
+                    seen.popitem()
+        if frontier is None:
+            return False
+        self.frontier = frontier
+        counts.append(len(seen))
+        self.reach = self.reach + 1 if frontier else math.inf
+        return True
+
     def extend(self, max_len: int) -> int:
         """Search up to depth ``max_len``, collector paused; return the states that deep."""
-        seen, counts = self.seen, self.counts
         with _collector_paused():
             while self.reach < max_len:
-                depth = self.reach + 1
-                try:
-                    frontier = self.space.expand(self.frontier, seen, depth, self.budget)
-                    if frontier is None:
-                        raise BudgetExceededError(
-                            f"ball search exceeded the node budget of {self.budget} "
-                            f"at depth {depth}; raise the budget to continue"
-                        )
-                except BaseException:  # keep only complete levels
-                    while len(seen) > counts[-1]:
-                        seen.popitem()
-                    raise
-                self.frontier = frontier
-                counts.append(len(seen))
-                self.reach = depth if frontier else math.inf
-        return counts[min(max_len, len(counts) - 1)]
+                if not self.step(self.budget):
+                    raise BudgetExceededError(
+                        f"ball search exceeded the node budget of {self.budget} "
+                        f"at depth {self.reach + 1}; raise the budget to continue"
+                    )
+        return self.counts[min(max_len, len(self.counts) - 1)]
 
 
 def ball(
@@ -1118,36 +1127,47 @@ def word_length(
     """Exact word length of ``g`` by bidirectional BFS with early exit.
 
     With ``at_most`` set, returns ``None`` as soon as the length is known to
-    exceed it (the search never explores past that depth).
+    exceed it (the search never explores past that depth).  Each call
+    searches afresh: ``_meet`` from ``g`` to a new ``_BallSearch``.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     g = ctx.canonicalize(g)
     if g == ctx.identity():
         return 0
     space = ctx._search_space()
-    start, target = space.identity_state(), space.state_of(g)
-    dist_f: dict[Any, int] = {start: 0}
+    return _meet(_BallSearch(space, budget), space.state_of(g), at_most, budget)
+
+
+def _meet(forward: _BallSearch, target: Any, at_most: int | None, budget: int) -> int | None:
+    """Length of the state ``target``, which ``forward`` has not found, or None past ``at_most``.
+
+    A search back from ``target`` runs in a dict of its own and meets the
+    forward search, whose levels are kept: each round extends the smaller
+    frontier by one level (ties go forward) and checks the new states
+    against the other half.  Both halves hold at most ``budget`` states
+    together; a forward level over it is dropped.
+    """
+    seen, space = forward.seen, forward.space
     dist_b: dict[Any, int] = {target: 0}
-    front_f, front_b = [start], [target]
-    depth_f = depth_b = 0
+    front_b = [target]
+    depth_b = 0
     best: int | None = None
     while True:
-        if best is not None and depth_f + depth_b >= best:
+        if best is not None and forward.reach + depth_b >= best:
             return best
-        if at_most is not None and best is None and depth_f + depth_b >= at_most:
+        if at_most is not None and best is None and forward.reach + depth_b >= at_most:
             return None
-        if not front_f and not front_b:
+        if not forward.frontier and not front_b:
             raise StructureError("element is not generated by the declared marking")
-        # expand the smaller live frontier one full level
-        if front_f and (not front_b or len(front_f) <= len(front_b)):
-            depth_f += 1
-            depth, theirs = depth_f, dist_b
-            nxt = front_f = space.expand(front_f, dist_f, depth, budget - len(theirs))
+        if forward.frontier and (not front_b or len(forward.frontier) <= len(front_b)):
+            grown = forward.step(budget - len(dist_b))
+            depth, theirs, nxt = forward.reach, dist_b, forward.frontier
         else:
             depth_b += 1
-            depth, theirs = depth_b, dist_f
-            nxt = front_b = space.expand(front_b, dist_b, depth, budget - len(theirs))
-        if nxt is None:
+            depth, theirs = depth_b, seen
+            nxt = front_b = space.expand(front_b, dist_b, depth, budget - len(seen))
+            grown = nxt is not None
+        if not grown:
             raise BudgetExceededError(f"word-length search exceeded the node budget of {budget}")
         met = theirs.keys() & nxt
         if met:
@@ -1213,8 +1233,10 @@ class LengthOracle:
     collector paused as in ``ball()`` and cached per radius.  A length query
     looks its element's state up in the search, one dict lookup with no
     element of the searched ball built; a miss with ``bound <= reach`` is
-    past the bound, as the BFS is complete to its reach, and other misses
-    run ``word_length`` and are memoized.  Distances use left-invariance:
+    past the bound, as the BFS is complete to its reach.  Other misses
+    search back from their element until that search meets the held BFS,
+    which they extend level by level, so later misses start from deeper
+    levels; their lengths are memoized.  Distances use left-invariance:
     ``d(x, y) = word_length(x^-1 y)``.
 
     The public ``length``, ``length_at_most``, ``distance`` and
@@ -1263,22 +1285,22 @@ class LengthOracle:
     def _known_length(self, g: Element, bound: int | None = None) -> int | None:
         """Length of a canonical ``g`` (None past ``bound``).
 
-        The memo first, then the searched states, and a search of its own
-        only when neither can answer.
+        The memo first, then the searched states.  A miss searches back from
+        ``g`` to the held BFS (``_meet``), extending it, and its length is
+        memoized; with ``bound <= reach`` the miss is past the bound, and
+        nothing is searched.
         """
         hit = self._memo.get(g)
         if hit is None:
-            hit = self._bfs.seen.get(self._bfs.space.state_of(g))
-            if hit is not None:
-                self._memo[g] = hit
-            elif bound is not None and bound <= self._bfs.reach:
-                return None
-        if hit is not None:
-            return hit if bound is None or hit <= bound else None
-        value = word_length(self.ctx, g, at_most=bound, budget=self.budget)
-        if value is not None:
-            self._memo[g] = value
-        return value
+            bfs = self._bfs
+            state = bfs.space.state_of(g)
+            hit = bfs.seen.get(state)
+            if hit is None:
+                hit = _meet(bfs, state, bound, self.budget)
+                if hit is None:
+                    return None
+            self._memo[g] = hit
+        return hit if bound is None or hit <= bound else None
 
     def length(self, g: Element) -> int:
         value = self._known_length(self.ctx.canonicalize(g))

@@ -90,6 +90,8 @@ class WreathContext(MarkedGroup):
         if not isinstance(x, tuple) or len(x) != 2:
             raise EncodingError(f"wreath element must be (lamps, cursor), got {x!r}")
         raw_lamps, cursor = x
+        if type(raw_lamps) is tuple and not raw_lamps:
+            return WreathElement((), self.base.canonicalize(cursor))
         lamps = []
         for entry in raw_lamps:
             if not isinstance(entry, tuple) or len(entry) != 2:
@@ -106,7 +108,15 @@ class WreathContext(MarkedGroup):
         return WreathElement(tuple(lamps), self.base.canonicalize(cursor))
 
     def multiply(self, x: WreathElement, y: WreathElement) -> WreathElement:
+        """The product ``x y`` of canonical elements, itself canonical.
+
+        ``x`` must be canonical: when ``y`` lights no lamp, its lamps are
+        returned as they are.
+        """
         # (f1, b1)(f2, b2) = (f1 * (b1.f2), b1 b2), where (b1.f2)(p) = f2(b1^-1 p).
+        cursor = self.base.multiply(x.cursor, y.cursor)
+        if not y.lamps:
+            return WreathElement(x.lamps, cursor)
         lamps = dict(x.lamps)
         for pos, val in y.lamps:
             p = self.base.multiply(x.cursor, pos)
@@ -118,7 +128,7 @@ class WreathContext(MarkedGroup):
                 lamps[p] = new
         keys = self._position_bytes
         ordered = tuple(sorted(lamps.items(), key=lambda lamp: keys[lamp[0]]))
-        return WreathElement(ordered, self.base.multiply(x.cursor, y.cursor))
+        return WreathElement(ordered, cursor)
 
     def inverse(self, x: WreathElement) -> WreathElement:
         c = self.base.inverse(x.cursor)

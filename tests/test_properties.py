@@ -572,12 +572,45 @@ def test_searched_oracle_lengths_equal_word_lengths(name, data):
     g = data.draw(elements(ctx, reach + 3) | near)
     bound = data.draw(st.sampled_from([None, 0, reach - 1, reach, reach + 1, reach + 2]))
     expected = word_length(ctx, g, at_most=bound)
-    if bound is not None and bound <= reach:
-        # complete up to its reach, the search answers a miss with no search of its own
-        with mock.patch.object(groups, "word_length", side_effect=AssertionError):
-            assert oracle._known_length(g, bound) == expected
-    else:
+    missed = oracle._bfs.space.state_of(g) not in oracle._bfs.seen
+    space = type(oracle._bfs.space)
+    with mock.patch.object(space, "expand", autospec=True, side_effect=space.expand) as expand:
         assert oracle._known_length(g, bound) == expected
+    # complete up to its reach, the search answers a miss within it with no level of its own
+    assert expand.called == (missed and (bound is None or bound > reach))
+
+
+# the oracles whose misses meet their held search: packed lamp states over Z
+# and Z^2, Cayley states of infinite groups and of a finite one (C3)
+MEETS = {
+    "L2": L2,
+    "C3wrZ": WREATHS["C3wrZ"],
+    "S3wrZ": WREATHS["S3wrZ"],
+    "W2": _C2wrZ2,
+    "F2": F2,
+    "ZxC2": _ZxC2,
+    "C3": C3,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(MEETS)), st.data())
+def test_an_oracle_miss_answers_as_a_fresh_word_length(name, data):
+    ctx = MEETS[name]
+    oracle = LengthOracle(ctx)
+    oracle.search(data.draw(st.integers(1, 4)))
+    bounds = st.none() | st.integers(0, 8)
+    for g, bound in data.draw(st.lists(st.tuples(elements(ctx, 6), bounds), max_size=4)):
+        assert oracle._known_length(g, bound) == word_length(ctx, g, at_most=bound)
+    g = data.draw(elements(ctx, 7))
+    n = word_length(ctx, g)
+    # below, at and above the length
+    bound = data.draw(st.sampled_from([None, max(n - 2, 0), max(n - 1, 0), n, n + 1]))
+    assert oracle._known_length(g, bound) == word_length(ctx, g, at_most=bound)
+    held = oracle._bfs
+    fresh = groups._BallSearch(ctx._search_space(), DEFAULT_BUDGET)
+    fresh.extend(held.reach)
+    assert list(held.seen.items()) == list(fresh.seen.items())
 
 
 # -- bulbs ------------------------------------------------------------------------

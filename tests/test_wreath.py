@@ -490,6 +490,25 @@ def _resumed_ball(ctx, budget, r):
     return len(oracle.ball(r))
 
 
+def _oracle_length(ctx, budget, r):
+    """``oracle.length(_FAR)`` of an oracle that searched the open ``r``-ball first.
+
+    After a failed search the oracle holds its complete levels and still
+    answers the farthest element in them.
+    """
+    oracle = LengthOracle(ctx, budget=budget)
+    oracle.search(r)
+    try:
+        return oracle.length(ctx.parse_element(_FAR))
+    except BudgetExceededError:
+        held = oracle._bfs
+        table = ball(ctx, held.reach + 1)
+        far = max(table.elements, key=table.lengths.__getitem__)
+        assert len(held.seen) == len(table)
+        assert oracle.length(far) == table.lengths[far] == held.reach
+        raise
+
+
 BUDGET_CASES = [
     pytest.param(
         "lamplighter",
@@ -538,6 +557,22 @@ BUDGET_CASES = [
         None,
         "word-length search exceeded the node budget of 127",
         id="word-length-at-most-L2",
+    ),
+    pytest.param(
+        "lamplighter",
+        lambda ctx, b: _oracle_length(ctx, b, 1),
+        239,
+        11,
+        "word-length search exceeded the node budget of 238",
+        id="oracle-length-L2",
+    ),
+    pytest.param(
+        "lamplighter",
+        lambda ctx, b: _oracle_length(ctx, b, 7),
+        239,
+        11,
+        "word-length search exceeded the node budget of 238",
+        id="resumed-oracle-length-L2",
     ),
     pytest.param(
         "lamplighter",
