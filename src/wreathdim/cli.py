@@ -313,6 +313,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         "assignments": report.assignments,
         "hypothesis_count": report.hypothesis_count,
         "witness_count": report.witness_count,
+        "nontrivial_count": report.nontrivial_count,
         "failures": list(report.failures),
     }
     payload = _report("lattice", {"n": args.n, "k": args.k, "parts": args.parts}, results)

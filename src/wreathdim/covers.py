@@ -57,10 +57,14 @@ class GroupWindowView:
 
     def neighbors_within(self, x: Element, members: Any, r: Fraction) -> list[Element]:
         """Members at distance strictly below ``r`` from ``x`` (x excluded)."""
-        ctx = self.ctx
+        return self._neighbors(x, members, self.oracle.ball(r).elements)
+
+    def _neighbors(self, x: Element, members: Any, ball: Sequence[Element]) -> list[Element]:
+        # the products x*u over the open r-ball's elements u, fetched once by the caller
+        mul = self.ctx.multiply
         out = []
-        for u in self.oracle.ball(r).elements:
-            y = ctx.multiply(x, u)
+        for u in ball:
+            y = mul(x, u)
             if y != x and y in members:
                 out.append(y)
         return out
@@ -124,6 +128,7 @@ def r_components(
         raise ValueError("subset contains repeated points")
     members = set(pts)
     unassigned = set(pts)
+    ball = view.oracle.ball(radius).elements if pts else ()
     components = []
     for seed in pts:
         if seed not in unassigned:
@@ -134,7 +139,7 @@ def r_components(
         while frontier:
             nxt = []
             for x in frontier:
-                for y in view.neighbors_within(x, members, radius):
+                for y in view._neighbors(x, members, ball):
                     if y in unassigned:
                         unassigned.discard(y)
                         comp.add(y)
@@ -157,8 +162,9 @@ def lebesgue_ok(view: GroupWindowView, cover: Cover, r: Radius) -> LebesgueCheck
     radius = as_radius(r)
     cover.require_covers(view.points)
     members = set(view.points)
+    ball = view.oracle.ball(radius).elements if view.points else ()
     for x in view.points:
-        ball_pts = view.neighbors_within(x, members, radius)
+        ball_pts = view._neighbors(x, members, ball)
         ball_pts.append(x)
         if not any(all(y in part for y in ball_pts) for part in cover.parts):
             return LebesgueCheck(radius, False, x)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import multiprocessing
 import os
 import random
@@ -208,8 +209,55 @@ class _LatticeScanner:
                 return comp
             comp = grown
 
-    def sweep(self, prefix: Sequence[int]) -> tuple[int, int, list[int]]:
-        """Tally every code whose leading digits are ``prefix``, most significant first.
+    def fills_box(self) -> bool:
+        """Whether some closed n-ball is the whole box.
+
+        That ball must fit in one part, so every cover passing the hypothesis
+        has a full part.
+        """
+        return (1 << len(self.points)) - 1 in self.balls
+
+    def branch(self, missed: Sequence[int]) -> list[list[int]] | None:
+        """The digits each point may take when part i first misses ``points[missed[i]]``.
+
+        Every point below ``missed[i]`` has part i in its digit and
+        ``missed[i]`` has not.  Each closed n-ball through ``missed[i]`` must
+        then fit in some other part, so none of its points lies in part i
+        alone; with two parts, the ball goes into the other part.  None when
+        some point is left no digit.
+        """
+        if len(set(missed)) == 1:
+            return None  # that point would lie in no part
+        size = len(self.points)
+        # per point: the parts it must have, must not have, and must not have alone
+        need, lack, alone = [0] * size, [0] * size, [0] * size
+        for i, m in enumerate(missed):
+            for j in range(m):
+                need[j] |= 1 << i
+            lack[m] |= 1 << i
+            # a closed n-ball holds m exactly when its centre lies in m's ball
+            reach = 0
+            for centre in _members(self.balls[m]):
+                reach |= self.balls[centre]
+            for j in _members(reach):
+                alone[j] |= 1 << i
+        allowed = []
+        for must, avoid, single in zip(need, lack, alone):
+            # digit + 1 is the point's part bitmask
+            digits = [
+                mask - 1
+                for mask in range(1, self.radix + 1)
+                if mask & must == must
+                and not mask & avoid
+                and (mask & (mask - 1) or mask & ~single)
+            ]
+            if not digits:
+                return None
+            allowed.append(digits)
+        return allowed
+
+    def sweep(self, allowed: Sequence[Sequence[int]]) -> tuple[int, int, list[int]]:
+        """Tally every code whose point j takes a digit of ``allowed[j]``.
 
         Points are assigned depth-first from the last one, whose digit is the
         most significant, so leaves come in increasing code order.  A subtree
@@ -224,10 +272,9 @@ class _LatticeScanner:
         def fits(parts: tuple[int, ...], j: int) -> bool:
             return all(any(guard & part == guard for part in parts) for guard in guards[j])
 
-        top = len(self.points)
         hypothesis_count = witness_count = 0
         failures: list[int] = []
-        stack = [(top, 0, (0,) * self.num_parts)]
+        stack = [(len(self.points), 0, (0,) * self.num_parts)]
         while stack:
             j, code, parts = stack.pop()
             if j == 0:
@@ -238,9 +285,8 @@ class _LatticeScanner:
                     witness_count += 1
                 continue
             j -= 1
-            level = top - 1 - j
             children = []
-            for digit in (prefix[level],) if level < len(prefix) else range(radix):
+            for digit in allowed[j]:
                 child = tuple(part | bit for part, bit in zip(parts, lifts[j][digit]))
                 if fits(child, j):
                     children.append((j, code * radix + digit, child))
@@ -276,28 +322,44 @@ class LatticeSearchReport:
     hypothesis_count: int
     witness_count: int
     failures: tuple[int, ...]  # assignment codes passing the hypothesis without a witness
+    nontrivial_count: int = 0  # hypothesis passes in which every part misses a point
 
 
 def _scan_lattice_codes(
     scanner: _LatticeScanner, codes: Iterable[int]
-) -> tuple[int, int, list[int]]:
-    hypothesis_count = witness_count = 0
+) -> tuple[int, int, list[int], int]:
+    box = (1 << len(scanner.points)) - 1
+    hypothesis_count = witness_count = nontrivial_count = 0
     failures: list[int] = []
     for code in codes:
-        outcome = scanner.outcome(scanner.parts_of(code))
+        parts = scanner.parts_of(code)
+        outcome = scanner.outcome(parts)
         if not outcome.hypothesis_ok:
             continue
         hypothesis_count += 1
+        nontrivial_count += box not in parts
         if outcome.witness is None:
             failures.append(code)
         else:
             witness_count += 1
-    return hypothesis_count, witness_count, failures
+    return hypothesis_count, witness_count, failures, nontrivial_count
 
 
-def _sweep_prefix(task: tuple[_LatticeScanner, tuple[int, ...]]) -> tuple[int, int, list[int]]:
-    scanner, prefix = task
-    return scanner.sweep(prefix)
+def _trivial_cover_count(num_parts: int, points: int) -> int:
+    """Covers with some part full, by inclusion-exclusion over the set of full parts.
+
+    With s given parts full, every point has those s parts and any subset of
+    the other ``num_parts - s``.
+    """
+    return sum(
+        (-1) ** (s + 1) * math.comb(num_parts, s) * (1 << (num_parts - s) * points)
+        for s in range(1, num_parts + 1)
+    )
+
+
+def _sweep_branch(task: tuple[_LatticeScanner, list[list[int]]]) -> tuple[int, int, list[int]]:
+    scanner, allowed = task
+    return scanner.sweep(allowed)
 
 
 def _pool_size(workers: int, cpus: int, chunks: int) -> int:
@@ -308,21 +370,34 @@ def _pool_size(workers: int, cpus: int, chunks: int) -> int:
 def exhaustive_lattice_search(
     n: int, k: int, num_parts: int, *, workers: int = 1, budget: int | None = None
 ) -> LatticeSearchReport:
-    """Sweep every assignment of lattice points to nonempty part subsets.
+    """Tally every assignment of lattice points to nonempty part subsets.
 
     Every assignment satisfying the open-(n+1)-ball hypothesis must yield a
-    witness; assignment codes that do not are reported as failures.  The
-    sweep assigns points depth-first, most significant digit first, and cuts
-    a subtree as soon as the assigned points of some closed n-ball share no
-    part.  The counts stay exact: every code below the cut fails the
-    hypothesis, so it counts toward ``assignments`` (always the full
-    ``radix**points``) and toward nothing else, and every code that is not
-    cut is a leaf, which passes the hypothesis and has its witness hunted.
-    The report is identical for any worker count.  A sweep of more than
-    ``budget`` codes is refused before it starts, and so is a lattice of more
-    than ``budget`` point pairs: the scanner's ``balls`` and ``steps``
-    bitsets hold one ``points``-bit set per point, so ``points**2`` bounds
-    their memory in units of the node budget.
+    witness; assignment codes that do not are reported as failures.
+
+    Trivial covers, in which some part is the whole box, are counted, not
+    visited.  There are ``sum((-1)**(s+1) * C(p, s) * 2**((p-s)*points))``
+    of them for p parts, by inclusion-exclusion over the full parts.  Each
+    passes the hypothesis, since the full part holds every ball, and each
+    has a witness: with ``1 <= k`` and ``i < p <= n``, a full part i is one
+    2-component meeting both of its coordinate-i slabs.  So they add the same
+    number to ``hypothesis_count`` and to ``witness_count``.
+
+    Nontrivial covers, in which every part misses a point, are enumerated.
+    When some closed n-ball is the whole box there are none.  Otherwise the
+    sweep branches on each part's lowest missed point (see
+    ``_LatticeScanner.branch``), assigns points depth-first over the digits
+    each still allows, most significant digit first, and cuts a subtree as
+    soon as the assigned points of some closed n-ball share no part.  Every
+    leaf passes the hypothesis and has its witness hunted; the leaves are
+    ``nontrivial_count``.  ``assignments`` is always the full
+    ``radix**points``, failures come in increasing code order, and a pool
+    deals out the branches, so the report is identical for any worker count.
+
+    A sweep of more than ``budget`` codes is refused before it starts, and so
+    is a lattice of more than ``budget`` point pairs: the scanner's ``balls``
+    and ``steps`` bitsets hold one ``points``-bit set per point, so
+    ``points**2`` bounds their memory in units of the node budget.
     """
     _check_lattice_shape(n, k, num_parts)
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -340,23 +415,26 @@ def exhaustive_lattice_search(
             f"the budget of {budget}; raise the budget"
         )
     scanner = _LatticeScanner(n, k, num_parts)
-    total = radix**points
+    trivial = _trivial_cover_count(num_parts, points)
+    tasks = []
+    if not scanner.fills_box():
+        for missed in itertools.product(range(points), repeat=num_parts):
+            allowed = scanner.branch(missed)
+            if allowed is not None:
+                tasks.append((scanner, allowed))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    size = _pool_size(workers, cpus or 1, total)
-    # a pool gets a few leading-digit prefixes per process, in increasing code order
-    depth = 0
-    while size > 1 and depth < points and radix**depth < 4 * size:
-        depth += 1
-    tasks = [(scanner, prefix) for prefix in itertools.product(range(radix), repeat=depth)]
+    size = _pool_size(workers, cpus or 1, len(tasks))
     if size == 1:
-        results = list(map(_sweep_prefix, tasks))
+        results = list(map(_sweep_branch, tasks))
     else:
         with multiprocessing.Pool(size) as pool:
-            results = pool.map(_sweep_prefix, tasks)
+            results = pool.map(_sweep_branch, tasks)
     h = sum(res[0] for res in results)
     w = sum(res[1] for res in results)
-    failures = tuple(code for res in results for code in res[2])
-    return LatticeSearchReport(n, k, num_parts, total, h, w, failures)
+    failures = tuple(sorted(code for res in results for code in res[2]))
+    return LatticeSearchReport(
+        n, k, num_parts, radix**points, trivial + h, trivial + w, failures, h
+    )
 
 
 def sampled_lattice_search(
@@ -369,8 +447,8 @@ def sampled_lattice_search(
     total = scanner.radix ** len(scanner.points)
     rng = random.Random(seed)
     codes = (rng.randrange(total) for _ in range(samples))
-    h, w, failures = _scan_lattice_codes(scanner, codes)
-    return LatticeSearchReport(n, k, num_parts, samples, h, w, tuple(sorted(failures)))
+    h, w, failures, nontrivial = _scan_lattice_codes(scanner, codes)
+    return LatticeSearchReport(n, k, num_parts, samples, h, w, tuple(sorted(failures)), nontrivial)
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,12 @@ class _Suite:
     # -- check 6 ------------------------------------------------------------
 
     def check_lattice_witness_exhaustive(self) -> tuple[bool, dict]:
-        """All 19683 two-part covers of the 3x3 lattice obey the spread witness claim."""
+        """All 19683 two-part covers of the 3x3 lattice obey the spread witness claim.
+
+        This check sees only trivial covers: the closed 2-ball around (1, 1)
+        is the whole box, so each of the 1023 covers passing the hypothesis
+        has a full part, and the sweep counts them in closed form.
+        """
         report = exhaustive_lattice_search(2, 2, 2)
         ok = report.assignments == 19683 and not report.failures
         return ok, {

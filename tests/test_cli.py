@@ -240,6 +240,7 @@ def test_lattice_exhaustive(capsys):
     res = payload["results"]
     assert res["assignments"] == 81
     assert res["hypothesis_count"] == res["witness_count"] == 31
+    assert res["nontrivial_count"] == 0
     assert res["failures"] == []
 
 

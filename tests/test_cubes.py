@@ -200,13 +200,18 @@ def _brute_force_report(n, k, num_parts):
     """The sweep's report with every code judged alone, as one cover."""
     scanner = cubes._LatticeScanner(n, k, num_parts)
     total = scanner.radix ** len(scanner.points)
-    outcomes = [scanner.outcome(scanner.parts_of(code)) for code in range(total)]
+    box = (1 << len(scanner.points)) - 1
+    covers = [scanner.parts_of(code) for code in range(total)]
+    outcomes = [scanner.outcome(parts) for parts in covers]
     failures = tuple(
         code for code, o in enumerate(outcomes) if o.hypothesis_ok and o.witness is None
     )
     hypotheses = sum(o.hypothesis_ok for o in outcomes)
     witnesses = sum(o.witness is not None for o in outcomes)
-    return cubes.LatticeSearchReport(n, k, num_parts, total, hypotheses, witnesses, failures)
+    nontrivial = sum(o.hypothesis_ok and box not in parts for o, parts in zip(outcomes, covers))
+    return cubes.LatticeSearchReport(
+        n, k, num_parts, total, hypotheses, witnesses, failures, nontrivial
+    )
 
 
 def _code_of(scanner, parts):
@@ -218,7 +223,7 @@ def _code_of(scanner, parts):
     return code
 
 
-def test_exhaustive_search_tallies_single_cover_outcomes(monkeypatch):
+def test_exhaustive_search_tallies_single_cover_outcomes():
     outcomes = [lattice_cover_witness(2, 1, _cover(2, 1, 2, code)) for code in range(81)]
     report = exhaustive_lattice_search(2, 1, 2)
     assert report.hypothesis_count == sum(o.hypothesis_ok for o in outcomes)
@@ -226,25 +231,88 @@ def test_exhaustive_search_tallies_single_cover_outcomes(monkeypatch):
     assert report.failures == tuple(
         code for code, o in enumerate(outcomes) if o.hypothesis_ok and o.witness is None
     )
-    # the pruned sweep against every code judged alone, on every sweepable shape
+    # the count-then-enumerate sweep against every code judged alone, on every sweepable shape
     for shape in SWEEPABLE:
         assert exhaustive_lattice_search(*shape) == _brute_force_report(*shape), shape
     full = _brute_force_report(2, 2, 2)
     assert (full.assignments, full.hypothesis_count, full.witness_count) == (19683, 1023, 1023)
-    assert full.failures == ()
+    assert (full.failures, full.nontrivial_count) == ((), 0)
 
-    # a witness hunt that misses on chosen codes: both sweeps report the same failures
+
+@pytest.mark.parametrize("shape", SWEEPABLE)
+def test_every_trivial_cover_has_a_witness_by_the_per_code_reference(shape):
+    # the closed form counts the covers with a full part and credits each with a
+    # witness; here each one is built and judged alone instead
+    scanner = cubes._LatticeScanner(*shape)
+    box = (1 << len(scanner.points)) - 1
+    trivial = 0
+    for code in range(scanner.radix ** len(scanner.points)):
+        parts = scanner.parts_of(code)
+        if box in parts:
+            trivial += 1
+            outcome = scanner.outcome(parts)
+            assert outcome.hypothesis_ok and outcome.witness is not None, code
+    assert trivial == cubes._trivial_cover_count(scanner.num_parts, len(scanner.points))
+
+
+def test_exhaustive_search_freezes_the_first_shapes_with_nontrivial_covers():
+    report = exhaustive_lattice_search(2, 3, 2, budget=3**16)
+    assert (report.assignments, report.hypothesis_count, report.witness_count) == (
+        3**16,
+        131_123,
+        131_123,
+    )
+    assert (report.failures, report.nontrivial_count) == ((), 52)
+    report = exhaustive_lattice_search(2, 4, 2, budget=3**25)
+    assert (report.assignments, report.hypothesis_count, report.witness_count) == (
+        3**25,
+        67_121_611,
+        67_121_611,
+    )
+    assert (report.failures, report.nontrivial_count) == ((), 12_748)
+    # the rest are the trivial covers of the closed form: 2 * 2^25 - 1
+    assert report.hypothesis_count - report.nontrivial_count == 2 * 2**25 - 1
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 1, 2), (3, 1, 3)])
+def test_branching_alone_finds_no_nontrivial_cover_where_a_ball_fills_the_box(
+    monkeypatch, shape
+):
+    scanner = cubes._LatticeScanner(*shape)
+    assert scanner.fills_box()
+    expected = exhaustive_lattice_search(*shape)
+    assert expected.nontrivial_count == 0
+    monkeypatch.setattr(cubes._LatticeScanner, "fills_box", lambda self: False)
+    assert exhaustive_lattice_search(*shape) == expected
+
+
+def test_a_lossy_hunt_fails_exactly_its_chosen_nontrivial_covers(monkeypatch):
     hunt = cubes._LatticeScanner.witness
+    hunted = []
 
     def lossy_hunt(scanner, parts):
-        return None if _code_of(scanner, parts) % 5 == 0 else hunt(scanner, parts)
+        code = _code_of(scanner, parts)
+        hunted.append(code)
+        return None if code % 3 == 0 else hunt(scanner, parts)
 
     monkeypatch.setattr(cubes._LatticeScanner, "witness", lossy_hunt)
-    for shape in SWEEPABLE:
-        pruned, brute = exhaustive_lattice_search(*shape), _brute_force_report(*shape)
-        assert pruned == brute, shape
-        assert pruned.witness_count + len(pruned.failures) == pruned.hypothesis_count
-    assert len(exhaustive_lattice_search(2, 2, 2).failures) > 100
+    report = exhaustive_lattice_search(2, 3, 2, budget=3**16)
+    monkeypatch.undo()
+    # trivial covers are credited, not hunted: only the 52 nontrivial ones reach the hunt
+    assert len(hunted) == len(set(hunted)) == report.nontrivial_count == 52
+    assert report.failures == tuple(sorted(code for code in hunted if code % 3 == 0))
+    assert 0 < len(report.failures) < 52
+    assert report.witness_count == report.hypothesis_count - len(report.failures)
+    scanner = cubes._LatticeScanner(2, 3, 2)
+    points = scanner.points
+    for code in report.failures:
+        parts = scanner.parts_of(code)
+        cover = [[x for j, x in enumerate(points) if part >> j & 1] for part in parts]
+        assert all(len(part) < len(points) for part in cover), code
+        outcome = lattice_cover_witness(2, 3, cover)
+        assert outcome.hypothesis_ok and outcome.witness is not None, code
+    # the per-code scan judges the hunted codes alone and finds them all nontrivial
+    assert cubes._scan_lattice_codes(scanner, hunted) == (52, 52, [], 52)
 
 
 def test_exhaustive_search_worker_count_is_immaterial():
@@ -254,6 +322,9 @@ def test_exhaustive_search_worker_count_is_immaterial():
     assert exhaustive_lattice_search(2, 2, 2, workers=2) == exhaustive_lattice_search(
         2, 2, 2
     )
+    assert exhaustive_lattice_search(
+        2, 3, 2, workers=2, budget=3**16
+    ) == exhaustive_lattice_search(2, 3, 2, budget=3**16)
 
 
 def test_exhaustive_search_has_no_recursion_limit():
@@ -346,6 +417,7 @@ def test_sampled_search_is_seeded():
     assert a == b
     assert a.assignments == 50
     assert a.failures == ()
+    assert a.nontrivial_count == 0  # every cover of (2,2,2) passing the hypothesis is trivial
 
 
 def test_sampled_search_rejects_excess_parts():
