@@ -324,27 +324,17 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     wanted = args.checks.split(",") if args.checks else None
     results = run_suite(checks=wanted, budget=args.budget)
-    rows = [
+    records = [
         {
             "check": res.name,
             "passed": res.passed,
             "seconds": round(res.seconds, 3),
+            "details": res.details,
         }
         for res in results
     ]
-    payload = _report(
-        "verify",
-        {"checks": [res.name for res in results]},
-        [
-            {
-                "check": res.name,
-                "passed": res.passed,
-                "seconds": round(res.seconds, 3),
-                "details": res.details,
-            }
-            for res in results
-        ],
-    )
+    rows = [{key: value for key, value in rec.items() if key != "details"} for rec in records]
+    payload = _report("verify", {"checks": [res.name for res in results]}, records)
     payload["passed"] = all(res.passed for res in results)
     for res in results:
         status = "pass" if res.passed else "FAIL"

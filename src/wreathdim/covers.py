@@ -19,6 +19,8 @@ from .groups import (
     Element,
     LengthOracle,
     VirtuallyZStructure,
+    _BallSearch,
+    _CayleySpace,
     as_radius,
     max_length_below,
     same_group,
@@ -54,10 +56,6 @@ class GroupWindowView:
     def dists_from(self, a: Element, others: Iterable[Element]) -> list[int]:
         inv, mul, known = self.ctx.inverse(a), self.ctx.multiply, self.oracle._known_length
         return [known(mul(inv, b)) for b in others]
-
-    def neighbors_within(self, x: Element, members: Any, r: Fraction) -> list[Element]:
-        """Members at distance strictly below ``r`` from ``x`` (x excluded)."""
-        return self._neighbors(x, members, self.oracle.ball(r).elements)
 
     def _neighbors(self, x: Element, members: Any, ball: Sequence[Element]) -> list[Element]:
         # the products x*u over the open r-ball's elements u, fetched once by the caller
@@ -260,7 +258,10 @@ def coset_cover(
 
     The window must be a subset of a subgroup; the subgroup generated by its
     short elements must close up within the oracle's budget (it does whenever
-    that subgroup is finite, e.g. inside a lamp kernel over integers).
+    that subgroup is finite, e.g. inside a lamp kernel over integers).  The
+    closure is a ``_BallSearch`` over the Cayley graph of those elements and
+    their inverses, stepped until its frontier is empty; it raises
+    ``BudgetExceededError`` exactly when it holds more than the budget.
     """
     radius = as_radius(r)
     oracle = oracle if oracle is not None else LengthOracle(ctx)
@@ -268,21 +269,11 @@ def coset_cover(
     cutoff = max_length_below(radius)
     gens = [x for x in window if oracle.length_at_most(x, cutoff) is not None]
     gens += [ctx.inverse(x) for x in gens]
-    closure = {ctx.identity()}
-    frontier = [ctx.identity()]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = ctx.multiply(x, g)
-                if y not in closure:
-                    closure.add(y)
-                    nxt.append(y)
-                    if len(closure) > budget:
-                        raise BudgetExceededError(
-                            f"subgroup closure exceeded the node budget of {budget}"
-                        )
-        frontier = nxt
+    search = _BallSearch(_CayleySpace(ctx, tuple(gens)), budget)
+    while search.frontier:
+        if not search.step(budget):
+            raise BudgetExceededError(f"subgroup closure exceeded the node budget of {budget}")
+    closure = search.seen
     ordered_closure = tuple(sorted(closure, key=ctx.sort_key))
     max_length = max((oracle.length(x) for x in ordered_closure), default=0)
     reps: list[Element] = []

@@ -939,9 +939,9 @@ class _CayleySpace:
 
     __slots__ = ("ctx", "letters")
 
-    def __init__(self, ctx: Any):
+    def __init__(self, ctx: Any, letters: tuple[Element, ...] | None = None):
         self.ctx = ctx
-        self.letters = ctx.symmetric_generators()
+        self.letters = ctx.symmetric_generators() if letters is None else letters
 
     def identity_state(self) -> Any:
         return self.ctx.identity()
@@ -959,8 +959,8 @@ class _CayleySpace:
     ) -> list[Any] | None:
         """Expand one BFS level: record each unseen neighbour in ``seen`` at ``depth``.
 
-        Neighbours are the products with ``ctx.symmetric_generators()``, in
-        that order, state by state.  Returns the new states in discovery
+        Neighbours are the products with ``letters``, by default
+        ``ctx.symmetric_generators()``, in that order, state by state.  Returns the new states in discovery
         order, or None as soon as ``seen`` holds more than ``budget`` states.
         """
         mul = self.ctx.multiply
@@ -1019,18 +1019,20 @@ def _collector_paused() -> Iterator[None]:
 
 
 class _BallSearch:
-    """One BFS from the identity of a search space, resumed one level at a time.
+    """One BFS from a state of a search space, resumed one level at a time.
 
+    The search starts at ``start``, the space's identity state unless given.
     ``seen`` maps each state found to its depth, in discovery order,
     ``frontier`` lists the last level searched, and ``counts[d]`` is the
     number of states of depth at most ``d``.  ``seen`` is complete up to
     depth ``reach``, infinite once a level comes out empty.  A level over
     the budget is dropped again, so a resumed search holds, and fails at,
-    what a fresh one does.
+    what a fresh one does.  ``step`` is the one BFS level loop of the
+    package: balls, lengths, geodesics and subgroup closures all run on it.
     """
 
-    def __init__(self, space: Any, budget: int):
-        start = space.identity_state()
+    def __init__(self, space: Any, budget: int, *, start: Any = None):
+        start = space.identity_state() if start is None else start
         self.space, self.budget, self.reach = space, budget, 0
         self.seen, self.frontier, self.counts = {start: 0}, [start], [1]
 
@@ -1141,69 +1143,67 @@ def word_length(
 def _meet(forward: _BallSearch, target: Any, at_most: int | None, budget: int) -> int | None:
     """Length of the state ``target``, which ``forward`` has not found, or None past ``at_most``.
 
-    A search back from ``target`` runs in a dict of its own and meets the
-    forward search, whose levels are kept: each round extends the smaller
-    frontier by one level (ties go forward) and checks the new states
-    against the other half.  Both halves hold at most ``budget`` states
-    together; a forward level over it is dropped.
+    A second ``_BallSearch``, started at ``target``, searches back and
+    meets the forward search, whose levels are kept: each round steps the
+    search with the smaller frontier (ties go forward) and checks its new
+    states against the other half.  Both halves hold at most ``budget``
+    states together; a level over it is dropped.  A half whose frontier
+    empties has an infinite reach: it has met the other half, or ``target``
+    lies off the subgroup that the space's letters generate.
     """
-    seen, space = forward.seen, forward.space
-    dist_b: dict[Any, int] = {target: 0}
-    front_b = [target]
-    depth_b = 0
+    backward = _BallSearch(forward.space, budget, start=target)
     best: int | None = None
     while True:
-        if best is not None and forward.reach + depth_b >= best:
+        reach = forward.reach + backward.reach
+        if best is not None and reach >= best:
             return best
-        if at_most is not None and best is None and forward.reach + depth_b >= at_most:
-            return None
-        if not forward.frontier and not front_b:
+        if not forward.frontier and not backward.frontier:
             raise StructureError("element is not generated by the declared marking")
-        if forward.frontier and (not front_b or len(forward.frontier) <= len(front_b)):
-            grown = forward.step(budget - len(dist_b))
-            depth, theirs, nxt = forward.reach, dist_b, forward.frontier
+        if at_most is not None and best is None and reach >= at_most:
+            return None
+        if forward.frontier and (
+            not backward.frontier or len(forward.frontier) <= len(backward.frontier)
+        ):
+            ours, theirs = forward, backward
         else:
-            depth_b += 1
-            depth, theirs = depth_b, seen
-            nxt = front_b = space.expand(front_b, dist_b, depth, budget - len(seen))
-            grown = nxt is not None
-        if not grown:
+            ours, theirs = backward, forward
+        if not ours.step(budget - len(theirs.seen)):
             raise BudgetExceededError(f"word-length search exceeded the node budget of {budget}")
-        met = theirs.keys() & nxt
+        met = theirs.seen.keys() & ours.frontier
         if met:
-            reach = depth + min(map(theirs.__getitem__, met))
-            if best is None or reach < best:
-                best = reach
+            found = ours.reach + min(map(theirs.seen.__getitem__, met))
+            if best is None or found < best:
+                best = found
 
 
 def minimal_word(ctx: Any, g: Element, *, budget: int | None = None) -> tuple[Element, ...]:
     """One geodesic word for ``g`` as a tuple of generator values (left to right).
 
-    Of the geodesics, the word is the one BFS meets first: each letter's
-    source is the earliest state of its level, in search order, that
-    reaches the next state.
+    A fresh ``_BallSearch`` steps until it finds ``g``.  Of the geodesics,
+    the word is the one that search meets first: each letter's source is
+    the earliest state of its level, in discovery order, that reaches the
+    next state.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     g = ctx.canonicalize(g)
     space = ctx._search_space()
-    target, start = space.state_of(g), space.identity_state()
-    seen: dict[Any, int] = {start: 0}
-    levels = [[start]]
+    target = space.state_of(g)
+    search = _BallSearch(space, budget)
+    seen = search.seen
     while target not in seen:
-        if not levels[-1]:
+        if not search.frontier:
             raise StructureError("element is not generated by the declared marking")
-        nxt = space.expand(levels[-1], seen, len(levels), budget)
-        if nxt is None:
+        if not search.step(budget):
             raise BudgetExceededError(f"geodesic search exceeded the node budget of {budget}")
-        levels.append(nxt)
     # The i-th neighbour of a state is its product with letter i, so the
     # state is that neighbour times the letter's inverse.
     letters = ctx.symmetric_generators()
     undo = [letters.index(ctx.inverse(x)) for x in letters]
+    order, starts = list(seen), [0, *search.counts]
     word: list[Element] = []
     state = target
-    for depth in range(len(levels) - 2, -1, -1):
-        level = levels[depth]
+    for depth in range(seen[target] - 1, -1, -1):
+        level = order[starts[depth] : starts[depth + 1]]
         around = space.expand([state], {}, depth, len(letters))
         i = min(
             (i for i, other in enumerate(around) if seen.get(other) == depth),

@@ -85,13 +85,6 @@ def test_window_rows_of_distances_equal_single_distances(lamplighter):
     assert line.dists_from(3, (0, 3, 9)) == [3, 0, 6]
 
 
-def test_group_window_view_neighbors_by_translation(z, oracle_z):
-    points = tuple(range(-5, 6))
-    view = GroupWindowView(z, points, oracle_z)
-    assert set(view.neighbors_within(0, set(points), 2)) == {-1, 1}
-    assert set(view.neighbors_within(4, set(points), 3)) == {2, 3, 5}
-
-
 # -- components ----------------------------------------------------------------
 
 
@@ -270,6 +263,17 @@ def test_coset_closure_is_held_to_the_oracle_budget(z):
     # the short elements +-1 generate all of Z, so the closure never closes up
     with pytest.raises(BudgetExceededError, match="closure exceeded the node budget of 50"):
         coset_cover(z, range(-3, 4), 2, oracle=LengthOracle(z, budget=50))
+    # the closure of C100 under 1 and 50 is all 100 elements: it raises
+    # exactly when the budget is below that, and the next search is a length
+    c100 = CyclicGroup(100)
+    with pytest.raises(BudgetExceededError) as exc:
+        coset_cover(c100, [0, 1, 50], 2, oracle=LengthOracle(c100, budget=99))
+    assert str(exc.value) == "subgroup closure exceeded the node budget of 99"
+    with pytest.raises(BudgetExceededError) as exc:
+        coset_cover(c100, [0, 1, 50], 2, oracle=LengthOracle(c100, budget=100))
+    assert str(exc.value) == "word-length search exceeded the node budget of 100"
+    cc = coset_cover(c100, [0, 1, 50], 2, oracle=LengthOracle(c100, budget=150))
+    assert (len(cc.closure), len(cc.cosets), cc.max_length) == (100, 1, 50)
 
 
 def test_coset_cover_parts_lie_in_single_cosets(lamplighter, oracle_lamplighter):

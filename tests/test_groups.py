@@ -28,6 +28,7 @@ from wreathdim import (
     TableGroup,
     VirtuallyZGroup,
     VirtuallyZStructure,
+    WreathContext,
     as_radius,
     ball,
     evaluate_word,
@@ -37,6 +38,7 @@ from wreathdim import (
     vz_distortion_constant,
     word_length,
 )
+from wreathdim.groups import _BallSearch, _CayleySpace, _meet
 
 KLEIN_TABLE = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
@@ -396,6 +398,49 @@ def test_word_length_at_most_early_exit(f2):
     assert word_length(f2, far, at_most=3) is None
     assert word_length(f2, far, at_most=11) is None
     assert word_length(f2, far, at_most=12) == 12
+
+
+def _s3() -> TableGroup:
+    # S3 as permutations of 0..2, marked by a transposition and a 3-cycle
+    perms = [(0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0)]
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[k]] for k in range(3))] for q in perms] for p in perms]
+    return TableGroup(table, (1, 2))
+
+
+@pytest.mark.parametrize(
+    "make_ctx",
+    [
+        pytest.param(lambda: CyclicGroup(7), id="C7"),
+        pytest.param(_s3, id="S3"),
+        pytest.param(lambda: WreathContext(CyclicGroup(2), CyclicGroup(3)), id="C2wrC3"),
+    ],
+)
+def test_bounded_lengths_on_finite_groups_match_the_ball(make_ctx):
+    # every bound up to past the diameter, on every element, from a fresh
+    # search and from a fresh oracle
+    ctx = make_ctx()
+    table = ball(ctx, ctx.order() + 1)
+    assert len(table) == ctx.order()
+    diameter = max(table.lengths.values())
+    for g, length in table.lengths.items():
+        assert word_length(ctx, g) == length
+        assert LengthOracle(ctx).length(g) == length
+        for bound in range(diameter + 2):
+            expected = length if length <= bound else None
+            assert word_length(ctx, g, at_most=bound) == expected
+            assert LengthOracle(ctx).length_at_most(g, bound) == expected
+
+
+def test_meet_off_the_generated_subgroup_runs_out_of_states():
+    # the letters 3 and 9 of C12 generate {0, 3, 6, 9}, so both halves of a
+    # meet with 1 exhaust: unbounded that is a structure error, and with a
+    # bound the first exhausted half puts the length past it
+    space = _CayleySpace(CyclicGroup(12), (3, 9))
+    with pytest.raises(StructureError, match="not generated"):
+        _meet(_BallSearch(space, 1000), 1, None, 1000)
+    for bound in (0, 1, 2, 10):
+        assert _meet(_BallSearch(space, 1000), 1, bound, 1000) is None
 
 
 def test_minimal_word_round_trip(z, f2):
