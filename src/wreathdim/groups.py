@@ -125,10 +125,28 @@ class MarkedGroup:
         raise NotImplementedError
 
     def elements(self) -> tuple[Element, ...]:
-        """All elements in canonical order; finite kinds only."""
-        if self.order() is None:
+        """All elements in canonical order; finite kinds only.
+
+        The elements are the ball of radius ``order + 1``, which a
+        ``LengthOracle`` orders by canonical encoding.  Cyclic and table kinds
+        list ``range(order)`` instead: their canonical order is numeric, which
+        leaves uvarint byte order from 128 elements on, and a wreath's lamp
+        letters, and so its spec string, follow its fiber's element order.
+        """
+        order = self._enumerable_order()
+        return LengthOracle(self).ball(order + 1).elements
+
+    def _enumerable_order(self) -> int:
+        """The group's order, refused when infinite or past ``DEFAULT_BUDGET``."""
+        order = self.order()
+        if order is None:
             raise StructureError(f"{self.kind}: cannot enumerate an infinite group")
-        raise StructureError(f"cannot enumerate the elements of {self.spec_string()}")
+        if order > DEFAULT_BUDGET:
+            raise BudgetExceededError(
+                f"{self.spec_string()} has {order} elements, "
+                f"more than the node budget of {DEFAULT_BUDGET} to enumerate"
+            )
+        return order
 
     def power(self, x: Element, k: int) -> Element:
         """``x**k`` by square-and-multiply; ``k`` may be negative."""
@@ -168,8 +186,7 @@ class MarkedGroup:
 
     def _check_generation(self) -> None:
         # Exhaustive closure check; only called for finite kinds.
-        total = self.order()
-        assert total is not None
+        total = self._enumerable_order()
         reached = LengthOracle(self).growth(total + 1)
         if reached != total:
             raise StructureError(
@@ -242,27 +259,17 @@ class MarkedGroup:
 
         Returns ``("none", 0, 0)``, ``("unique", e, 0)``, or
         ``("periodic", e0, p)`` meaning the solution set is ``e0 + p*Z``.
+        Finite kinds search the closure of ``t`` from the identity: the
+        least solution is the depth of ``h`` and the period is the closure's
+        size, the order of ``t``.  Infinite kinds that solve it override this.
         """
-        raise NotImplementedError
-
-    def _solutions_in_finite(self, t: Element, h: Element) -> tuple[str, int, int]:
-        # Order of t is finite here; scan one period of powers.
-        ident = self.identity()
-        cur = ident
-        order_t = None
-        hit = None
-        e = 0
-        while True:
-            if cur == h and hit is None:
-                hit = e
-            cur = self.multiply(cur, t)
-            e += 1
-            if cur == ident:
-                order_t = e
-                break
-        if hit is None:
-            return ("none", 0, 0)
-        return ("periodic", hit, order_t)
+        order = self.order()
+        if order is None:
+            raise NotImplementedError
+        powers = _BallSearch(_CayleySpace(self, (t,)), order)
+        powers.extend(order)  # never over budget: the closure of t fits in the group
+        e = powers.seen.get(h)
+        return ("none", 0, 0) if e is None else ("periodic", e, len(powers.seen))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.spec_string()}>"
@@ -378,9 +385,6 @@ class CyclicGroup(MarkedGroup):
     def spec_string(self) -> str:
         gens = ",".join(str(g) for g in self._generators)
         return f"cyclic(n={self.modulus}|gens={gens})"
-
-    def exponent_solutions(self, t: int, h: int) -> tuple[str, int, int]:
-        return self._solutions_in_finite(t, h)
 
 
 def _free_letter_tables(rank: int) -> tuple[bytes, tuple[int | None, ...]]:
@@ -644,9 +648,6 @@ class TableGroup(MarkedGroup):
         gens = ",".join(str(g) for g in self._generators)
         return f"table(rows={rows}|gens={gens})"
 
-    def exponent_solutions(self, t: int, h: int) -> tuple[str, int, int]:
-        return self._solutions_in_finite(t, h)
-
 
 class ProductGroup(MarkedGroup):
     """Direct product of two marked groups; elements are pairs ``(left, right)``.
@@ -690,13 +691,6 @@ class ProductGroup(MarkedGroup):
         if lo is None or ro is None:
             return None
         return lo * ro
-
-    def elements(self) -> tuple[tuple[Element, Element], ...]:
-        if self.order() is None:
-            raise StructureError("product: cannot enumerate an infinite group")
-        values = [(l, r) for l in self.left.elements() for r in self.right.elements()]
-        values.sort(key=self.sort_key)
-        return tuple(values)
 
     def _post_validate(self) -> None:
         if self.order() is not None:
@@ -1028,7 +1022,8 @@ class _BallSearch:
     depth ``reach``, infinite once a level comes out empty.  A level over
     the budget is dropped again, so a resumed search holds, and fails at,
     what a fresh one does.  ``step`` is the one BFS level loop of the
-    package: balls, lengths, geodesics and subgroup closures all run on it.
+    package: balls, lengths, geodesics, subgroup closures, the element
+    lists of finite groups and their power scans all run on it.
     """
 
     def __init__(self, space: Any, budget: int, *, start: Any = None):
@@ -1130,14 +1125,10 @@ def word_length(
 
     With ``at_most`` set, returns ``None`` as soon as the length is known to
     exceed it (the search never explores past that depth).  Each call
-    searches afresh: ``_meet`` from ``g`` to a new ``_BallSearch``.
+    searches afresh: a new ``LengthOracle`` answers it, so its held BFS
+    holds only the identity and ``_meet`` searches back from ``g`` to it.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
-    g = ctx.canonicalize(g)
-    if g == ctx.identity():
-        return 0
-    space = ctx._search_space()
-    return _meet(_BallSearch(space, budget), space.state_of(g), at_most, budget)
+    return LengthOracle(ctx, budget=budget)._known_length(ctx.canonicalize(g), at_most)
 
 
 def _meet(forward: _BallSearch, target: Any, at_most: int | None, budget: int) -> int | None:

@@ -19,14 +19,12 @@ lamp field per visited base position.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
 from .encoding import EncodingError, encode_uvarint, read_uvarint, write_uvarint
 from .errors import BudgetExceededError, StructureError
 from .groups import (
-    DEFAULT_BUDGET,
     Element,
     LengthOracle,
     MarkedGroup,
@@ -147,26 +145,6 @@ class WreathContext(MarkedGroup):
             return None
         assert fo is not None
         return fo**bo * bo
-
-    def elements(self) -> tuple[WreathElement, ...]:
-        """Every (lamp function, cursor) pair of a finite wreath, in canonical order."""
-        total = self.order()
-        if total is None:
-            raise StructureError("wreath: cannot enumerate an infinite group")
-        if total > DEFAULT_BUDGET:
-            raise BudgetExceededError(
-                f"{self.spec_string()} has {total} elements, "
-                f"more than the node budget of {DEFAULT_BUDGET} to enumerate"
-            )
-        positions = self.base.elements()
-        values = self.fiber.elements()
-        found = [
-            self.element(zip(positions, lamps), cursor)
-            for lamps in itertools.product(values, repeat=len(positions))
-            for cursor in positions
-        ]
-        found.sort(key=self.sort_key)
-        return tuple(found)
 
     # -- canonical encoding -----------------------------------------------------
 

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import itertools
 import pkgutil
 from fractions import Fraction
 
 import pytest
 
 import wreathdim
+from wreathdim import groups
 from wreathdim import (
     BudgetExceededError,
     CyclicGroup,
@@ -142,6 +144,26 @@ def test_cyclic_rejects_identity_generator():
 def test_cyclic_rejects_non_generating_marking():
     with pytest.raises(StructureError):
         CyclicGroup(6, generators=(2,))
+
+
+def test_generation_check_sizes_the_group_before_searching(monkeypatch):
+    # a group past the node budget is refused by its order, before any BFS level
+    def no_step(self, budget):
+        raise AssertionError("searched a group too large to enumerate")
+
+    monkeypatch.setattr(groups, "DEFAULT_BUDGET", 1000)
+    monkeypatch.setattr(groups._BallSearch, "step", no_step)
+    with pytest.raises(BudgetExceededError, match="has 5000 elements, more than the node budget of 1000"):
+        CyclicGroup(5000)
+
+
+def test_product_elements_are_the_pairs_in_encoding_order(z, c2, c3):
+    for ctx in (ProductGroup(c2, c3), ProductGroup(_s3(), c2)):
+        # the pair enumeration that the BFS ball replaced
+        pairs = itertools.product(ctx.left.elements(), ctx.right.elements())
+        assert ctx.elements() == tuple(sorted(pairs, key=ctx.encode))
+    with pytest.raises(StructureError, match="product: cannot enumerate an infinite group"):
+        ProductGroup(c2, z).elements()
 
 
 def test_cyclic_growth_saturates(c3):
@@ -299,6 +321,33 @@ def test_exponent_solutions_product_intersects_constraints(z, c2, c3):
     # Residues 2 mod 3 and 1 mod 2 combine to 5 mod 6.
     cc = ProductGroup(c3, c2)
     assert cc.exponent_solutions((1, 1), (2, 1)) == ("periodic", 5, 6)
+
+
+@pytest.mark.parametrize(
+    "make_ctx",
+    [
+        pytest.param(lambda: CyclicGroup(6), id="C6"),
+        pytest.param(lambda: _s3(), id="S3"),
+        pytest.param(lambda: ProductGroup(CyclicGroup(2), CyclicGroup(3)), id="C2xC3"),
+        pytest.param(lambda: WreathContext(CyclicGroup(2), CyclicGroup(3)), id="C2wrC3"),
+    ],
+)
+def test_exponent_solutions_on_finite_groups_match_the_powers(make_ctx):
+    ctx = make_ctx()
+    ident = ctx.identity()
+    for t in ctx.elements():
+        powers = [ident]
+        while ctx.multiply(powers[-1], t) != ident:
+            powers.append(ctx.multiply(powers[-1], t))
+        for h in ctx.elements():
+            expected = ("periodic", powers.index(h), len(powers)) if h in powers else ("none", 0, 0)
+            assert ctx.exponent_solutions(t, h) == expected
+
+
+def test_exponent_solutions_on_an_infinite_wreath_are_not_implemented(lamplighter):
+    g = lamplighter.generators[0]
+    with pytest.raises(NotImplementedError):
+        lamplighter.exponent_solutions(g, g)
 
 
 # -- virtually-Z structures --------------------------------------------------

@@ -312,6 +312,12 @@ PACKED_CASES = [
         3,
         id="C3-Z2",
     ),
+    pytest.param(
+        lambda: WreathContext(ProductGroup(CyclicGroup(2), CyclicGroup(3)), IntegerGroup()),
+        4,
+        3,
+        id="C2xC3-Z",
+    ),
 ]
 
 
