@@ -29,11 +29,7 @@ from .covers import (
     pullback_cover,
     r_components,
 )
-from .cubes import (
-    exhaustive_lattice_search,
-    growth_lower_bound_certificate,
-    sampled_lattice_search,
-)
+from .cubes import exhaustive_lattice_search, growth_lower_bound_certificate
 from .errors import BudgetExceededError, ConfigError
 from .groups import DEFAULT_BUDGET, IntegerGroup, LengthOracle, word_length
 from .suite import run_suite
@@ -45,8 +41,7 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "out": {"default": "-", "help": "output path, - for stdout"},
     "format": {"choices": ("json", "csv"), "default": "json", "help": "report format"},
     "budget": {"type": int, "default": DEFAULT_BUDGET, "help": "search node budget"},
-    "workers": {"type": int, "default": 1, "help": "worker processes for exhaustive sweeps"},
-    "seed": {"type": int, "default": 0, "help": "seed for sampled searches"},
+    "seed": {"type": int, "default": 0, "help": "seed for the certificate's vertex-pair sample"},
 }
 
 
@@ -102,8 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--parts", type=int, required=True)
-    p.add_argument("--samples", type=int, help="sampled sweep instead of exhaustive")
-    _flags(p, "out", "budget", "workers", "seed")
+    _flags(p, "out", "budget")
 
     p = commands.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--checks", help="comma-separated subset of checks to run")
@@ -291,22 +285,15 @@ def _cmd_cube(args: argparse.Namespace) -> int:
     oracle = LengthOracle(ctx.base, budget=args.budget)
     r = _radius_flag("--r", args.r)
     cert = growth_lower_bound_certificate(ctx, args.n, r, base_oracle=oracle, seed=args.seed)
-    payload = _report("cube", {"name": args.name, "n": args.n, "r": args.r}, cert.to_json_dict())
+    payload = _report("cube", {"name": args.name, "n": args.n, "r": str(r)}, cert.to_json_dict())
     _write(args.out, payload)
     return 0
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
-    if args.samples is not None:
-        report = sampled_lattice_search(args.n, args.k, args.parts, args.samples, seed=args.seed)
-        mode = "sampled"
-    else:
-        report = exhaustive_lattice_search(
-            args.n, args.k, args.parts, workers=args.workers, budget=args.budget
-        )
-        mode = "exhaustive"
+    report = exhaustive_lattice_search(args.n, args.k, args.parts, budget=args.budget)
     results = {
-        "mode": mode,
+        "mode": "exhaustive",
         "n": report.n,
         "k": report.k,
         "parts": report.num_parts,
@@ -358,10 +345,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in ("budget", "workers"):
-            value = getattr(args, flag, 1)
-            if value < 1:
-                raise ConfigError(f"--{flag} must be >= 1, got {value}")
+        if args.budget < 1:
+            raise ConfigError(f"--budget must be >= 1, got {args.budget}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

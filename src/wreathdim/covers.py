@@ -21,6 +21,7 @@ from .groups import (
     VirtuallyZStructure,
     _BallSearch,
     _CayleySpace,
+    _oracle_for,
     as_radius,
     max_length_below,
     same_group,
@@ -46,9 +47,7 @@ class GroupWindowView:
     def __init__(self, ctx: Any, points: Iterable[Element], oracle: LengthOracle | None = None):
         self.ctx = ctx
         self.points = tuple(ctx.canonicalize(x) for x in points)
-        self.oracle = oracle if oracle is not None else LengthOracle(ctx)
-        if not same_group(self.oracle.ctx, ctx):
-            raise StructureError("the oracle measures a different marked group than the window")
+        self.oracle = _oracle_for(ctx, oracle)
 
     def dist(self, a: Element, b: Element) -> int:
         return self.oracle._known_length(self.ctx.multiply(self.ctx.inverse(a), b))
@@ -234,8 +233,7 @@ def kernel_control_bound(
     fiber_order = ctx.fiber.order()
     if fiber_order is None or fiber_order < 2:
         raise StructureError("kernel control bound needs a nontrivial finite fiber")
-    oracle = base_oracle if base_oracle is not None else LengthOracle(ctx.base)
-    return (2 * radius + 1) * oracle.growth(radius)
+    return (2 * radius + 1) * _oracle_for(ctx.base, base_oracle).growth(radius)
 
 
 @dataclass(frozen=True)
@@ -264,7 +262,7 @@ def coset_cover(
     ``BudgetExceededError`` exactly when it holds more than the budget.
     """
     radius = as_radius(r)
-    oracle = oracle if oracle is not None else LengthOracle(ctx)
+    oracle = _oracle_for(ctx, oracle)
     budget = oracle.budget
     cutoff = max_length_below(radius)
     gens = [x for x in window if oracle.length_at_most(x, cutoff) is not None]

@@ -14,8 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import multiprocessing
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +21,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .covers import Cover, GroupWindowView, lebesgue_ok
 from .errors import BudgetExceededError
-from .groups import DEFAULT_BUDGET, Element, LengthOracle, as_radius
+from .groups import DEFAULT_BUDGET, Element, LengthOracle, _oracle_for, as_radius
 from .wreath import WreathContext, bulb_product
 
 Point = tuple[int, ...]
@@ -357,16 +355,6 @@ def _trivial_cover_count(num_parts: int, points: int) -> int:
     )
 
 
-def _sweep_branch(task: tuple[_LatticeScanner, list[list[int]]]) -> tuple[int, int, list[int]]:
-    scanner, allowed = task
-    return scanner.sweep(allowed)
-
-
-def _pool_size(workers: int, cpus: int, chunks: int) -> int:
-    """Processes worth starting: no more than requested, than CPUs, or than chunks."""
-    return max(1, min(workers, cpus, chunks))
-
-
 def exhaustive_lattice_search(
     n: int, k: int, num_parts: int, *, workers: int = 1, budget: int | None = None
 ) -> LatticeSearchReport:
@@ -391,8 +379,10 @@ def exhaustive_lattice_search(
     soon as the assigned points of some closed n-ball share no part.  Every
     leaf passes the hypothesis and has its witness hunted; the leaves are
     ``nontrivial_count``.  ``assignments`` is always the full
-    ``radix**points``, failures come in increasing code order, and a pool
-    deals out the branches, so the report is identical for any worker count.
+    ``radix**points`` and failures come in increasing code order.
+
+    Every branch is swept in this process, and ``workers`` has no effect; it
+    stays only while the benchmark's lattice workload passes ``workers=1``.
 
     A sweep of more than ``budget`` codes is refused before it starts, and so
     is a lattice of more than ``budget`` point pairs: the scanner's ``balls``
@@ -406,7 +396,7 @@ def exhaustive_lattice_search(
     if radix ** min(points, budget.bit_length() + 1) > budget:
         raise BudgetExceededError(
             f"an exhaustive sweep of {radix}^({k + 1}^{n}) assignment codes exceeds "
-            f"the budget of {budget}; sample the sweep or raise the budget"
+            f"the budget of {budget}; raise the budget"
         )
     # the scanner's bitsets take up to points**2 bits, whatever the code count
     if points * points > budget:
@@ -416,19 +406,12 @@ def exhaustive_lattice_search(
         )
     scanner = _LatticeScanner(n, k, num_parts)
     trivial = _trivial_cover_count(num_parts, points)
-    tasks = []
+    results = []
     if not scanner.fills_box():
         for missed in itertools.product(range(points), repeat=num_parts):
             allowed = scanner.branch(missed)
             if allowed is not None:
-                tasks.append((scanner, allowed))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    size = _pool_size(workers, cpus or 1, len(tasks))
-    if size == 1:
-        results = list(map(_sweep_branch, tasks))
-    else:
-        with multiprocessing.Pool(size) as pool:
-            results = pool.map(_sweep_branch, tasks)
+                results.append(scanner.sweep(allowed))
     h = sum(res[0] for res in results)
     w = sum(res[1] for res in results)
     failures = tuple(sorted(code for res in results for code in res[2]))
@@ -440,7 +423,11 @@ def exhaustive_lattice_search(
 def sampled_lattice_search(
     n: int, k: int, num_parts: int, samples: int, *, seed: int = 0
 ) -> LatticeSearchReport:
-    """Same tally over a seeded random sample of assignment codes."""
+    """Same tally over a seeded random sample of assignment codes.
+
+    Kept, with ``_scan_lattice_codes`` and ``parts_of``, only for the
+    benchmark's lattice workload; the CLI sweeps exhaustively.
+    """
     if samples < 1:
         raise ValueError(f"lattice samples must be at least 1, got {samples}")
     scanner = _LatticeScanner(n, k, num_parts)
@@ -567,8 +554,7 @@ def build_kernel_cube(
     if n < 1:
         raise ValueError(f"cube dimension must be >= 1, got {n}")
     radius = as_radius(r)
-    oracle = base_oracle if base_oracle is not None else LengthOracle(ctx.base)
-    table = oracle.ball(radius)
+    table = _oracle_for(ctx.base, base_oracle).ball(radius)
     gamma = len(table)
     if k is None:
         k = gamma // n
@@ -693,7 +679,7 @@ def growth_lower_bound_certificate(
     cube with Lebesgue number >= n*3r has a part with an (n*3r)-component of
     diameter at least k = growth(r) // n.
     """
-    oracle = base_oracle if base_oracle is not None else LengthOracle(ctx.base)
+    oracle = _oracle_for(ctx.base, base_oracle)
     kcube = build_kernel_cube(ctx, n, r, base_oracle=oracle)
     evidence = lipschitz_pairs(kcube, seed=seed)
     for a, b, want, got in evidence:

@@ -1306,3 +1306,15 @@ class LengthOracle:
 
     def distance_at_most(self, x: Element, y: Element, bound: int) -> int | None:
         return self.length_at_most(self.ctx.multiply(self.ctx.inverse(x), y), bound)
+
+
+def _oracle_for(group: MarkedGroup, oracle: LengthOracle | None) -> LengthOracle:
+    """``oracle``, or a fresh one for ``group``; refuse one that measures another group."""
+    if oracle is None:
+        return LengthOracle(group)
+    if not same_group(oracle.ctx, group):
+        raise StructureError(
+            f"the oracle measures {oracle.ctx.spec_string()}, "
+            f"a different marked group than {group.spec_string()}"
+        )
+    return oracle

@@ -29,6 +29,7 @@ from .groups import (
     LengthOracle,
     MarkedGroup,
     VirtuallyZStructure,
+    _oracle_for,
     expect_at,
     same_group,
     vz_decompose,
@@ -576,8 +577,5 @@ def kernel_window(
     The ball comes from ``oracle`` (a fresh one for ``ctx`` if omitted), so
     levels the oracle has searched already are read, not searched again.
     """
-    if oracle is None:
-        oracle = LengthOracle(ctx)
-    elif not same_group(oracle.ctx, ctx):
-        raise StructureError("the oracle measures a different marked group than the window")
-    return tuple(w for w in oracle.ball(r).elements if w.cursor == ctx._base_id)
+    ball = _oracle_for(ctx, oracle).ball(r)
+    return tuple(w for w in ball.elements if w.cursor == ctx._base_id)

@@ -196,10 +196,7 @@ PULLBACK = ["control", "--name", "L2", "--mode", "pullback", "--window-radius", 
             "--sub-window must be >= 4, the largest |cursor| in the window, got 1",
         ),
         (["verify", "--budget", "0"], "--budget must be >= 1, got 0"),
-        (
-            ["lattice", "--n", "2", "--k", "2", "--parts", "2", "--workers", "0"],
-            "--workers must be >= 1, got 0",
-        ),
+        (["lattice", "--n", "2", "--k", "2", "--parts", "2", "--budget", "0"], "--budget must be"),
         (["components", "--name", "Z", "--window-radius", "+4"], "--window-radius must be"),
     ],
 )
@@ -232,6 +229,11 @@ def test_cube_certificate(capsys):
     assert all(p["separation"] >= p["l1"] for p in cert["pairs"])
 
 
+def test_cube_echoes_the_parsed_radius(capsys):
+    payload = run_json(capsys, ["cube", "--name", "W2", "--n", "2", "--r", "4/2"])
+    assert payload["params"]["r"] == payload["results"]["r"] == "2"
+
+
 # -- lattice -------------------------------------------------------------------
 
 
@@ -244,31 +246,11 @@ def test_lattice_exhaustive(capsys):
     assert res["failures"] == []
 
 
-def test_lattice_sampled(capsys):
-    payload = run_json(
-        capsys,
-        ["lattice", "--n", "2", "--k", "2", "--parts", "2", "--samples", "40"],
-    )
-    res = payload["results"]
-    assert res["mode"] == "sampled"
-    assert res["assignments"] == 40
-    assert res["failures"] == []
-
-
-def test_lattice_sampled_rejects_more_parts_than_coordinates(capsys):
-    rc = main(["lattice", "--n", "1", "--k", "2", "--parts", "2", "--samples", "200"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert "at most 1 parts" in captured.err
-
-
 @pytest.mark.parametrize(
     "flags, message",
     [
         (["--k", "0", "--parts", "1"], "lattice k must be"),
         (["--k", "2", "--parts", "0"], "lattice num_parts must be"),
-        (["--k", "2", "--parts", "2", "--samples", "-3"], "lattice samples must be at least 1"),
     ],
 )
 def test_lattice_rejects_degenerate_sizes(capsys, flags, message):
@@ -295,7 +277,6 @@ def test_lattice_refuses_a_sweep_over_the_budget(capsys):
     "sweep, flags",
     [
         ("exhaustive_lattice_search", []),
-        ("sampled_lattice_search", ["--samples", "40"]),
     ],
 )
 def test_lattice_refutation_exits_4_with_its_report(capsys, monkeypatch, sweep, flags):
@@ -348,6 +329,9 @@ def test_out_writes_file(tmp_path, capsys):
         (["growth", "--name", "L2", "--workers", "2"], "--workers"),
         (["verify", "--config", "x.ini"], "--config"),
         (["verify", "--workers", "2"], "--workers"),
+        (["lattice", "--n", "2", "--k", "2", "--parts", "2", "--workers", "2"], "--workers"),
+        (["lattice", "--n", "2", "--k", "2", "--parts", "2", "--samples", "40"], "--samples"),
+        (["lattice", "--n", "2", "--k", "2", "--parts", "2", "--seed", "1"], "--seed"),
     ],
 )
 def test_commands_refuse_flags_they_do_not_read(capsys, monkeypatch, args, flag):

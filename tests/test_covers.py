@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,13 @@ def test_kernel_control_bound_needs_nontrivial_fiber(z):
         kernel_control_bound(trivial, 2)
 
 
+def test_kernel_control_bound_refuses_an_oracle_of_another_base(lamplighter, c3, z):
+    # a C3 oracle reads growth 3 at r=3 where Z reads 5: a bound of 21, not 35
+    message = f"{c3.spec_string()}, a different marked group than {z.spec_string()}"
+    with pytest.raises(StructureError, match=re.escape(message)):
+        kernel_control_bound(lamplighter, 3, base_oracle=LengthOracle(c3))
+
+
 def test_kernel_components_within_bound(lamplighter, oracle_lamplighter):
     # Every r-component of a kernel window stays within (2r+1) * growth(r).
     window = kernel_window(lamplighter, 6)
@@ -247,6 +255,12 @@ def test_coset_cover_small_window(lamplighter, oracle_lamplighter):
     assert len(cc.closure) == 2
     assert cc.max_length == 1
     assert len(cc.cosets) == 3
+
+
+def test_coset_cover_refuses_an_oracle_of_another_group(lamplighter, plane_lamplighter):
+    window = kernel_window(lamplighter, 6)
+    with pytest.raises(StructureError, match="different marked group"):
+        coset_cover(lamplighter, window, 2, oracle=LengthOracle(plane_lamplighter))
 
 
 def test_coset_cover_partitions_window(lamplighter, oracle_lamplighter):

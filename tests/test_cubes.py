@@ -12,12 +12,14 @@ import pytest
 
 from wreathdim import (
     BudgetExceededError,
+    CyclicGroup,
     GroupWindowView,
     IntegerGroup,
     LatticeOutcome,
     LengthOracle,
     ProductGroup,
     RCube,
+    StructureError,
     build_kernel_cube,
     cover_of,
     cube_obstruction,
@@ -30,7 +32,6 @@ from wreathdim import (
     word_length,
 )
 from wreathdim import cubes
-from wreathdim.cubes import _pool_size
 
 
 # -- lattice geometry ---------------------------------------------------------
@@ -391,14 +392,6 @@ def test_exhaustive_search_sizes_its_scanner_against_the_budget(monkeypatch):
         exhaustive_lattice_search(2, 20, 1, budget=1000)
 
 
-def test_pool_size_is_bounded_by_cpus_and_chunks():
-    assert _pool_size(10**9, 2, 10**12) == 2
-    assert _pool_size(10**9, 10**6, 3) == 3
-    assert _pool_size(4, 10**6, 10**12) == 4
-    assert _pool_size(10**9, 10**6, 0) == 1
-    assert _pool_size(0, 8, 8) == 1
-
-
 def test_huge_worker_count_on_one_cpu_starts_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-CPU sweep must run in this process")
@@ -409,6 +402,17 @@ def test_huge_worker_count_on_one_cpu_starts_no_pool(monkeypatch):
     assert exhaustive_lattice_search(2, 1, 2, workers=10**9) == exhaustive_lattice_search(
         2, 1, 2
     )
+
+
+def test_many_workers_on_many_cpus_still_sweep_in_this_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("every branch must be swept in this process")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    report = exhaustive_lattice_search(2, 3, 2, workers=4, budget=3**16)
+    assert report == exhaustive_lattice_search(2, 3, 2, budget=3**16)
+    assert report.nontrivial_count == 52
 
 
 def test_sampled_search_is_seeded():
@@ -560,6 +564,14 @@ def test_certificate_line_frozen(lamplighter):
     assert len(payload["pairs"]) == 15
     assert payload["spec"] == lamplighter.spec_string()
     assert payload["spec_hash"] == lamplighter.spec_hash
+
+
+def test_certificate_refuses_an_oracle_of_another_base(lamplighter):
+    # a C3 oracle would certify growth 3 and k 3 where Z gives 5 and 5
+    with pytest.raises(StructureError, match="different marked group"):
+        growth_lower_bound_certificate(
+            lamplighter, 1, 3, base_oracle=LengthOracle(CyclicGroup(3))
+        )
 
 
 def test_certificate_pairs_have_unit_lipschitz_inverse(lamplighter):
