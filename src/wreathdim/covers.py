@@ -68,22 +68,14 @@ class GroupWindowView:
 
 
 def ball_window(oracle: LengthOracle, radius: Radius) -> GroupWindowView:
-    """The open ball of ``radius`` as a window, with every pair distance prefilled.
+    """The open ball of ``radius`` as a window over ``oracle.ball(radius)``.
 
-    Two points of the ball are at distance at most twice its largest length,
-    so one BFS to that depth, ``oracle.search``, answers every pair distance
-    from its states, without building the elements of the larger ball.
-    ``max_diameter`` measures only the pivot distances and the pairs its
-    triangle bound cannot rule out, a few hundred on the 8-ball of the
-    lamplighter, but without the search each of those would be a search of
-    its own, which costs more than the one BFS.  Under a budget too small
-    for that BFS, the search keeps its complete levels, and each measured
-    pair past them gets its own search.
+    The oracle searches the ball's levels and no deeper.  Each pair
+    distance that ``max_diameter`` and the rest measure past them is an
+    oracle miss; the misses' growing weight (``LengthOracle``) extends the
+    held search once enough of them would have paid for a level, and a
+    level over half the budget is left to them to search back around.
     """
-    try:
-        oracle.search(2 * max_length_below(as_radius(radius)) + 1)
-    except BudgetExceededError:
-        pass
     return GroupWindowView(oracle.ctx, oracle.ball(radius).elements, oracle)
 
 
@@ -274,15 +266,17 @@ def coset_cover(
     closure = search.seen
     ordered_closure = tuple(sorted(closure, key=ctx.sort_key))
     max_length = max((oracle.length(x) for x in ordered_closure), default=0)
-    reps: list[Element] = []
+    # each coset's representative is its first point, inverted once when it opens
+    rep_inverses: list[Element] = []
     cosets: list[list[Element]] = []
+    mul = ctx.multiply
     for x in window:
-        for rep, members in zip(reps, cosets):
-            if ctx.multiply(ctx.inverse(rep), x) in closure:
+        for inv, members in zip(rep_inverses, cosets):
+            if mul(inv, x) in closure:
                 members.append(x)
                 break
         else:
-            reps.append(x)
+            rep_inverses.append(ctx.inverse(x))
             cosets.append([x])
     return CosetCover(ordered_closure, tuple(tuple(c) for c in cosets), max_length)
 

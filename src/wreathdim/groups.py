@@ -1021,14 +1021,16 @@ class _BallSearch:
     number of states of depth at most ``d``.  ``seen`` is complete up to
     depth ``reach``, infinite once a level comes out empty.  A level over
     the budget is dropped again, so a resumed search holds, and fails at,
-    what a fresh one does.  ``step`` is the one BFS level loop of the
-    package: balls, lengths, geodesics, subgroup closures, the element
-    lists of finite groups and their power scans all run on it.
+    what a fresh one does.  ``refused`` is the reach at which ``_meet`` last
+    dropped a level that only its weight asked for (-1 before any).
+    ``step`` is the one BFS level loop of the package: balls, lengths,
+    geodesics, subgroup closures, the element lists of finite groups and
+    their power scans all run on it.
     """
 
     def __init__(self, space: Any, budget: int, *, start: Any = None):
         start = space.identity_state() if start is None else start
-        self.space, self.budget, self.reach = space, budget, 0
+        self.space, self.budget, self.reach, self.refused = space, budget, 0, -1
         self.seen, self.frontier, self.counts = {start: 0}, [start], [1]
 
     def step(self, budget: int) -> bool:
@@ -1126,21 +1128,32 @@ def word_length(
     With ``at_most`` set, returns ``None`` as soon as the length is known to
     exceed it (the search never explores past that depth).  Each call
     searches afresh: a new ``LengthOracle`` answers it, so its held BFS
-    holds only the identity and ``_meet`` searches back from ``g`` to it.
+    holds only the identity and ``_meet`` searches back from ``g`` to it
+    with weight 1, stepping the smaller frontier as a one-off search does.
     """
     return LengthOracle(ctx, budget=budget)._known_length(ctx.canonicalize(g), at_most)
 
 
-def _meet(forward: _BallSearch, target: Any, at_most: int | None, budget: int) -> int | None:
+def _meet(
+    forward: _BallSearch, target: Any, at_most: int | None, budget: int, weight: int = 1
+) -> int | None:
     """Length of the state ``target``, which ``forward`` has not found, or None past ``at_most``.
 
     A second ``_BallSearch``, started at ``target``, searches back and
-    meets the forward search, whose levels are kept: each round steps the
-    search with the smaller frontier (ties go forward) and checks its new
-    states against the other half.  Both halves hold at most ``budget``
-    states together; a level over it is dropped.  A half whose frontier
-    empties has an infinite reach: it has met the other half, or ``target``
-    lies off the subgroup that the space's letters generate.
+    meets the forward search, whose levels are kept: each round steps one
+    half and checks its new states against the other.  The forward half
+    steps while its frontier is at most ``weight`` times the backward one
+    (Pohl's smaller-frontier rule at weight 1; ties go forward).  A kept
+    level serves every later query, so an oracle passes its running miss
+    count as ``weight``, and buys a level once the misses so far would have
+    paid for it.  Both halves hold at most ``budget`` states together, and a
+    level over it is dropped: one the smaller-frontier rule takes raises
+    ``BudgetExceededError``.  One that only the weight asks for may hold the
+    forward half to half the budget, leaving later misses room to search
+    back; over that it is dropped, the round searches back instead, and
+    ``forward.refused`` keeps later rounds from expanding it again.  A half
+    whose frontier empties has an infinite reach: it has met the other half,
+    or ``target`` lies off the subgroup that the space's letters generate.
     """
     backward = _BallSearch(forward.space, budget, start=target)
     best: int | None = None
@@ -1152,13 +1165,20 @@ def _meet(forward: _BallSearch, target: Any, at_most: int | None, budget: int) -
             raise StructureError("element is not generated by the declared marking")
         if at_most is not None and best is None and reach >= at_most:
             return None
-        if forward.frontier and (
-            not backward.frontier or len(forward.frontier) <= len(backward.frontier)
-        ):
+        ahead, behind = len(forward.frontier), len(backward.frontier)
+        ours, theirs, stepped = backward, forward, False
+        if ahead and (not behind or ahead <= behind):
             ours, theirs = forward, backward
-        else:
-            ours, theirs = backward, forward
-        if not ours.step(budget - len(theirs.seen)):
+        elif 0 < ahead <= weight * behind and forward.refused != forward.reach:
+            # Only the weight asks for this level, and it may fill half the
+            # budget.  Over that it is dropped and remembered, and the round
+            # searches back instead.
+            stepped = forward.step(min(budget - len(backward.seen), budget // 2))
+            if stepped:
+                ours, theirs = forward, backward
+            else:
+                forward.refused = forward.reach
+        if not stepped and not ours.step(budget - len(theirs.seen)):
             raise BudgetExceededError(f"word-length search exceeded the node budget of {budget}")
         met = theirs.seen.keys() & ours.frontier
         if met:
@@ -1218,16 +1238,20 @@ class LengthOracle:
     """Memoizing exact length/distance oracle for one marked context.
 
     The oracle holds one BFS from the identity (``_BallSearch``), which each
-    query resumes: ``search(r)`` extends it to ``max_length_below(r)``,
-    ``growth(r)`` counts its states by depth, and ``ball(r)`` builds the
-    table of its states to that depth, a prefix of the search, with the
-    collector paused as in ``ball()`` and cached per radius.  A length query
+    query resumes: ``growth(r)`` extends it to ``max_length_below(r)`` and
+    counts its states by depth, and ``ball(r)`` builds the table of its
+    states to that depth, a prefix of the search, with the collector paused
+    as in ``ball()`` and cached per radius.  A length query
     looks its element's state up in the search, one dict lookup with no
     element of the searched ball built; a miss with ``bound <= reach`` is
     past the bound, as the BFS is complete to its reach.  Other misses
-    search back from their element until that search meets the held BFS,
-    which they extend level by level, so later misses start from deeper
-    levels; their lengths are memoized.  Distances use left-invariance:
+    search back from their element until that search meets the held BFS
+    (``_meet``), and their lengths are memoized.  The n-th miss weighs the
+    held BFS's next level by n: it extends the held BFS while its frontier
+    is at most n times the miss's own, so the levels later misses start
+    from are bought once earlier misses would have paid for them.  A level
+    that only the weight asks for stays within half the budget, or is left
+    to the smaller-frontier rule.  Distances use left-invariance:
     ``d(x, y) = word_length(x^-1 y)``.
 
     The public ``length``, ``length_at_most``, ``distance`` and
@@ -1243,14 +1267,7 @@ class LengthOracle:
         self._memo: dict[Element, int] = {}
         self._tables: dict[int, BallTable] = {}
         self._bfs = _BallSearch(ctx._search_space(), self.budget)
-
-    def search(self, r: int | Fraction) -> None:
-        """Extend the held BFS to the open ``r``-ball, building no element or table.
-
-        A level over the budget raises ``BudgetExceededError`` and is
-        dropped; the levels before it stay, and a later call resumes there.
-        """
-        self._bfs.extend(max_length_below(as_radius(r)))
+        self._misses = 0
 
     def ball(self, r: int | Fraction) -> BallTable:
         radius = as_radius(r)
@@ -1287,7 +1304,8 @@ class LengthOracle:
             state = bfs.space.state_of(g)
             hit = bfs.seen.get(state)
             if hit is None:
-                hit = _meet(bfs, state, bound, self.budget)
+                self._misses += 1
+                hit = _meet(bfs, state, bound, self.budget, self._misses)
                 if hit is None:
                     return None
             self._memo[g] = hit

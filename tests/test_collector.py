@@ -66,7 +66,7 @@ def test_ball_restores_the_collector_state(lamplighter, collector, tmp_path, ena
 def test_oracle_ball_restores_the_collector_state(lamplighter, collector, enabled):
     collector(enabled)
     held = LengthOracle(lamplighter)
-    held.search(6)
+    held.growth(6)
     held.ball(5)  # a prefix of the held search
     assert gc.isenabled() is enabled
     LengthOracle(lamplighter).ball(5)  # through ball(), nested in the oracle's pause
@@ -96,7 +96,7 @@ def test_tables_are_built_with_the_collector_off(lamplighter, collector, monkeyp
     ball(lamplighter, 5, store=store)
     ball(lamplighter, 5, store=store)
     oracle = LengthOracle(lamplighter)
-    oracle.search(5)
+    oracle.growth(5)
     oracle.ball(5)
     assert seen == [("build", False), ("decode", False), ("build", False)]
     assert gc.isenabled()
@@ -123,7 +123,7 @@ def test_built_tables_leave_no_cyclic_garbage(name, r, collector, tmp_path, lamp
     ball(ctx, r, store=store)
     ball(ctx, r - 2, store=store)
     oracle = LengthOracle(ctx)
-    oracle.search(r)
+    oracle.growth(r)
     oracle.ball(r)
     oracle.ball(r + 1)
     assert gc.collect() == 0

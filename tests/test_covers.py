@@ -89,54 +89,35 @@ def test_window_rows_of_distances_equal_single_distances(lamplighter):
 # -- components ----------------------------------------------------------------
 
 
-def test_ball_window_prefills_every_pair_distance(lamplighter, searched_levels, monkeypatch):
-    oracle = LengthOracle(lamplighter)
-    searches = []
-    search = LengthOracle.search
-
-    def recording_search(self, r):
-        searches.append(r)
-        return search(self, r)
-
-    monkeypatch.setattr(LengthOracle, "search", recording_search)
-    view = ball_window(oracle, Fraction(5, 2))
-    # window points have length <= 2, so pairs reach distance 4: one search of
-    # the radius-5 ball holds every pair, a radius-4 ball (lengths <= 3) would not.
-    assert searches == [5]
-    assert searched_levels == [1, 2, 3, 4]
-    assert oracle._bfs.reach == 4
-    # the search built no radius-5 table, and the window's ball came from its states
-    assert list(oracle._tables) == [2]
-    ctx, searched, state_of = lamplighter, oracle._bfs.seen, oracle._bfs.space.state_of
-    assert list(view.points) == sorted(view.points, key=ctx.encode)
-    assert sorted(map(state_of, view.points)) == sorted(s for s, n in searched.items() if n <= 2)
-    gaps = [ctx.multiply(ctx.inverse(a), b) for a in view.points for b in view.points]
-    assert all(state_of(g) in searched for g in gaps)
-    assert max(searched[state_of(g)] for g in gaps) == 4
-
-
-def test_ball_window_runs_one_search(lamplighter, searched_levels):
+def test_ball_window_is_the_view_over_the_oracle_ball(lamplighter, searched_levels):
     oracle = LengthOracle(lamplighter)
     view = ball_window(oracle, 8)
-    # each level to depth 14 once: the window's 8-ball is a prefix of that search
-    assert searched_levels == list(range(1, 15))
+    # the window searches its ball's levels and no deeper: pair distances are misses
+    assert searched_levels == list(range(1, 8))
+    assert oracle._bfs.reach == 7 and list(oracle._tables) == [7]
     fresh = ball(lamplighter, 8)
     assert view.points == fresh.elements
     assert oracle.ball(8).lengths == fresh.lengths
+    small = ball_window(LengthOracle(lamplighter), Fraction(5, 2))
+    ctx, searched, state_of = lamplighter, small.oracle._bfs.seen, small.oracle._bfs.space.state_of
+    assert list(small.points) == sorted(small.points, key=ctx.encode)
+    assert sorted(map(state_of, small.points)) == sorted(s for s, n in searched.items() if n <= 2)
+    # window points have length <= 2, and some pairs are 4 apart
+    assert max(max(small.dists_from(a, small.points)) for a in small.points) == 4
 
 
 def test_ball_window_under_a_small_budget_measures_pairs_one_by_one(lamplighter):
     small = LengthOracle(lamplighter, budget=200)
     with pytest.raises(BudgetExceededError, match="at depth 7;"):
-        small.search(9)
+        small.growth(9)
     # a search over the budget keeps exactly its complete levels, as a fresh search lists them
     held = small._bfs
     assert held.reach == 6 and held.counts == [1, 4, 10, 22, 44, 84, 155]
     fresh = LengthOracle(lamplighter)
-    fresh.search(7)
+    fresh.growth(7)
     assert list(held.seen.items()) == list(fresh._bfs.seen.items())
     with pytest.raises(BudgetExceededError, match="at depth 7;"):
-        small.search(9)
+        small.growth(9)
     assert list(held.seen.items()) == list(fresh._bfs.seen.items())
     # and later calls within the budget still answer from it
     assert small.growth(7) == 155

@@ -492,6 +492,36 @@ def test_meet_off_the_generated_subgroup_runs_out_of_states():
         assert _meet(_BallSearch(space, 1000), 1, bound, 1000) is None
 
 
+def test_meet_steps_forward_while_its_frontier_is_within_the_weight(f2):
+    # F2's spheres grow 1, 4, 12, 36, 108 from either end: at weight 1 the
+    # halves meet in the middle, and a larger weight deepens the held half
+    reaches = {}
+    for weight in (1, 3, 36):
+        forward = _BallSearch(_CayleySpace(f2), 10**6)
+        assert _meet(forward, (1, 2, 1, 2, 1, 2), None, 10**6, weight) == 6
+        reaches[weight] = forward.reach
+    assert reaches == {1: 3, 3: 4, 36: 5}
+
+
+def test_meet_drops_a_weighted_level_over_half_the_budget_once(f2, monkeypatch):
+    expanded = []
+    step = _BallSearch.step
+
+    def recording_step(search, budget):
+        ok = step(search, budget)
+        if search is forward:
+            expanded.append((search.reach, ok))
+        return ok
+
+    monkeypatch.setattr(_BallSearch, "step", recording_step)
+    forward = _BallSearch(_CayleySpace(f2), 600)
+    # weight 36 asks for level 5 (485 states), over half the budget of 600
+    assert _meet(forward, (1, 2, 1, 2, 1, 2), None, 600, 36) == 6
+    assert _meet(forward, (2, 1, 2, 1, 2, 1), None, 600, 37) == 6
+    assert forward.reach == forward.refused == 4 and len(forward.seen) == 161
+    assert expanded == [(1, True), (2, True), (3, True), (4, True), (4, False)]
+
+
 def test_minimal_word_round_trip(z, f2):
     for ctx in (z, f2):
         for g in ball(ctx, 4).elements:

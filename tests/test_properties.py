@@ -527,11 +527,9 @@ def _fresh_ball(name, r):
 def test_a_resumed_search_answers_as_a_fresh_one(name, data):
     ctx, most = RESUMED[name]
     oracle = LengthOracle(ctx)
-    query = st.tuples(st.sampled_from(["search", "growth", "ball"]), st.integers(1, most))
+    query = st.tuples(st.sampled_from(["growth", "ball"]), st.integers(1, most))
     for kind, r in data.draw(st.lists(query, max_size=8)):
-        if kind == "search":
-            oracle.search(r)
-        elif kind == "growth":
+        if kind == "growth":
             assert oracle.growth(r) == len(_fresh_ball(name, r)[0])
         else:
             table = oracle.ball(r)
@@ -565,7 +563,7 @@ def _spheres(name):
 def test_searched_oracle_lengths_equal_word_lengths(name, data):
     ctx, radius = SEARCHED[name]
     oracle = LengthOracle(ctx)
-    oracle.search(radius)
+    oracle.growth(radius)
     reach = radius - 1
     assert oracle._bfs.reach == reach
     near = st.integers(reach - 1, reach + 2).flatmap(lambda n: st.sampled_from(_spheres(name)[n]))
@@ -598,7 +596,7 @@ MEETS = {
 def test_an_oracle_miss_answers_as_a_fresh_word_length(name, data):
     ctx = MEETS[name]
     oracle = LengthOracle(ctx)
-    oracle.search(data.draw(st.integers(1, 4)))
+    oracle.growth(data.draw(st.integers(1, 4)))
     bounds = st.none() | st.integers(0, 8)
     for g, bound in data.draw(st.lists(st.tuples(elements(ctx, 6), bounds), max_size=4)):
         assert oracle._known_length(g, bound) == word_length(ctx, g, at_most=bound)
@@ -607,6 +605,31 @@ def test_an_oracle_miss_answers_as_a_fresh_word_length(name, data):
     # below, at and above the length
     bound = data.draw(st.sampled_from([None, max(n - 2, 0), max(n - 1, 0), n, n + 1]))
     assert oracle._known_length(g, bound) == word_length(ctx, g, at_most=bound)
+    held = oracle._bfs
+    fresh = groups._BallSearch(ctx._search_space(), DEFAULT_BUDGET)
+    fresh.extend(held.reach)
+    assert list(held.seen.items()) == list(fresh.seen.items())
+
+
+# the oracles a long run of misses deepens: packed lamp states over Z and Z^2,
+# Cayley states of a free group and of Z x C2
+WEIGHTED = {"L2": L2, "C3wrZ": WREATHS["C3wrZ"], "W2": _C2wrZ2, "F2": F2, "ZxC2": _ZxC2}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(WEIGHTED)), st.data())
+def test_a_long_run_of_misses_answers_as_fresh_word_lengths(name, data):
+    ctx = WEIGHTED[name]
+    oracle = LengthOracle(ctx)
+    queries = st.tuples(elements(ctx, 10), st.none() | st.integers(0, 10))
+    for g, bound in data.draw(st.lists(queries, min_size=12, max_size=40)):
+        n = word_length(ctx, g)
+        if bound is None:
+            assert oracle.length(g) == n
+        else:
+            # None exactly past the bound
+            assert oracle.length_at_most(g, bound) == (None if n > bound else n)
+    # each miss weighed the held search's levels more, and it is still one BFS
     held = oracle._bfs
     fresh = groups._BallSearch(ctx._search_space(), DEFAULT_BUDGET)
     fresh.extend(held.reach)

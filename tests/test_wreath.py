@@ -7,6 +7,7 @@ two-bulb products) are also checkable by hand via cursor-walk counting.
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -503,7 +504,7 @@ def _oracle_length(ctx, budget, r):
     answers the farthest element in them.
     """
     oracle = LengthOracle(ctx, budget=budget)
-    oracle.search(r)
+    oracle.growth(r)
     try:
         return oracle.length(ctx.parse_element(_FAR))
     except BudgetExceededError:
@@ -606,6 +607,35 @@ def test_budget_boundaries_are_frozen(name, search, smallest, result, message, r
     with pytest.raises(BudgetExceededError) as exc:
         search(ctx, smallest - 1)
     assert str(exc.value) == message
+
+
+def test_an_oracle_refused_a_weighted_level_answers_as_an_unbounded_one(lamplighter, monkeypatch):
+    # the 85 products of check 1: misses enough to weigh level 10 of the
+    # held search, 1,457 states to that depth, over half the budget of 2,000
+    products = [
+        bulb_product(lamplighter, [(e, 1) for e in support])
+        for n in range(1, 5)
+        for support in itertools.combinations(range(-3, 4), n)
+    ]
+    unbounded = LengthOracle(lamplighter)
+    expected = [unbounded.length(p) for p in products]
+    # 60 of them miss, and their growing weight buys levels 9 to 12 (at
+    # weight 1 the held search stops at level 8)
+    assert unbounded._misses == 60 and unbounded._bfs.reach == 12
+    refused = []
+    step = _BallSearch.step
+
+    def recording_step(search, budget):
+        ok = step(search, budget)
+        if search is small._bfs and not ok:
+            refused.append(search.reach)
+        return ok
+
+    monkeypatch.setattr(_BallSearch, "step", recording_step)
+    small = LengthOracle(lamplighter, budget=2000)
+    assert [small.length(p) for p in products] == expected
+    assert refused == [9]
+    assert small._bfs.reach == small._bfs.refused == 9 and len(small._bfs.seen) == 850
 
 
 def _first_geodesics(ctx, max_len):
