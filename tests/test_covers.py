@@ -89,21 +89,32 @@ def test_window_rows_of_distances_equal_single_distances(lamplighter):
 # -- components ----------------------------------------------------------------
 
 
-def test_ball_window_is_the_view_over_the_oracle_ball(lamplighter, searched_levels):
+def test_ball_window_prefills_every_pair_distance(lamplighter):
+    oracle = LengthOracle(lamplighter)
+    view = ball_window(oracle, Fraction(5, 2))
+    # the window searches only its own ball: window points have length <= 2
+    assert oracle._bfs.reach == 2 and list(oracle._tables) == [2]
+    ctx, searched, state_of = lamplighter, oracle._bfs.seen, oracle._bfs.space.state_of
+    assert list(view.points) == sorted(view.points, key=ctx.encode)
+    assert sorted(map(state_of, view.points)) == sorted(s for s, n in searched.items() if n <= 2)
+    # measuring each pair once, the misses' weight extends the held search until
+    # it holds every pair distance; pairs reach distance 4
+    assert max(max(view.dists_from(a, view.points)) for a in view.points) == 4
+    assert oracle._bfs.reach == 4
+    gaps = [ctx.multiply(ctx.inverse(a), b) for a in view.points for b in view.points]
+    assert all(state_of(g) in searched for g in gaps)
+    assert max(searched[state_of(g)] for g in gaps) == 4
+
+
+def test_ball_window_runs_one_search(lamplighter, searched_levels):
     oracle = LengthOracle(lamplighter)
     view = ball_window(oracle, 8)
-    # the window searches its ball's levels and no deeper: pair distances are misses
+    # each level of the window's ball once and no deeper: pair distances are misses
     assert searched_levels == list(range(1, 8))
     assert oracle._bfs.reach == 7 and list(oracle._tables) == [7]
     fresh = ball(lamplighter, 8)
     assert view.points == fresh.elements
     assert oracle.ball(8).lengths == fresh.lengths
-    small = ball_window(LengthOracle(lamplighter), Fraction(5, 2))
-    ctx, searched, state_of = lamplighter, small.oracle._bfs.seen, small.oracle._bfs.space.state_of
-    assert list(small.points) == sorted(small.points, key=ctx.encode)
-    assert sorted(map(state_of, small.points)) == sorted(s for s, n in searched.items() if n <= 2)
-    # window points have length <= 2, and some pairs are 4 apart
-    assert max(max(small.dists_from(a, small.points)) for a in small.points) == 4
 
 
 def test_ball_window_under_a_small_budget_measures_pairs_one_by_one(lamplighter):
