@@ -35,8 +35,13 @@ class GroupWindowView:
     """A finite subset of a marked group under the word metric.
 
     Distances go through a :class:`LengthOracle` (left-invariance turns them
-    into single length queries), and near-neighbor enumeration multiplies by
-    a small ball instead of scanning all pairs.
+    into single length queries).  Near neighbours are searched, not scanned
+    for among all pairs: the points y with d(x, y) <= n are the window's
+    states in a BFS of depth n around x's state on the context's search
+    space (``ctx._search_space()``), which on wreath products steps packed
+    lamp states as int operations.  That ball is x times the n-ball, so it
+    has the n-ball's size, and ``_hop_depth`` sizes it against the budget
+    before any search around a point starts.
 
     The points are canonicalized once, here.  ``dist`` and ``dists_from``
     trust their arguments to be canonical, as window points are, and look
@@ -48,6 +53,7 @@ class GroupWindowView:
         self.ctx = ctx
         self.points = tuple(ctx.canonicalize(x) for x in points)
         self.oracle = _oracle_for(ctx, oracle)
+        self.space = ctx._search_space()
 
     def dist(self, a: Element, b: Element) -> int:
         return self.oracle._known_length(self.ctx.multiply(self.ctx.inverse(a), b))
@@ -56,15 +62,34 @@ class GroupWindowView:
         inv, mul, known = self.ctx.inverse(a), self.ctx.multiply, self.oracle._known_length
         return [known(mul(inv, b)) for b in others]
 
-    def _neighbors(self, x: Element, members: Any, ball: Sequence[Element]) -> list[Element]:
-        # the products x*u over the open r-ball's elements u, fetched once by the caller
-        mul = self.ctx.multiply
-        out = []
-        for u in ball:
-            y = mul(x, u)
-            if y != x and y in members:
-                out.append(y)
-        return out
+    def _hop_depth(self, radius: Fraction) -> int:
+        """The largest length of a hop below ``radius``, once its ball fits the budget.
+
+        ``oracle.growth`` raises ``BudgetExceededError`` when the open
+        ``radius``-ball holds more states than the budget; every search
+        around a point holds a ball of that size, so none goes over.
+        """
+        self.oracle.growth(radius)
+        return max_length_below(radius)
+
+    def _near(self, state: Any, members: dict[Any, Any], depth: int) -> list[Any]:
+        """``members[s]`` for each state s within ``depth`` of ``state``, itself included.
+
+        A BFS of ``depth`` levels around ``state`` on the space's ``expand``;
+        ``members`` is keyed by state.  ``_hop_depth`` sized it first.  It
+        steps ``expand`` itself, not through a ``_BallSearch``: a window runs
+        one such search per point, most of them a few states deep, where
+        the search object's set-up costs more than the levels.
+        """
+        expand, budget = self.space.expand, self.oracle.budget
+        seen, frontier = {state: 0}, [state]
+        for level in range(1, depth + 1):
+            frontier = expand(frontier, seen, level, budget)
+            assert frontier is not None  # the ball was sized against the budget
+            if not frontier:  # a finite group's ball closed up
+                break
+        found = map(members.get, seen)
+        return [m for m in found if m is not None]
 
 
 def ball_window(oracle: LengthOracle, radius: Radius) -> GroupWindowView:
@@ -107,34 +132,32 @@ def r_components(
 ) -> tuple[tuple[Element, ...], ...]:
     """Chain components of ``subset`` under hops of distance strictly below r.
 
-    Components are listed by first appearance in subset order, members in
-    subset order, so the output is deterministic.
+    A point's hops are the subset's points in the BFS around it to depth
+    ``max_length_below(r)`` (``GroupWindowView._near``), keyed by search
+    state.  Components are listed by first appearance in subset order,
+    members in subset order, so the output is deterministic.
     """
     radius = as_radius(r)
     pts = tuple(view.points if subset is None else subset)
-    order = {x: i for i, x in enumerate(pts)}
-    if len(order) != len(pts):
+    states = [view.space.state_of(x) for x in pts]
+    index = {s: i for i, s in enumerate(states)}
+    if len(index) != len(pts):
         raise ValueError("subset contains repeated points")
-    members = set(pts)
-    unassigned = set(pts)
-    ball = view.oracle.ball(radius).elements if pts else ()
+    depth = view._hop_depth(radius) if pts else 0
+    assigned = [False] * len(pts)
     components = []
-    for seed in pts:
-        if seed not in unassigned:
+    for seed in range(len(pts)):
+        if assigned[seed]:
             continue
-        comp = {seed}
-        unassigned.discard(seed)
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in view._neighbors(x, members, ball):
-                    if y in unassigned:
-                        unassigned.discard(y)
-                        comp.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        components.append(tuple(sorted(comp, key=order.__getitem__)))
+        assigned[seed] = True
+        comp = [seed]
+        for i in comp:  # grows as hops reach unassigned points
+            for j in view._near(states[i], index, depth):
+                if not assigned[j]:
+                    assigned[j] = True
+                    comp.append(j)
+        comp.sort()
+        components.append(tuple(pts[i] for i in comp))
     return tuple(components)
 
 
@@ -148,13 +171,18 @@ class LebesgueCheck:
 
 
 def lebesgue_ok(view: GroupWindowView, cover: Cover, r: Radius) -> LebesgueCheck:
+    """Whether each window point's open r-ball, within the window, fits inside one part.
+
+    A point's ball is the window's points in the BFS around it to depth
+    ``max_length_below(r)`` (``GroupWindowView._near``); the witness is the
+    first point, in window order, whose ball fits no part.
+    """
     radius = as_radius(r)
     cover.require_covers(view.points)
-    members = set(view.points)
-    ball = view.oracle.ball(radius).elements if view.points else ()
-    for x in view.points:
-        ball_pts = view._neighbors(x, members, ball)
-        ball_pts.append(x)
+    members = {view.space.state_of(x): x for x in view.points}
+    depth = view._hop_depth(radius) if members else 0
+    for state, x in members.items():
+        ball_pts = view._near(state, members, depth)
         if not any(all(y in part for y in ball_pts) for part in cover.parts):
             return LebesgueCheck(radius, False, x)
     return LebesgueCheck(radius, True, None)

@@ -943,10 +943,21 @@ class _CayleySpace:
     def state_of(self, value: Element) -> Any:
         return value
 
+    def element_of(self, state: Any) -> Element:
+        return state
+
     def encoded_values(self, states: Iterable[Any]) -> tuple[list[bytes], list[Element]]:
         values = list(states)
         encode = self.ctx.encode
         return [encode(s) for s in values], values
+
+    def walk(self, state: Any, steps: Iterable[int]) -> Any:
+        """The state reached from ``state`` by taking, per index i, the step to
+        ``expand``'s i-th neighbour: the product with ``letters[i]``."""
+        mul, letters = self.ctx.multiply, self.letters
+        for i in steps:
+            state = mul(state, letters[i])
+        return state
 
     def expand(
         self, frontier: list[Any], seen: dict[Any, int], depth: int, budget: int
@@ -1023,9 +1034,11 @@ class _BallSearch:
     the budget is dropped again, so a resumed search holds, and fails at,
     what a fresh one does.  ``refused`` is the reach at which ``_meet`` last
     dropped a level that only its weight asked for (-1 before any).
-    ``step`` is the one BFS level loop of the package: balls, lengths,
+    ``step`` is the BFS level loop of the package: balls, lengths,
     geodesics, subgroup closures, the element lists of finite groups and
-    their power scans all run on it.
+    their power scans all run on it.  Only a window's hop searches, one
+    per point and a few states each, step ``expand`` without it
+    (``covers.GroupWindowView._near``).
     """
 
     def __init__(self, space: Any, budget: int, *, start: Any = None):
@@ -1227,11 +1240,26 @@ def minimal_word(ctx: Any, g: Element, *, budget: int | None = None) -> tuple[El
 
 
 def evaluate_word(ctx: Any, letters: Iterable[Element]) -> Element:
-    """Product of a word's letters, left to right."""
-    acc = ctx.identity()
+    """Product of a word's letters, left to right.
+
+    Each letter is canonicalized first, so a malformed one raises
+    ``EncodingError``.  A run of symmetric generators is walked on the
+    context's search space (``walk``), the i-th generator taking the step to
+    the i-th neighbour of ``expand``, and the state becomes an element once,
+    at the end (``element_of``).  Any other letter is multiplied on.
+    """
+    space = ctx._search_space()
+    step_of = {g: i for i, g in enumerate(ctx.symmetric_generators())}
+    state, run = space.identity_state(), []
     for letter in letters:
-        acc = ctx.multiply(acc, ctx.canonicalize(letter))
-    return acc
+        letter = ctx.canonicalize(letter)
+        i = step_of.get(letter)
+        if i is None:
+            acc = ctx.multiply(space.element_of(space.walk(state, run)), letter)
+            state, run = space.state_of(acc), []
+        else:
+            run.append(i)
+    return space.element_of(space.walk(state, run))
 
 
 class LengthOracle:

@@ -70,10 +70,13 @@ class WreathContext(MarkedGroup):
         # lamps sort by this; every base kind's sort_key is its encoding
         self._position_bytes = _EncodingCache(base)
         self._value_bytes = _EncodingCache(fiber)
+        self._own: dict[int, WreathElement] = {}
         super().__init__(
             [WreathElement(((self._base_id, h),), self._base_id) for h in self._lamp_values]
             + [WreathElement((), g) for g in base.generators]
         )
+        # the context holds its letters for its lifetime, so no other object has their ids
+        self._own = {id(g): g for g in self.symmetric_generators()}
         # one search space for the context's lifetime, so searches share its ids
         self._space = _PackedLampSpace(self)
 
@@ -86,6 +89,10 @@ class WreathContext(MarkedGroup):
         return self.canonicalize(WreathElement(tuple(lamps), cursor))
 
     def canonicalize(self, x: Element) -> WreathElement:
+        """Validate ``x`` and return its canonical value; the context's own
+        symmetric-generator objects come back unchanged."""
+        if self._own.get(id(x)) is x:
+            return x
         if not isinstance(x, tuple) or len(x) != 2:
             raise EncodingError(f"wreath element must be (lamps, cursor), got {x!r}")
         raw_lamps, cursor = x
@@ -314,6 +321,9 @@ class _PackedLampSpace:
 
     A ball's elements are built in one batch by ``encoded_values``: each
     distinct lamp mask is decoded once, and its states share one lamps tuple.
+    A single state is built by ``element_of``.  ``walk`` takes the steps of
+    ``expand`` one at a time, so a word in the symmetric generators is
+    evaluated as int operations on one state.
     """
 
     def __init__(self, ctx: WreathContext):
@@ -421,6 +431,34 @@ class _PackedLampSpace:
             elements.append(new(WreathElement, (lamps, positions[cursor])))
         return encodings, elements
 
+    def element_of(self, state: int) -> WreathElement:
+        """The element of one state: its lit fields' lamps, sorted by position bytes."""
+        width, full, values, positions = self._width, self._full, self._values, self._positions
+        lamps = []
+        rest = self.lamp_mask(state)
+        while rest:
+            idx = ((rest & -rest).bit_length() - 1) // width
+            field = (rest >> (idx * width)) & full
+            rest ^= field << (idx * width)
+            lamps.append((positions[idx], values[field]))
+        keys = self.ctx._position_bytes
+        lamps.sort(key=lambda lamp: keys[lamp[0]])
+        return WreathElement(tuple(lamps), positions[state & self._low])
+
+    def walk(self, state: int, steps: Iterable[int]) -> int:
+        """The state reached from ``state`` by taking, per index i, the step to
+        ``expand``'s i-th neighbour: lamp letter i, or base move i minus the
+        number of lamp letters."""
+        low, full, rows, lamp_letters = self._low, self._full, self._rows, len(self._flips)
+        for i in steps:
+            cursor = state & low
+            shift, toggles, moves = rows[cursor] or self._fill_row(cursor)
+            if i < lamp_letters:
+                state ^= toggles[(state >> shift) & full][i]
+            else:
+                state = (state ^ cursor) | moves[i - lamp_letters]
+        return state
+
     def expand(
         self, frontier: list[int], seen: dict[int, int], depth: int, budget: int
     ) -> list[int] | None:
@@ -517,7 +555,8 @@ def bulb_word(
     The base group must carry the given virtually-Z structure, with ``t`` and
     every nonidentity coset representative among the marked base generators.
     Lamp positions are grouped by coset representative and visited in
-    increasing t-exponent order, so the cursor sweeps each coset once.
+    increasing t-exponent order, so the cursor sweeps each coset once.  The
+    letters are the context's own symmetric-generator objects.
     """
     w = ctx.canonicalize(w)
     if w.cursor != ctx._base_id:
@@ -535,8 +574,10 @@ def bulb_word(
             raise StructureError(
                 f"coset representative {base.format_element(rep)} must be a marked base generator"
             )
-    t_letter = WreathElement((), structure.t)
-    t_inv_letter = WreathElement((), base.inverse(structure.t))
+    # the context's own letter objects, which canonicalize passes through
+    own = {g: g for g in ctx.symmetric_generators()}
+    t_letter = own[WreathElement((), structure.t)]
+    t_inv_letter = own[WreathElement((), base.inverse(structure.t))]
 
     grouped: dict[int, list[tuple[int, Element]]] = {}
     max_abs_e = 0
@@ -549,17 +590,17 @@ def bulb_word(
         rep = structure.coset_reps[i - 1]
         runs = sorted(grouped[i])
         if rep != base.identity():
-            letters.append(WreathElement((), rep))
+            letters.append(own[WreathElement((), rep)])
         position = 0
         for e, value in runs:
             step = t_letter if e >= position else t_inv_letter
             letters.extend([step] * abs(e - position))
-            letters.append(WreathElement(((ctx._base_id, value),), ctx._base_id))
+            letters.append(own[WreathElement(((ctx._base_id, value),), ctx._base_id)])
             position = e
         step = t_letter if position < 0 else t_inv_letter
         letters.extend([step] * abs(position))
         if rep != base.identity():
-            letters.append(WreathElement((), base.inverse(rep)))
+            letters.append(own[WreathElement((), base.inverse(rep))])
     bound = structure.index * (len(w.lamps) + 2 + 4 * max_abs_e)
     word = tuple(letters)
     assert len(word) <= bound

@@ -113,6 +113,49 @@ def test_components_whole_window(capsys):
     assert payload["params"]["kernel"] is False
 
 
+# Per wreath and radii list, the budget at which each outcome of
+# ``components --window-radius 5`` starts: a ball search over the budget at
+# that depth, a length search over it, or a report (None).
+_COMPONENTS_BUDGET_STEPS = [
+    pytest.param(
+        "L2",
+        "1..7",
+        [(1, 1), (2, 1), (4, 2), (10, 3), (22, 4), (44, "length"), (88, 6), (155, None)],
+        id="L2",
+    ),
+    pytest.param(
+        "W2",
+        "1..6",
+        [(1, 1), (2, 1), (6, 2), (22, 3), (70, 4), (210, "length"), (420, 5), (610, None)],
+        id="W2",
+    ),
+]
+
+
+@pytest.mark.parametrize(("name", "radii", "steps"), _COMPONENTS_BUDGET_STEPS)
+def test_components_budget_errors_start_at_fixed_budgets(capsys, name, radii, steps):
+    args = ["components", "--name", name, "--window-radius", "5", "--radii", radii]
+    full = run_json(capsys, args)
+    starts = [start for start, _ in steps]
+    for (start, outcome), end in zip(steps, [s - 1 for s in starts[1:]] + [starts[-1]]):
+        for budget in {start, end}:
+            rc = main([*args, "--budget", str(budget)])
+            out, err = capsys.readouterr()
+            if outcome is None:
+                assert (rc, json.loads(out)) == (0, full)
+            elif outcome == "length":
+                assert (rc, err) == (
+                    3,
+                    f"budget exceeded: word-length search exceeded the node budget of {budget}\n",
+                )
+            else:
+                assert (rc, err) == (
+                    3,
+                    f"budget exceeded: ball search exceeded the node budget of {budget} "
+                    f"at depth {outcome}; raise the budget to continue\n",
+                )
+
+
 # -- control -------------------------------------------------------------------
 
 

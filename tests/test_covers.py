@@ -16,6 +16,7 @@ from wreathdim import (
     StructureError,
     VirtuallyZStructure,
     WreathContext,
+    as_radius,
     ball,
     ball_window,
     component_diameters,
@@ -27,6 +28,7 @@ from wreathdim import (
     kernel_window,
     lebesgue_ok,
     max_diameter,
+    max_length_below,
     pullback_cover,
     r_components,
     vz_closure_constant,
@@ -163,6 +165,34 @@ def test_r_components_merge_at_larger_scale():
 def test_r_components_deterministic_order():
     view = line_view()
     assert r_components(view, (6, 5, 1, 0), 2) == ((6, 5), (1, 0))
+
+
+@pytest.mark.parametrize(
+    ("ctx_name", "counts"),
+    [
+        ("lamplighter", (1, 4, 10, 22, 44, 84, 155)),
+        ("plane_lamplighter", (1, 6, 22, 70, 210, 610, 1732)),
+    ],
+)
+def test_r_components_size_the_hop_ball_against_the_budget(request, ctx_name, counts):
+    # counts[d] is the number of elements of length at most d
+    ctx = request.getfixturevalue(ctx_name)
+    window = LengthOracle(ctx).ball(5).elements
+    full = GroupWindowView(ctx, window)
+    for r in (Fraction(1, 2), 1, Fraction(3, 2), 2, 3, 4, 5, 6, Fraction(13, 2)):
+        need = counts[max_length_below(as_radius(r))]
+        for budget in {1, need - 1, need} - {0}:
+            view = GroupWindowView(ctx, window, LengthOracle(ctx, budget=budget))
+            if budget >= need:
+                assert r_components(view, None, r) == r_components(full, None, r)
+                continue
+            depth = next(d for d, count in enumerate(counts) if count > budget)
+            with pytest.raises(BudgetExceededError) as exc:
+                r_components(view, None, r)
+            assert str(exc.value) == (
+                f"ball search exceeded the node budget of {budget} at depth {depth}; "
+                "raise the budget to continue"
+            )
 
 
 # -- covers and control -----------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -26,10 +27,12 @@ from wreathdim import (
     WreathElement,
     ball,
     bulb_product,
+    cover_of,
     evaluate_word,
     kernel_window,
     lattice_cover_witness,
     lattice_points,
+    lebesgue_ok,
     max_diameter,
     minimal_word,
     r_components,
@@ -695,6 +698,7 @@ _DIAMETER_GROUPS = {
     "C3wrZ": WreathContext(C3, Z),
     "W2": WreathContext(CyclicGroup(2), Z2),
     "F2": F2,
+    "ZxC2": _ZxC2,
 }
 
 
@@ -731,6 +735,86 @@ def test_max_diameter_equals_the_all_pairs_maximum(window, r, data):
         assert max_diameter(view, components) == max(
             (view.dist(a, b) for a, b in pairs), default=0
         )
+
+
+_WINDOWS = [(name, "ball") for name in _DIAMETER_GROUPS] + [
+    (name, "kernel") for name in ("L2", "C3wrZ", "W2")
+]
+# integer radii, and fractional ones down to r <= 1, where no hop is short enough
+_HOP_RADII = [Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 3, 4]
+
+
+def _pairwise_components(view, subset, r):
+    """Chain components from every pair's distance, listed as ``r_components`` lists them."""
+    parent = list(range(len(subset)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(subset)), 2):
+        if view.dist(subset[i], subset[j]) < r:
+            parent[root(j)] = root(i)
+    by_root: dict[int, list] = {}
+    for i, x in enumerate(subset):
+        by_root.setdefault(root(i), []).append(x)
+    return tuple(tuple(comp) for comp in by_root.values())
+
+
+def _pairwise_lebesgue(view, cover, r):
+    """``lebesgue_ok``'s (ok, witness) from every pair's distance."""
+    for x in view.points:
+        near = [y for y in view.points if view.dist(x, y) < r]
+        if not any(all(y in part for y in near) for part in cover.parts):
+            return False, x
+    return True, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_WINDOWS), st.sampled_from(_HOP_RADII), st.data())
+def test_hops_match_pairwise_distances(window, r, data):
+    full = _diameter_window(*window)
+    subset = data.draw(
+        st.lists(st.sampled_from(full.points), min_size=1, max_size=16, unique=True)
+    )
+    expected = _pairwise_components(full, subset, r)
+    assert r_components(full, subset, r) == expected
+    view = GroupWindowView(full.ctx, subset, full.oracle)
+    assert r_components(view, None, r) == expected
+    size = len(subset)
+    membership = data.draw(st.lists(st.sampled_from([1, 2, 3]), min_size=size, max_size=size))
+    cover = cover_of([x for x, m in zip(subset, membership) if m & bit] for bit in (1, 2))
+    check = lebesgue_ok(view, cover, r)
+    assert (check.radius, check.ok, check.witness) == (r, *_pairwise_lebesgue(view, cover, r))
+
+
+_WORD_GROUPS = {
+    **GROUPS,
+    **NESTED,
+    "C3wrZ": _DIAMETER_GROUPS["C3wrZ"],
+    "W2": _DIAMETER_GROUPS["W2"],
+    "ZxC2": _ZxC2,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_WORD_GROUPS)), st.data())
+def test_evaluate_word_is_the_fold_of_multiply(name, data):
+    ctx = _WORD_GROUPS[name]
+    gens = st.sampled_from(ctx.symmetric_generators())
+    letter = st.one_of(
+        gens,
+        gens.map(lambda g: ctx.decode(ctx.encode(g))),  # equal to a generator, a new object
+        st.lists(gens, min_size=2, max_size=4).map(
+            lambda w: functools.reduce(ctx.multiply, w, ctx.identity())
+        ),
+    )
+    word = data.draw(st.lists(letter, max_size=10))
+    folded = ctx.identity()
+    for x in word:
+        folded = ctx.multiply(folded, ctx.canonicalize(x))
+    assert evaluate_word(ctx, word) == folded
 
 
 # -- lattice claims ------------------------------------------------------------------

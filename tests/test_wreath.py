@@ -363,6 +363,42 @@ def test_packed_encoded_values_build_each_mask_once(make_ctx, r, small_r):
         assert all(x.lamps is xs[0].lamps for x in xs)
 
 
+# packed spaces, then Cayley spaces, each with the radius of the ball checked
+STEP_ORDER_CASES = [
+    pytest.param(lambda: WreathContext(CyclicGroup(2), IntegerGroup()), 5, id="C2-Z"),
+    pytest.param(lambda: WreathContext(CyclicGroup(3), IntegerGroup()), 4, id="C3-Z"),
+    pytest.param(
+        lambda: WreathContext(ProductGroup(CyclicGroup(2), CyclicGroup(3)), IntegerGroup()),
+        3,
+        id="C2xC3-Z",
+    ),
+    pytest.param(
+        lambda: WreathContext(CyclicGroup(2), ProductGroup(IntegerGroup(), IntegerGroup())),
+        4,
+        id="C2-Z2",
+    ),
+    pytest.param(lambda: FreeGroup(2), 4, id="F2"),
+    pytest.param(lambda: ProductGroup(IntegerGroup(), CyclicGroup(2)), 5, id="ZxC2"),
+]
+
+
+@pytest.mark.parametrize(("make_ctx", "r"), STEP_ORDER_CASES)
+def test_walk_expand_and_minimal_word_share_the_step_order(make_ctx, r):
+    ctx = make_ctx()
+    space = ctx._search_space()
+    letters = ctx.symmetric_generators()
+    for g in ball(ctx, r).elements:
+        state = space.state_of(g)
+        assert space.element_of(state) == g
+        steps = [space.walk(state, [i]) for i in range(len(letters))]
+        assert steps == [space.state_of(ctx.multiply(g, s)) for s in letters]
+        # the neighbour search finds them in that order
+        assert space.expand([state], {}, 1, DEFAULT_BUDGET) == steps
+        word = minimal_word(ctx, g)
+        indices = [letters.index(s) for s in word]
+        assert space.walk(space.identity_state(), indices) == state
+
+
 def _reference_encoding(ctx, x):
     if not isinstance(ctx, WreathContext):
         return ctx.encode(x)
@@ -438,6 +474,33 @@ def test_oracle_distances_still_reject_malformed_elements(lamplighter):
     ):
         with pytest.raises(EncodingError):
             query()
+
+
+def test_generator_lookalikes_are_still_rejected(lamplighter):
+    ctx = lamplighter
+    bad = WreathElement(((0, True),), 0)
+    assert bad == ctx.symmetric_generators()[0]
+    t = ctx.symmetric_generators()[1]
+    for call in (
+        lambda: ctx.canonicalize(bad),
+        lambda: evaluate_word(ctx, [bad]),
+        lambda: evaluate_word(ctx, [t, bad, t]),
+        lambda: bulb_decompose(ctx, [bad]),
+        lambda: bulb_decompose(ctx, [t, bad]),
+    ):
+        with pytest.raises(EncodingError):
+            call()
+
+
+def test_canonicalize_passes_own_letters_through(lamplighter, z_structure):
+    ctx = lamplighter
+    for g in ctx.symmetric_generators():
+        assert ctx.canonicalize(g) is g
+        rebuilt = WreathElement(tuple(g.lamps), g.cursor)
+        assert ctx.canonicalize(rebuilt) == g
+    p = bulb_product(ctx, [(-2, 1), (3, 1)])
+    own = {id(g) for g in ctx.symmetric_generators()}
+    assert all(id(letter) in own for letter in bulb_word(ctx, z_structure, p).letters)
 
 
 def test_minimal_word_round_trip(lamplighter):
