@@ -170,10 +170,8 @@ class MarkedGroup:
     def symmetric_generators(self) -> tuple[Element, ...]:
         """Declared generators followed by any missing inverses, deduplicated."""
         if self._symmetric is None:
-            seen: list[Element] = []
-            for g in self._generators:
-                if g not in seen:
-                    seen.append(g)
+            # __init__ refuses a repeated generator, so only inverses can repeat
+            seen = list(self._generators)
             for g in self._generators:
                 inv = self.inverse(g)
                 if inv not in seen:

@@ -96,28 +96,33 @@ class WreathContext(MarkedGroup):
         if not isinstance(x, tuple) or len(x) != 2:
             raise EncodingError(f"wreath element must be (lamps, cursor), got {x!r}")
         raw_lamps, cursor = x
-        if type(raw_lamps) is tuple and not raw_lamps:
-            return WreathElement((), self.base.canonicalize(cursor))
-        lamps = []
+        lamps: dict[Element, Element] = {}
         for entry in raw_lamps:
             if not isinstance(entry, tuple) or len(entry) != 2:
                 raise EncodingError(f"lamp entry must be (position, value), got {entry!r}")
             pos = self.base.canonicalize(entry[0])
             val = self.fiber.canonicalize(entry[1])
+            # an identity value lights no lamp, so it repeats no position
             if val != self._fiber_id:
-                lamps.append((pos, val))
-        keys = self._position_bytes
-        lamps.sort(key=lambda lamp: keys[lamp[0]])
-        for a, b in zip(lamps, lamps[1:]):
-            if a[0] == b[0]:
-                raise EncodingError(f"duplicate lamp position {a[0]!r}")
-        return WreathElement(tuple(lamps), self.base.canonicalize(cursor))
+                if pos in lamps:
+                    raise EncodingError(f"duplicate lamp position {pos!r}")
+                lamps[pos] = val
+        return self._from_lamps(lamps, self.base.canonicalize(cursor))
+
+    def _from_lamps(self, lamps: dict[Element, Element], cursor: Element) -> WreathElement:
+        """``lamps`` (canonical position -> fiber value) and ``cursor`` as an
+        element: identity values dropped, the rest sorted by position bytes.
+        Every computed element but a ball table's (``encoded_values``) is built here."""
+        keys, fiber_id = self._position_bytes, self._fiber_id
+        lit = [lamp for lamp in lamps.items() if lamp[1] != fiber_id]
+        lit.sort(key=lambda lamp: keys[lamp[0]])
+        return WreathElement(tuple(lit), cursor)
 
     def multiply(self, x: WreathElement, y: WreathElement) -> WreathElement:
         """The product ``x y`` of canonical elements, itself canonical.
 
         ``x`` must be canonical: when ``y`` lights no lamp, its lamps are
-        returned as they are.
+        returned as they are; otherwise ``_from_lamps`` orders the merged lamps.
         """
         # (f1, b1)(f2, b2) = (f1 * (b1.f2), b1 b2), where (b1.f2)(p) = f2(b1^-1 p).
         cursor = self.base.multiply(x.cursor, y.cursor)
@@ -126,26 +131,15 @@ class WreathContext(MarkedGroup):
         lamps = dict(x.lamps)
         for pos, val in y.lamps:
             p = self.base.multiply(x.cursor, pos)
-            cur = lamps.get(p)
-            new = val if cur is None else self.fiber.multiply(cur, val)
-            if new == self._fiber_id:
-                del lamps[p]
-            else:
-                lamps[p] = new
-        keys = self._position_bytes
-        ordered = tuple(sorted(lamps.items(), key=lambda lamp: keys[lamp[0]]))
-        return WreathElement(ordered, cursor)
+            held = lamps.get(p)
+            lamps[p] = val if held is None else self.fiber.multiply(held, val)
+        return self._from_lamps(lamps, cursor)
 
     def inverse(self, x: WreathElement) -> WreathElement:
+        """``(f, b)^-1 = (b^-1.f^-1, b^-1)``: each lamp moved by ``b^-1`` and inverted."""
         c = self.base.inverse(x.cursor)
-        keys = self._position_bytes
-        lamps = tuple(
-            sorted(
-                ((self.base.multiply(c, pos), self.fiber.inverse(val)) for pos, val in x.lamps),
-                key=lambda lamp: keys[lamp[0]],
-            )
-        )
-        return WreathElement(lamps, c)
+        mul, inv = self.base.multiply, self.fiber.inverse
+        return self._from_lamps({mul(c, pos): inv(val) for pos, val in x.lamps}, c)
 
     def order(self) -> int | None:
         fo, bo = self.fiber.order(), self.base.order()
@@ -432,18 +426,17 @@ class _PackedLampSpace:
         return encodings, elements
 
     def element_of(self, state: int) -> WreathElement:
-        """The element of one state: its lit fields' lamps, sorted by position bytes."""
+        """The element of one state, its lit fields' lamps put in order by
+        ``ctx._from_lamps``."""
         width, full, values, positions = self._width, self._full, self._values, self._positions
-        lamps = []
+        lamps: dict[Element, Element] = {}
         rest = self.lamp_mask(state)
         while rest:
             idx = ((rest & -rest).bit_length() - 1) // width
             field = (rest >> (idx * width)) & full
             rest ^= field << (idx * width)
-            lamps.append((positions[idx], values[field]))
-        keys = self.ctx._position_bytes
-        lamps.sort(key=lambda lamp: keys[lamp[0]])
-        return WreathElement(tuple(lamps), positions[state & self._low])
+            lamps[positions[idx]] = values[field]
+        return self.ctx._from_lamps(lamps, positions[state & self._low])
 
     def walk(self, state: int, steps: Iterable[int]) -> int:
         """The state reached from ``state`` by taking, per index i, the step to
@@ -496,8 +489,9 @@ class _PackedLampSpace:
 def bulb_product(ctx: WreathContext, pairs: Iterable[tuple[Element, Element]]) -> WreathElement:
     """The kernel element lighting each ``(index, value)`` factor, multiplied in order.
 
-    Factors at one index merge by fiber multiplication, and identity values
-    drop out, so the lamps are the product's bulb normal form.
+    Each factor's index and value are canonicalized, factors at one index
+    merge by fiber multiplication, and ``ctx._from_lamps`` drops identity
+    values and sorts the rest, so the lamps are the product's bulb normal form.
     """
     merged: dict[Element, Element] = {}
     for index, value in pairs:
@@ -505,7 +499,7 @@ def bulb_product(ctx: WreathContext, pairs: Iterable[tuple[Element, Element]]) -
         value = ctx.fiber.canonicalize(value)
         held = merged.get(index)
         merged[index] = value if held is None else ctx.fiber.multiply(held, value)
-    return ctx.canonicalize(WreathElement(tuple(merged.items()), ctx._base_id))
+    return ctx._from_lamps(merged, ctx._base_id)
 
 
 def bulb_lower_bound(w: WreathElement) -> int:

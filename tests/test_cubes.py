@@ -589,6 +589,20 @@ def test_certificate_plane_instance(plane_lamplighter):
     assert len(payload["pairs"]) == 36
 
 
+def test_certificate_pair_sample_is_seeded(plane_lamplighter):
+    # W2 at n = 2, r = 3 has 1,176 vertex pairs, so a seeded sample is checked
+    kcube = build_kernel_cube(plane_lamplighter, 2, 3)
+    order = {pair: i for i, pair in enumerate(kcube.cube.vertex_pairs())}
+    assert len(order) == 1176
+    sample = cubes.lipschitz_pairs(kcube, seed=0)
+    assert len(sample) == cubes.PAIR_LIMIT == 256
+    ranks = [order[a, b] for a, b, _, _ in sample]
+    assert ranks == sorted(set(ranks))
+    assert cubes.lipschitz_pairs(kcube, seed=0) == sample
+    assert cubes.lipschitz_pairs(kcube, seed=1) != sample
+    assert all(dist == l1(a, b) == sep for a, b, dist, sep in sample)
+
+
 @pytest.mark.parametrize("fixture, n, r", [("lamplighter", 1, 3), ("plane_lamplighter", 2, 2)])
 def test_certificate_separates_every_vertex_pair_by_l1(request, fixture, n, r):
     cert = growth_lower_bound_certificate(request.getfixturevalue(fixture), n, r)

@@ -117,8 +117,29 @@ def test_canonicalize_sorts_and_drops_identity_lamps(lamplighter):
 
 
 def test_canonicalize_rejects_duplicate_positions(lamplighter):
-    with pytest.raises(EncodingError):
+    with pytest.raises(EncodingError, match="^duplicate lamp position 0$"):
         lamplighter.element([(0, 1), (0, 1)], 0)
+
+
+def test_canonicalize_drops_identity_entries_before_the_duplicate_check(lamplighter):
+    ctx = lamplighter
+    assert ctx.element([(0, 1), (0, 0)], 0) == ctx.element([(0, 1)], 0)
+    assert ctx.element([(0, 0), (0, 1)], 0) == ctx.element([(0, 1)], 0)
+    assert ctx.element([(0, 0), (0, 0)], 0) == ctx.identity()
+
+
+@pytest.mark.parametrize(
+    "fiber, base, lamps, position",
+    [
+        ("c3", "z", [(0, 1), (0, 2)], 0),
+        # 5 and 2 are one position of C3, so the check runs on canonical positions
+        ("c2", "c3", [(5, 1), (2, 1)], 2),
+    ],
+)
+def test_canonicalize_names_the_duplicate_lamp_position(request, fiber, base, lamps, position):
+    ctx = WreathContext(request.getfixturevalue(fiber), request.getfixturevalue(base))
+    with pytest.raises(EncodingError, match=f"^duplicate lamp position {position}$"):
+        ctx.element(lamps, 0)
 
 
 def test_canonicalize_rejects_malformed_entries(lamplighter):
