@@ -34,33 +34,52 @@ Radius = int | Fraction
 class GroupWindowView:
     """A finite subset of a marked group under the word metric.
 
-    Distances go through a :class:`LengthOracle` (left-invariance turns them
-    into single length queries).  Near neighbours are searched, not scanned
-    for among all pairs: the points y with d(x, y) <= n are the window's
-    states in a BFS of depth n around x's state on the context's search
-    space (``ctx._search_space()``), which on wreath products steps packed
-    lamp states as int operations.  That ball is x times the n-ball, so it
-    has the n-ball's size, and ``_hop_depth`` sizes it against the budget
-    before any search around a point starts.
+    The view works on the states of its oracle's search space
+    (``oracle._bfs.space``), which on wreath products are packed lamp
+    states: state ids belong to one space, and the oracle may measure an
+    equal-spec group built from another context object.  Each point's state
+    is stored once.  Distances use left-invariance: ``dist(a, b)`` is the
+    oracle's ``_state_length`` of ``multiply_states(inverse_state(a), b)``
+    on those states, so no element product is built.  Near neighbours are
+    searched, not scanned for among all pairs: the points y with
+    d(x, y) <= n are the window's states in a BFS of depth n around x's
+    state on that space.  That ball is x times the n-ball, so it has the
+    n-ball's size, and ``_hop_depth`` sizes it against the budget before
+    any search around a point starts.
 
     The points are canonicalized once, here.  ``dist`` and ``dists_from``
-    trust their arguments to be canonical, as window points are, and look
-    ``a^-1 b`` up in the oracle without canonicalizing it again; the
+    trust their arguments to be canonical, as window points are; the
     oracle's public methods are the checked entry points.
     """
 
     def __init__(self, ctx: Any, points: Iterable[Element], oracle: LengthOracle | None = None):
-        self.ctx = ctx
-        self.points = tuple(ctx.canonicalize(x) for x in points)
-        self.oracle = _oracle_for(ctx, oracle)
-        self.space = ctx._search_space()
+        points = tuple(ctx.canonicalize(x) for x in points)
+        self._hold(ctx, points, _oracle_for(ctx, oracle))
+
+    @classmethod
+    def _of_canonical(cls, oracle: LengthOracle, points: tuple[Element, ...]) -> "GroupWindowView":
+        """The view of canonical ``points`` over ``oracle``, not canonicalized again."""
+        view = cls.__new__(cls)
+        view._hold(oracle.ctx, points, oracle)
+        return view
+
+    def _hold(self, ctx: Any, points: tuple[Element, ...], oracle: LengthOracle) -> None:
+        self.ctx, self.points, self.oracle = ctx, points, oracle
+        self.space = oracle._bfs.space
+        self._states = dict(zip(points, map(self.space.state_of, points)))
+
+    def _state(self, x: Element) -> Any:
+        """The state of a canonical ``x`` in the view's space, stored for window points."""
+        state = self._states.get(x)
+        return self.space.state_of(x) if state is None else state
 
     def dist(self, a: Element, b: Element) -> int:
-        return self.oracle._known_length(self.ctx.multiply(self.ctx.inverse(a), b))
+        return self.dists_from(a, (b,))[0]
 
     def dists_from(self, a: Element, others: Iterable[Element]) -> list[int]:
-        inv, mul, known = self.ctx.inverse(a), self.ctx.multiply, self.oracle._known_length
-        return [known(mul(inv, b)) for b in others]
+        space, state, length = self.space, self._state, self.oracle._state_length
+        inv, mul = space.inverse_state(state(a)), space.multiply_states
+        return [length(mul(inv, state(b))) for b in others]
 
     def _hop_depth(self, radius: Fraction) -> int:
         """The largest length of a hop below ``radius``, once its ball fits the budget.
@@ -95,13 +114,15 @@ class GroupWindowView:
 def ball_window(oracle: LengthOracle, radius: Radius) -> GroupWindowView:
     """The open ball of ``radius`` as a window over ``oracle.ball(radius)``.
 
-    The oracle searches the ball's levels and no deeper.  Each pair
-    distance that ``max_diameter`` and the rest measure past them is an
-    oracle miss; the misses' growing weight (``LengthOracle``) extends the
-    held search once enough of them would have paid for a level, and a
-    level over half the budget is left to them to search back around.
+    The ball's elements are the oracle's own, canonical already, so they
+    are not canonicalized again.  The oracle searches the ball's levels and
+    no deeper.  Each pair distance that ``max_diameter`` and the rest
+    measure past them is an oracle miss; the misses' growing weight
+    (``LengthOracle``) extends the held search once enough of them would
+    have paid for a level, and a level over half the budget is left to them
+    to search back around.
     """
-    return GroupWindowView(oracle.ctx, oracle.ball(radius).elements, oracle)
+    return GroupWindowView._of_canonical(oracle, oracle.ball(radius).elements)
 
 
 @dataclass(frozen=True)
@@ -134,12 +155,13 @@ def r_components(
 
     A point's hops are the subset's points in the BFS around it to depth
     ``max_length_below(r)`` (``GroupWindowView._near``), keyed by search
-    state.  Components are listed by first appearance in subset order,
-    members in subset order, so the output is deterministic.
+    state, the view's stored one for each point.  Components are listed by
+    first appearance in subset order, members in subset order, so the
+    output is deterministic.
     """
     radius = as_radius(r)
     pts = tuple(view.points if subset is None else subset)
-    states = [view.space.state_of(x) for x in pts]
+    states = [view._state(x) for x in pts]
     index = {s: i for i, s in enumerate(states)}
     if len(index) != len(pts):
         raise ValueError("subset contains repeated points")
@@ -179,7 +201,7 @@ def lebesgue_ok(view: GroupWindowView, cover: Cover, r: Radius) -> LebesgueCheck
     """
     radius = as_radius(r)
     cover.require_covers(view.points)
-    members = {view.space.state_of(x): x for x in view.points}
+    members = {state: x for x, state in view._states.items()}
     depth = view._hop_depth(radius) if members else 0
     for state, x in members.items():
         ball_pts = view._near(state, members, depth)
@@ -278,33 +300,46 @@ def coset_cover(
     short elements must close up within the oracle's budget (it does whenever
     that subgroup is finite, e.g. inside a lamp kernel over integers).  The
     closure is a ``_BallSearch`` over the Cayley graph of those elements and
-    their inverses, stepped until its frontier is empty; it raises
-    ``BudgetExceededError`` exactly when it holds more than the budget.
+    their inverses on the states of the oracle's space (``_CayleySpace`` over
+    it, stepping by ``multiply_states``), stepped until its frontier is
+    empty; it raises ``BudgetExceededError`` exactly when it holds more than
+    the budget.  Lengths are the oracle's ``_state_length`` of those states,
+    the closure's elements are built once, ordered by their encodings, and a
+    point lies in a coset when its state times the inverse of the coset's
+    first point's lies in the closure.
     """
     radius = as_radius(r)
     oracle = _oracle_for(ctx, oracle)
-    budget = oracle.budget
+    budget, space, length = oracle.budget, oracle._bfs.space, oracle._state_length
     cutoff = max_length_below(radius)
-    gens = [x for x in window if oracle.length_at_most(x, cutoff) is not None]
-    gens += [ctx.inverse(x) for x in gens]
-    search = _BallSearch(_CayleySpace(ctx, tuple(gens)), budget)
+    states, gens = [], []
+    for x in window:
+        state = space.state_of(ctx.canonicalize(x))
+        states.append(state)
+        if length(state, cutoff) is not None:
+            gens.append(state)
+    gens += [space.inverse_state(s) for s in gens]
+    search = _BallSearch(_CayleySpace(ctx, tuple(gens), over=space), budget)
     while search.frontier:
         if not search.step(budget):
             raise BudgetExceededError(f"subgroup closure exceeded the node budget of {budget}")
     closure = search.seen
-    ordered_closure = tuple(sorted(closure, key=ctx.sort_key))
-    max_length = max((oracle.length(x) for x in ordered_closure), default=0)
+    found = list(closure)
+    encodings, values = space.encoded_values(found)
+    order = sorted(range(len(found)), key=encodings.__getitem__)
+    ordered_closure = tuple(values[i] for i in order)
+    max_length = max((length(found[i]) for i in order), default=0)
     # each coset's representative is its first point, inverted once when it opens
-    rep_inverses: list[Element] = []
+    rep_inverses: list[Any] = []
     cosets: list[list[Element]] = []
-    mul = ctx.multiply
-    for x in window:
+    mul = space.multiply_states
+    for x, state in zip(window, states):
         for inv, members in zip(rep_inverses, cosets):
-            if mul(inv, x) in closure:
+            if mul(inv, state) in closure:
                 members.append(x)
                 break
         else:
-            rep_inverses.append(ctx.inverse(x))
+            rep_inverses.append(space.inverse_state(state))
             cosets.append([x])
     return CosetCover(ordered_closure, tuple(tuple(c) for c in cosets), max_length)
 

@@ -926,17 +926,28 @@ class _CayleySpace:
     """Default BFS state space: states are canonical element values.
 
     Every search space has the same kernel, ``expand``; the searches below
-    call nothing else per state.
+    call nothing else per state.  ``identity_state``, ``multiply_states``
+    and ``inverse_state`` are the context's ``identity``, ``multiply`` and
+    ``inverse``.
+
+    With ``over``, another search space, they are that space's, and
+    ``letters`` are states of it: the search runs the Cayley graph of
+    ``letters`` on ``over``'s states, which ``over`` turns into elements.  A
+    coset closure searches the subgroup of a window's short elements this
+    way, on the states of its oracle's space.
     """
 
-    __slots__ = ("ctx", "letters")
+    __slots__ = ("ctx", "letters", "identity_state", "multiply_states", "inverse_state")
 
-    def __init__(self, ctx: Any, letters: tuple[Element, ...] | None = None):
+    def __init__(self, ctx: Any, letters: tuple[Any, ...] | None = None, *, over: Any = None):
         self.ctx = ctx
         self.letters = ctx.symmetric_generators() if letters is None else letters
-
-    def identity_state(self) -> Any:
-        return self.ctx.identity()
+        if over is None:
+            self.identity_state, self.multiply_states = ctx.identity, ctx.multiply
+            self.inverse_state = ctx.inverse
+        else:
+            self.identity_state, self.multiply_states = over.identity_state, over.multiply_states
+            self.inverse_state = over.inverse_state
 
     def state_of(self, value: Element) -> Any:
         return value
@@ -952,7 +963,7 @@ class _CayleySpace:
     def walk(self, state: Any, steps: Iterable[int]) -> Any:
         """The state reached from ``state`` by taking, per index i, the step to
         ``expand``'s i-th neighbour: the product with ``letters[i]``."""
-        mul, letters = self.ctx.multiply, self.letters
+        mul, letters = self.multiply_states, self.letters
         for i in steps:
             state = mul(state, letters[i])
         return state
@@ -966,7 +977,7 @@ class _CayleySpace:
         ``ctx.symmetric_generators()``, in that order, state by state.  Returns the new states in discovery
         order, or None as soon as ``seen`` holds more than ``budget`` states.
         """
-        mul = self.ctx.multiply
+        mul = self.multiply_states
         letters = self.letters
         nxt: list[Any] = []
         append = nxt.append
@@ -1032,10 +1043,11 @@ class _BallSearch:
     the budget is dropped again, so a resumed search holds, and fails at,
     what a fresh one does.  ``refused`` is the reach at which ``_meet`` last
     dropped a level that only its weight asked for (-1 before any).
-    ``step`` is the BFS level loop of the package: balls, lengths,
-    geodesics, subgroup closures, the element lists of finite groups and
-    their power scans all run on it.  Only a window's hop searches, one
-    per point and a few states each, step ``expand`` without it
+    ``step`` is the BFS level loop of the package: balls, kernel windows,
+    lengths, geodesics, coset closures (on the packed states of their
+    oracle's space), the element lists of finite groups and their power
+    scans all run on it.  Only a window's hop searches, one per point and
+    a few states each, step ``expand`` without it
     (``covers.GroupWindowView._near``).
     """
 
@@ -1267,30 +1279,34 @@ class LengthOracle:
     query resumes: ``growth(r)`` extends it to ``max_length_below(r)`` and
     counts its states by depth, and ``ball(r)`` builds the table of its
     states to that depth, a prefix of the search, with the collector paused
-    as in ``ball()`` and cached per radius.  A length query
-    looks its element's state up in the search, one dict lookup with no
-    element of the searched ball built; a miss with ``bound <= reach`` is
-    past the bound, as the BFS is complete to its reach.  Other misses
-    search back from their element until that search meets the held BFS
-    (``_meet``), and their lengths are memoized.  The n-th miss weighs the
-    held BFS's next level by n: it extends the held BFS while its frontier
-    is at most n times the miss's own, so the levels later misses start
-    from are bought once earlier misses would have paid for them.  A level
-    that only the weight asks for stays within half the budget, or is left
-    to the smaller-frontier rule.  Distances use left-invariance:
+    as in ``ball()`` and cached per radius.  Lengths are keyed by the state
+    of the held search's space (``_state_length``): a query looks its state
+    up in the search, one dict lookup with no element of the searched ball
+    built; a miss with ``bound <= reach`` is past the bound, as the BFS is
+    complete to its reach.  Other misses search back from their state until
+    that search meets the held BFS (``_meet``), and the memo holds their
+    lengths, by state; it holds misses only, since the searched states
+    answer every hit.  The n-th miss weighs the held BFS's next level by n:
+    it extends the held BFS while its frontier is at most n times the
+    miss's own, so the levels later misses start from are bought once
+    earlier misses would have paid for them.  A level that only the weight
+    asks for stays within half the budget, or is left to the
+    smaller-frontier rule.  Distances use left-invariance:
     ``d(x, y) = word_length(x^-1 y)``.
 
     The public ``length``, ``length_at_most``, ``distance`` and
     ``distance_at_most`` canonicalize their input first, so a malformed
     element raises ``EncodingError``.  ``_known_length`` trusts that its
-    element is canonical already; window views call it on products of their
-    canonical points, which ``multiply`` and ``inverse`` keep canonical.
+    element is canonical already, and ``_state_length`` that its state
+    belongs to the oracle's space (``_bfs.space``): window views and coset
+    closures call it on products of their points' states, which
+    ``multiply_states`` and ``inverse_state`` compute in that space.
     """
 
     def __init__(self, ctx: Any, *, budget: int | None = None):
         self.ctx = ctx
         self.budget = DEFAULT_BUDGET if budget is None else budget
-        self._memo: dict[Element, int] = {}
+        self._memo: dict[Any, int] = {}
         self._tables: dict[int, BallTable] = {}
         self._bfs = _BallSearch(ctx._search_space(), self.budget)
         self._misses = 0
@@ -1316,26 +1332,29 @@ class LengthOracle:
     def growth(self, r: int | Fraction) -> int:
         return self._bfs.extend(max_length_below(as_radius(r)))
 
-    def _known_length(self, g: Element, bound: int | None = None) -> int | None:
-        """Length of a canonical ``g`` (None past ``bound``).
+    def _state_length(self, state: Any, bound: int | None = None) -> int | None:
+        """Length of the element whose state in ``_bfs.space`` is ``state`` (None past ``bound``).
 
-        The memo first, then the searched states.  A miss searches back from
-        ``g`` to the held BFS (``_meet``), extending it, and its length is
-        memoized; with ``bound <= reach`` the miss is past the bound, and
-        nothing is searched.
+        The searched states first, then the memo of misses.  A new miss
+        searches back from ``state`` to the held BFS (``_meet``), extending
+        it, and its length is memoized; with ``bound <= reach`` the miss is
+        past the bound, and nothing is searched.
         """
-        hit = self._memo.get(g)
+        bfs = self._bfs
+        hit = bfs.seen.get(state)
         if hit is None:
-            bfs = self._bfs
-            state = bfs.space.state_of(g)
-            hit = bfs.seen.get(state)
+            hit = self._memo.get(state)
             if hit is None:
                 self._misses += 1
                 hit = _meet(bfs, state, bound, self.budget, self._misses)
                 if hit is None:
                     return None
-            self._memo[g] = hit
+                self._memo[state] = hit
         return hit if bound is None or hit <= bound else None
+
+    def _known_length(self, g: Element, bound: int | None = None) -> int | None:
+        """Length of a canonical ``g`` (None past ``bound``): ``_state_length`` of its state."""
+        return self._state_length(self._bfs.space.state_of(g), bound)
 
     def length(self, g: Element) -> int:
         value = self._known_length(self.ctx.canonicalize(g))

@@ -19,6 +19,7 @@ lamp field per visited base position.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
@@ -29,8 +30,12 @@ from .groups import (
     LengthOracle,
     MarkedGroup,
     VirtuallyZStructure,
+    _collector_paused,
     _oracle_for,
+    _sorted_table,
+    as_radius,
     expect_at,
+    max_length_below,
     same_group,
     vz_decompose,
 )
@@ -290,6 +295,20 @@ class _EncodingCache(dict):
         return data
 
 
+class _Translation(dict):
+    """Position id -> id of ``left * position`` in a packed lamp space, each
+    computed on first use through ``base.multiply`` and ``_id_of``."""
+
+    def __init__(self, space: "_PackedLampSpace", cursor: int):
+        super().__init__()
+        self._space, self._left = space, space._positions[cursor]
+
+    def __missing__(self, idx: int) -> int:
+        space = self._space
+        moved = self[idx] = space._id_of(space.ctx.base.multiply(self._left, space._positions[idx]))
+        return moved
+
+
 #: Width of the low field of a packed lamp state that holds the cursor's
 #: position id; the lamp fields sit above it.
 _CURSOR_BITS = 32
@@ -317,7 +336,9 @@ class _PackedLampSpace:
     distinct lamp mask is decoded once, and its states share one lamps tuple.
     A single state is built by ``element_of``.  ``walk`` takes the steps of
     ``expand`` one at a time, so a word in the symmetric generators is
-    evaluated as int operations on one state.
+    evaluated as int operations on one state.  ``multiply_states`` and
+    ``inverse_state`` are ``ctx.multiply`` and ``ctx.inverse`` on states,
+    which is how window distances and coset closures avoid building elements.
     """
 
     def __init__(self, ctx: WreathContext):
@@ -333,10 +354,18 @@ class _PackedLampSpace:
             tuple(i ^ self._value_index[fiber.multiply(v, h)] for i, v in enumerate(self._values))
             for h in ctx._lamp_values
         )
+        # field i times field j is field _products[i][j]; field i's inverse is _inverses[i]
+        self._products = tuple(
+            tuple(self._value_index[fiber.multiply(v, w)] for w in self._values)
+            for v in self._values
+        )
+        self._inverses = tuple(self._value_index[fiber.inverse(v)] for v in self._values)
         self._moves = ctx.base.symmetric_generators()
         self._ids: dict[Element, int] = {}
         self._positions: list[Element] = []
         self._rows: list[_Row | None] = []
+        # per cursor id, the ids of ``cursor * position`` met so far, by position id
+        self._translated: dict[int, _Translation] = {}
         self._id_of(ctx._base_id)
 
     def _id_of(self, pos: Element) -> int:
@@ -437,6 +466,53 @@ class _PackedLampSpace:
             rest ^= field << (idx * width)
             lamps[positions[idx]] = values[field]
         return self.ctx._from_lamps(lamps, positions[state & self._low])
+
+    def _moved(self, cursor: int) -> "_Translation":
+        """Position id -> id of the cursor's position times that position."""
+        moved = self._translated.get(cursor)
+        if moved is None:
+            moved = self._translated[cursor] = _Translation(self, cursor)
+        return moved
+
+    def multiply_states(self, s: int, t: int) -> int:
+        """The state of ``x y``, for ``s`` the state of x and ``t`` that of y.
+
+        ``(f1, b1)(f2, b2) = (f1 * (b1.f2), b1 b2)``: each lamp of ``t`` moves
+        to ``b1`` times its position, where the field becomes that of
+        ``fiber.multiply(x's value, y's value)``, in that order, since fibers
+        may be nonabelian.
+        """
+        low, width, full, products = self._low, self._width, self._full, self._products
+        cursor = s & low
+        moved = self._moved(cursor)
+        state = s ^ cursor
+        rest = self.lamp_mask(t)
+        while rest:
+            idx = ((rest & -rest).bit_length() - 1) // width
+            field = (rest >> (idx * width)) & full
+            rest ^= field << (idx * width)
+            shift = _CURSOR_BITS + moved[idx] * width
+            held = (state >> shift) & full
+            state ^= (held ^ products[held][field]) << shift
+        return state | moved[t & low]
+
+    def inverse_state(self, s: int) -> int:
+        """The state of ``x^-1``, for ``s`` the state of x.
+
+        ``(f, b)^-1 = (b^-1.f^-1, b^-1)``: each lamp moves by ``b^-1`` and
+        its field becomes that of its value's inverse.
+        """
+        width, full, inverses = self._width, self._full, self._inverses
+        back = self._id_of(self.ctx.base.inverse(self._positions[s & self._low]))
+        moved = self._moved(back)
+        state = back
+        rest = self.lamp_mask(s)
+        while rest:
+            idx = ((rest & -rest).bit_length() - 1) // width
+            field = (rest >> (idx * width)) & full
+            rest ^= field << (idx * width)
+            state |= inverses[field] << (_CURSOR_BITS + moved[idx] * width)
+        return state
 
     def walk(self, state: int, steps: Iterable[int]) -> int:
         """The state reached from ``state`` by taking, per index i, the step to
@@ -609,8 +685,18 @@ def kernel_window(
 ) -> tuple[WreathElement, ...]:
     """Kernel elements of the open ball of radius ``r``, in canonical order.
 
-    The ball comes from ``oracle`` (a fresh one for ``ctx`` if omitted), so
-    levels the oracle has searched already are read, not searched again.
+    The oracle (a fresh one for ``ctx`` if omitted) extends its held BFS to
+    the ball's depth, so levels it has searched already are read, not
+    searched again.  Of that prefix of the search, only the kernel states,
+    those whose cursor field holds id 0 (the base identity), become
+    elements, through ``_sorted_table`` with the collector paused; the rest
+    of the ball is never built.
     """
-    ball = _oracle_for(ctx, oracle).ball(r)
-    return tuple(w for w in ball.elements if w.cursor == ctx._base_id)
+    bfs = _oracle_for(ctx, oracle)._bfs
+    radius = as_radius(r)
+    count = bfs.extend(max_length_below(radius))
+    space = bfs.space
+    low = space._low
+    with _collector_paused():
+        kernel = {s: n for s, n in itertools.islice(bfs.seen.items(), count) if not s & low}
+        return _sorted_table(ctx, space, radius, kernel)[0].elements

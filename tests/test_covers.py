@@ -64,11 +64,25 @@ def test_group_window_view_takes_an_oracle_of_an_equal_spec_group():
     oracle = LengthOracle(L2)
     fresh = WreathContext(CyclicGroup(2), IntegerGroup())
     assert fresh is not L2
+    # the fresh context's space hands out position ids in another order than L2's
+    fresh._search_space().state_of(fresh.element([(5, 1), (-3, 1)], -7))
+    other = LengthOracle(fresh)
     window = oracle.ball(4).elements
     view = GroupWindowView(fresh, window, oracle)
     reference = GroupWindowView(L2, window, oracle)
+    across = GroupWindowView(L2, window, other)
     for x in window[:6]:
         assert view.dists_from(x, window) == reference.dists_from(x, window)
+        assert across.dists_from(x, window) == reference.dists_from(x, window)
+    kernel = kernel_window(L2, 8, oracle=other)
+    assert kernel == kernel_window(L2, 8, oracle=oracle)
+    kernel_view, kernel_reference = GroupWindowView(L2, kernel, other), GroupWindowView(L2, kernel, oracle)
+    for r in (1, 2, 3, 4):
+        components = r_components(kernel_view, None, r)
+        assert components == r_components(kernel_reference, None, r)
+        assert max_diameter(kernel_view, components) == max_diameter(kernel_reference, components)
+        assert coset_cover(L2, kernel, r, oracle=other) == coset_cover(L2, kernel, r, oracle=oracle)
+    assert fresh._search_space()._positions[:3] != L2._search_space()._positions[:3]
     with pytest.raises(StructureError, match="different marked group"):
         GroupWindowView(fresh, window, LengthOracle(W2))
 

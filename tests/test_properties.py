@@ -193,7 +193,7 @@ def _reference_inverse(ctx, x):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(WREATHS)), st.data())
 def test_products_of_canonical_elements_are_canonical(name, data):
-    # window views look x^-1 y up in the length memo without canonicalizing it
+    # multiply and inverse return canonical values without a canonicalize call
     ctx = WREATHS[name]
     x = data.draw(wreath_elements(ctx))
     y = data.draw(wreath_elements(ctx))
@@ -482,6 +482,59 @@ def test_expand_lists_the_products_with_the_symmetric_generators_in_order(name, 
     products = [ctx.multiply(g, s) for s in ctx.symmetric_generators()]
     assert space.encoded_values(around) == ([ctx.encode(x) for x in products], products)
     assert list(seen) == around and set(seen.values()) == {3}
+
+
+# -- state arithmetic ------------------------------------------------------------------
+
+# packed lamp spaces over Z, Z^2, F2 and L2 bases, with a nonabelian fiber (S3,
+# which pins the order of a lamp's product), and Cayley spaces of non-wreaths
+STATE_GROUPS = {
+    "L2": L2,
+    "C3wrZ": WREATHS["C3wrZ"],
+    "S3wrZ": WREATHS["S3wrZ"],
+    "W2": _C2wrZ2,
+    "C2wrF2": WREATHS["C2wrF2"],
+    "C2wrL2": _C2wrL2,
+    "Z": Z,
+    "Z2": Z2,
+    "F2": F2,
+}
+# the radius of the ball whose every pair is multiplied as states
+STATE_RADII = {"L2": 7, "C3wrZ": 5, "S3wrZ": 4, "W2": 4, "C2wrF2": 4, "C2wrL2": 4, "Z": 6, "Z2": 4, "F2": 4}
+
+
+def _check_state_arithmetic(ctx, a, b):
+    space = ctx._search_space()
+    sa, sb = space.state_of(a), space.state_of(b)
+    assert space.element_of(space.multiply_states(sa, sb)) == ctx.multiply(a, b)
+    assert space.element_of(space.inverse_state(sa)) == ctx.inverse(a)
+    assert space.multiply_states(space.inverse_state(sa), sa) == space.identity_state()
+
+
+@pytest.mark.parametrize("name", sorted(STATE_GROUPS))
+def test_state_products_and_inverses_on_every_pair_of_a_small_ball(name):
+    ctx = STATE_GROUPS[name]
+    points = ball(ctx, STATE_RADII[name]).elements
+    assert isinstance(ctx._search_space(), groups._CayleySpace) == (name in ("Z", "Z2", "F2"))
+    for a in points:
+        for b in points:
+            _check_state_arithmetic(ctx, a, b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(STATE_GROUPS)), st.data())
+def test_state_products_and_inverses_of_elements_with_many_lamps(name, data):
+    ctx = STATE_GROUPS[name]
+    if isinstance(ctx, WreathContext):
+        values = st.sampled_from(ctx.fiber.elements())
+        lamps = st.dictionaries(elements(ctx.base, 6), values, min_size=4, max_size=16)
+        drawn = st.builds(ctx.element, lamps.map(lambda d: list(d.items())), elements(ctx.base, 6))
+    else:
+        drawn = elements(ctx, 12)
+    a, b = data.draw(drawn), data.draw(drawn)
+    _check_state_arithmetic(ctx, a, b)
+    # lamps of b land on lit lamps of a
+    _check_state_arithmetic(ctx, a, ctx.multiply(ctx.inverse(a), b))
 
 
 # -- word metric -----------------------------------------------------------------

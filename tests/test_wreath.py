@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from unittest import mock
 
 import pytest
 
@@ -889,6 +890,36 @@ def test_kernel_window_filters_a_larger_oracle_ball(lamplighter, plane_lamplight
     assert kernel_window(lamplighter, 6, oracle=oracle) == kernel_window(lamplighter, 6)
     with pytest.raises(StructureError):
         kernel_window(lamplighter, 6, oracle=LengthOracle(plane_lamplighter))
+
+
+# (context factory, largest radius) for kernel windows read from an oracle's search
+KERNEL_CASES = [
+    pytest.param(lambda: WreathContext(CyclicGroup(2), IntegerGroup()), 10, id="L2"),
+    pytest.param(lambda: WreathContext(CyclicGroup(3), IntegerGroup()), 6, id="C3-Z"),
+    pytest.param(
+        lambda: WreathContext(CyclicGroup(2), ProductGroup(IntegerGroup(), IntegerGroup())),
+        6,
+        id="W2",
+    ),
+    pytest.param(lambda: WreathContext(_s3_identity_not_row_0(), IntegerGroup()), 4, id="S3-Z"),
+]
+
+
+@pytest.mark.parametrize("make, top", KERNEL_CASES)
+def test_kernel_window_materializes_only_the_kernel_of_the_ball(make, top):
+    ctx = make()
+    base_id = ctx.base.identity()
+    space = ctx._search_space()
+    deep = LengthOracle(ctx)
+    deep.growth(top + 2)  # its search is already deeper than every radius below
+    for r in range(1, top + 1):
+        for oracle in (LengthOracle(ctx), deep):
+            with mock.patch.object(space, "encoded_values", wraps=space.encoded_values) as spy:
+                window = kernel_window(ctx, r, oracle=oracle)
+            (states,), _ = spy.call_args
+            assert spy.call_count == 1 and len(states) == len(window)
+            assert all(space.element_of(s).cursor == base_id for s in states)
+            assert window == tuple(w for w in oracle.ball(r).elements if w.cursor == base_id)
 
 
 def test_kernel_window_has_identity_cursor(plane_lamplighter):
