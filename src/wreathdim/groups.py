@@ -1018,9 +1018,21 @@ def _collector_paused() -> Iterator[None]:
     Building a table allocates ~10^5 containers that outlive the call.
     ``WreathElement`` is a NamedTuple, and CPython untracks only exact
     tuples, so every held wreath element (and every dict keyed by one) stays
-    tracked; with the collector on, such a burst sets off full collections
-    that rescan all of them.  Callers build only acyclic objects here, which
-    reference counting alone frees.
+    tracked; with the collector on, such a burst sets off young-generation
+    collections that scan all of them.  Callers build only acyclic objects
+    here, which reference counting alone frees.
+
+    A built table goes straight into the oldest generation: when the
+    outermost pause ends without an error, ``gc.freeze()`` then
+    ``gc.unfreeze()`` move every tracked object there, so the young scan
+    that resuming would start finds nothing to do.  The promotion is skipped
+    when the build left no more young objects than the young threshold (no
+    collection was due), when anything is frozen already (the interpreter's
+    or a caller's frozen objects stay frozen), and when the collector was
+    off to begin with, which the pause leaves alone.  Promoted garbage
+    cycles of the caller are freed by the next full collection.  A
+    ``gc.freeze()`` from another thread between the two calls would be
+    undone.
     """
     if not gc.isenabled():
         yield
@@ -1028,6 +1040,9 @@ def _collector_paused() -> Iterator[None]:
     gc.disable()
     try:
         yield
+        if gc.get_count()[0] > gc.get_threshold()[0] > 0 and gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
     finally:
         gc.enable()
 
@@ -1103,7 +1118,11 @@ def ball(
     has each lamp parsed once per run of shared leading lamps.  Otherwise
     the ball is ``LengthOracle(ctx, budget=budget).ball(r)``, saved with the
     encodings its ordering computed.  Loads, like searches, run with the
-    cyclic garbage collector paused (``_collector_paused``).
+    cyclic garbage collector paused (``_collector_paused``), and the table
+    they leave goes straight into the collector's oldest generation: it
+    holds no reference cycle, so no young collection need scan it.  The
+    promotion is skipped for tables under the young threshold, with objects
+    frozen already, and with the collector off.
     """
     radius = as_radius(r)
     with _collector_paused():
@@ -1293,6 +1312,9 @@ class LengthOracle:
     asks for stays within half the budget, or is left to the
     smaller-frontier rule.  Distances use left-invariance:
     ``d(x, y) = word_length(x^-1 y)``.
+
+    A table the oracle builds goes to the collector's oldest generation when
+    its pause ends, as in ``ball()``; ``_collector_paused`` says when not.
 
     The public ``length``, ``length_at_most``, ``distance`` and
     ``distance_at_most`` canonicalize their input first, so a malformed

@@ -167,7 +167,7 @@ class _Suite:
         """Kernel window components stay inside the (2r+1)*growth(r) diameter bound."""
         ctx = self.L2
         window = kernel_window(ctx, 10, oracle=self.oracle_L2)
-        view = GroupWindowView(ctx, window, self.oracle_L2)
+        view = GroupWindowView._of_canonical(self.oracle_L2, window)  # kernel_window's are canonical
         rows = []
         for r in (1, 2, 3):
             bound = kernel_control_bound(ctx, r, base_oracle=self.oracle_Z)
@@ -236,7 +236,7 @@ class _Suite:
         """Short-ball closures in the kernel stay below 8r and split components by coset."""
         ctx = self.L2
         window = kernel_window(ctx, 10, oracle=self.oracle_L2)
-        view = GroupWindowView(ctx, window, self.oracle_L2)
+        view = GroupWindowView._of_canonical(self.oracle_L2, window)  # kernel_window's are canonical
         scale = vz_closure_constant(self.z_structure)
         if scale != 8:
             return False, {"reason": "closure constant for the line should be 8", "got": str(scale)}

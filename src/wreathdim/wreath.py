@@ -46,7 +46,11 @@ class WreathElement(NamedTuple):
 
     Instances stay tracked by the cyclic garbage collector for as long as
     they live, since CPython untracks only exact tuples, so tables of them
-    are built with the collector paused.
+    are built with the collector paused and then moved into its oldest
+    generation, where no young collection scans them again; they hold no
+    reference cycle.  Builds under the young threshold, or with objects
+    frozen already or the collector off, are left where they are
+    (``groups._collector_paused``).
     """
 
     lamps: tuple[tuple[Element, Element], ...]

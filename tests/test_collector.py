@@ -1,13 +1,20 @@
 """Ball tables are built with the cyclic garbage collector paused, and only then.
 
-``ball()`` and ``LengthOracle.ball`` switch the collector off while they
-build, and must hand back the state they found, whether they return or raise.
-The pause is safe because what they build holds no reference cycle.
+``ball()``, ``LengthOracle.ball`` and ``kernel_window`` switch the collector
+off while they build, and must hand back the state they found, whether they
+return or raise.  The pause is safe because what they build holds no
+reference cycle.  A build that leaves more young objects than the young
+threshold ends by promoting them to the oldest generation, so resuming the
+collector starts no young-generation scan of the new table; small builds, a
+collector the caller disabled and an interpreter with frozen objects (as
+CPython 3.12 starts with) promote nothing.  The young threshold is pinned to
+CPython's usual 700 here, as 3.13 raises its default to 2000.
 """
 
 from __future__ import annotations
 
 import gc
+import weakref
 
 import pytest
 
@@ -20,20 +27,31 @@ from wreathdim import (
     LengthOracle,
     WreathContext,
     ball,
+    kernel_window,
 )
 from wreathdim import groups
 
 
 @pytest.fixture
 def collector():
-    """Set the collector's state for the test; restore the state found."""
-    was = gc.isenabled()
+    """Set the collector's state for the test; restore the state and thresholds found."""
+    was, thresholds = gc.isenabled(), gc.get_threshold()
+    gc.set_threshold(700, 10, 10)
 
     def set_state(enabled: bool) -> None:
         (gc.enable if enabled else gc.disable)()
 
     yield set_state
+    gc.set_threshold(*thresholds)
     (gc.enable if was else gc.disable)()
+
+
+def _promoted(elements) -> bool:
+    """True if all of ``elements`` are in the oldest generation, False if none is."""
+    oldest = {id(x) for x in gc.get_objects(generation=2)}
+    flags = {id(x) in oldest for x in elements}
+    assert len(flags) == 1, "some of the table was promoted and some not"
+    return flags.pop()
 
 
 def _tamper(store_dir):
@@ -127,3 +145,84 @@ def test_built_tables_leave_no_cyclic_garbage(name, r, collector, tmp_path, lamp
     oracle.ball(r)
     oracle.ball(r + 1)
     assert gc.collect() == 0
+
+
+def _store_load(ctx, r, store_dir):
+    store = BallStore(store_dir)
+    ball(ctx, r, store=store)  # cold, then saved
+    gc.collect()
+    return ball(ctx, r, store=store).elements
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda ctx, tmp: ball(ctx, 13).elements, id="cold-ball"),
+        pytest.param(lambda ctx, tmp: _store_load(ctx, 13, tmp), id="store-load"),
+        pytest.param(lambda ctx, tmp: LengthOracle(ctx).ball(13).elements, id="oracle-ball"),
+        pytest.param(lambda ctx, tmp: kernel_window(ctx, 16), id="kernel-window"),
+    ],
+)
+def test_large_builds_go_to_the_oldest_generation(build, lamplighter, collector, tmp_path):
+    collector(True)
+    promotes = gc.get_freeze_count() == 0  # nothing promotes past frozen objects
+    gc.collect()
+    elements = build(lamplighter, tmp_path)
+    young = gc.get_count()[0]
+    assert len(elements) >= 294
+    assert _promoted(elements) is promotes
+    if promotes:
+        assert young == 0
+
+
+def test_small_builds_promote_nothing(lamplighter, collector):
+    collector(True)
+    gc.collect()
+    window = kernel_window(lamplighter, 12)
+    young = gc.get_count()[0]
+    assert len(window) == 76
+    assert 0 < young <= gc.get_threshold()[0]
+    assert not _promoted(window)
+
+
+def test_a_callers_frozen_objects_stay_frozen(lamplighter, collector):
+    collector(True)
+    caller_freezes = gc.get_freeze_count() == 0  # else the interpreter's frozen objects stand in
+    gc.collect()
+    if caller_freezes:
+        gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        elements = ball(lamplighter, 13).elements
+        assert gc.get_freeze_count() == frozen > 0
+        assert not _promoted(elements)
+    finally:
+        if caller_freezes:
+            gc.unfreeze()
+
+
+def test_a_disabled_collector_stays_disabled_and_promotes_nothing(lamplighter, collector):
+    collector(False)
+    gc.collect()
+    elements = ball(lamplighter, 13).elements
+    assert not gc.isenabled()
+    assert gc.get_count()[0] > gc.get_threshold()[0]
+    assert not _promoted(elements)
+
+
+def test_a_dropped_cycle_is_freed_after_a_build(lamplighter, collector):
+    class Node:
+        pass
+
+    collector(True)
+    promotes = gc.get_freeze_count() == 0
+    gc.collect()
+    node = Node()
+    node.self = node
+    alive = weakref.ref(node)
+    del node
+    ball(lamplighter, 13)
+    if promotes:
+        assert alive() is not None  # promoted with the table, so no young collection freed it
+    gc.collect()
+    assert alive() is None
