@@ -22,6 +22,7 @@ from .groups import (
     _BallSearch,
     _CayleySpace,
     _oracle_for,
+    _sorted_table,
     as_radius,
     max_length_below,
     same_group,
@@ -94,20 +95,15 @@ class GroupWindowView:
     def _near(self, state: Any, members: dict[Any, Any], depth: int) -> list[Any]:
         """``members[s]`` for each state s within ``depth`` of ``state``, itself included.
 
-        A BFS of ``depth`` levels around ``state`` on the space's ``expand``;
-        ``members`` is keyed by state.  ``_hop_depth`` sized it first.  It
-        steps ``expand`` itself, not through a ``_BallSearch``: a window runs
-        one such search per point, most of them a few states deep, where
-        the search object's set-up costs more than the levels.
+        A ``_BallSearch`` around ``state`` stepped ``depth`` levels, or until
+        a finite group's ball closes up; ``members`` is keyed by state.
+        ``_hop_depth`` sized the ball against the budget first.
         """
-        expand, budget = self.space.expand, self.oracle.budget
-        seen, frontier = {state: 0}, [state]
-        for level in range(1, depth + 1):
-            frontier = expand(frontier, seen, level, budget)
-            assert frontier is not None  # the ball was sized against the budget
-            if not frontier:  # a finite group's ball closed up
-                break
-        found = map(members.get, seen)
+        search = _BallSearch(self.space, self.oracle.budget, start=state)
+        while search.reach < depth:
+            stepped = search.step(search.budget)
+            assert stepped  # the ball was sized against the budget
+        found = map(members.get, search.seen)
         return [m for m in found if m is not None]
 
 
@@ -303,10 +299,9 @@ def coset_cover(
     their inverses on the states of the oracle's space (``_CayleySpace`` over
     it, stepping by ``multiply_states``), stepped until its frontier is
     empty; it raises ``BudgetExceededError`` exactly when it holds more than
-    the budget.  Lengths are the oracle's ``_state_length`` of those states,
-    the closure's elements are built once, ordered by their encodings, and a
-    point lies in a coset when its state times the inverse of the coset's
-    first point's lies in the closure.
+    the budget.  ``_sorted_table`` orders the closure by encoding, with the
+    oracle's ``_state_length`` of each state, and a point lies in a coset
+    when its state times the inverse of its first point's lies in the closure.
     """
     radius = as_radius(r)
     oracle = _oracle_for(ctx, oracle)
@@ -324,11 +319,7 @@ def coset_cover(
         if not search.step(budget):
             raise BudgetExceededError(f"subgroup closure exceeded the node budget of {budget}")
     closure = search.seen
-    found = list(closure)
-    encodings, values = space.encoded_values(found)
-    order = sorted(range(len(found)), key=encodings.__getitem__)
-    ordered_closure = tuple(values[i] for i in order)
-    max_length = max((length(found[i]) for i in order), default=0)
+    table = _sorted_table(ctx, space, radius, {s: length(s) for s in closure})[0]
     # each coset's representative is its first point, inverted once when it opens
     rep_inverses: list[Any] = []
     cosets: list[list[Element]] = []
@@ -341,7 +332,7 @@ def coset_cover(
         else:
             rep_inverses.append(space.inverse_state(state))
             cosets.append([x])
-    return CosetCover(ordered_closure, tuple(tuple(c) for c in cosets), max_length)
+    return CosetCover(table.elements, tuple(map(tuple, cosets)), max(table.lengths.values()))
 
 
 def vz_closure_constant(structure: VirtuallyZStructure) -> Fraction:

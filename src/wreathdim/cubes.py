@@ -549,18 +549,27 @@ def build_kernel_cube(
     The base ball is enumerated in canonical order and assigned row-major to
     the index table; ``k`` defaults to the largest value the growth allows
     (``growth(r) // n``).  Edge bounds are the constructive word bounds
-    ``2 * length(index) + 1``, each strictly below 3r.
+    ``2 * length(index) + 1``, each strictly below 3r.  A cube with more
+    vertices, (k+1)^n, or edges, n*k*(k+1)^(n-1), than the base oracle's
+    budget is refused before any vertex is built.
     """
     if n < 1:
         raise ValueError(f"cube dimension must be >= 1, got {n}")
     radius = as_radius(r)
-    table = _oracle_for(ctx.base, base_oracle).ball(radius)
+    oracle = _oracle_for(ctx.base, base_oracle)
+    table = oracle.ball(radius)
     gamma = len(table)
     if k is None:
         k = gamma // n
     if k < 1 or n * k > gamma:
         raise ValueError(
             f"cube needs {n}*{max(k, 1)} distinct indices but the r-ball only has {gamma} elements"
+        )
+    vertex_count, edge_count = (k + 1) ** n, n * k * (k + 1) ** (n - 1)
+    if max(vertex_count, edge_count) > oracle.budget:
+        raise BudgetExceededError(
+            f"the cube {{0..{k}}}^{n} has {vertex_count} vertices and {edge_count} edge bounds, "
+            f"over the budget of {oracle.budget}; raise the budget"
         )
     index_table = {
         (j, i): table.elements[(j - 1) * n + (i - 1)]
@@ -604,18 +613,23 @@ def lipschitz_pairs(kcube: KernelCube, *, seed: int = 0) -> list[tuple[Point, Po
     The support separation (number of positions where the two vertex lamp
     configurations differ) is a certified word-metric lower bound between the
     images, and for these cubes it equals the l1 distance exactly.  All pairs
-    are checked when there are at most ``PAIR_LIMIT``; otherwise a seeded sample.
+    are checked when there are at most ``PAIR_LIMIT``; otherwise a seeded
+    sample of pair ranks (positions in ``RCube.vertex_pairs`` order), each
+    turned into its pair, so the pairs are never listed.
     """
-    ctx = kcube.ctx
-    pairs = list(kcube.cube.vertex_pairs())
-    if len(pairs) > PAIR_LIMIT:
-        rng = random.Random(seed)
-        pairs = [pairs[i] for i in sorted(rng.sample(range(len(pairs)), PAIR_LIMIT))]
+    ctx, vertices = kcube.ctx, kcube.cube.vertices
+    pts = lattice_points(kcube.cube.n, kcube.cube.k)
+    count = len(pts) * (len(pts) - 1) // 2
+    ranks: Iterable[int] = range(count)
+    if count > PAIR_LIMIT:
+        ranks = sorted(random.Random(seed).sample(ranks, PAIR_LIMIT))
     out = []
-    for a, b in pairs:
-        ga = kcube.cube.vertices[a]
-        gb = kcube.cube.vertices[b]
-        diff = ctx.multiply(ctx.inverse(ga), gb)
+    for rank in ranks:
+        # pts[-1 - m] pairs with the last m points at back ranks m(m-1)/2 to m(m+1)/2 - 1
+        back = count - 1 - rank
+        m = (math.isqrt(8 * back + 1) + 1) // 2
+        a, b = pts[-1 - m], pts[-1 - back + m * (m - 1) // 2]
+        diff = ctx.multiply(ctx.inverse(vertices[a]), vertices[b])
         out.append((a, b, l1(a, b), len(diff.lamps)))
     return out
 

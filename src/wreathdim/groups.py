@@ -1015,12 +1015,13 @@ class BallTable:
 def _collector_paused() -> Iterator[None]:
     """Run the body with the cyclic garbage collector off, then restore its state.
 
-    Building a table allocates ~10^5 containers that outlive the call.
-    ``WreathElement`` is a NamedTuple, and CPython untracks only exact
-    tuples, so every held wreath element (and every dict keyed by one) stays
-    tracked; with the collector on, such a burst sets off young-generation
-    collections that scan all of them.  Callers build only acyclic objects
-    here, which reference counting alone frees.
+    A search's levels (``_BallSearch.extend``), a table's build
+    (``_sorted_table``) and a store load (``ball()``) run under it.  Each
+    allocates up to ~10^5 acyclic containers that outlive the call, which
+    reference counting alone frees.  CPython untracks only exact tuples, so
+    every held ``WreathElement`` (a NamedTuple), and every dict keyed by
+    one, stays tracked; with the collector on, such a burst sets off
+    young-generation collections that scan all of them.
 
     A built table goes straight into the oldest generation: when the
     outermost pause ends without an error, ``gc.freeze()`` then
@@ -1060,11 +1061,11 @@ class _BallSearch:
     dropped a level that only its weight asked for (-1 before any).
     ``step`` is the BFS level loop of the package: balls, kernel windows,
     lengths, geodesics, coset closures (on the packed states of their
-    oracle's space), the element lists of finite groups and their power
-    scans all run on it.  Only a window's hop searches, one per point and
-    a few states each, step ``expand`` without it
-    (``covers.GroupWindowView._near``).
+    oracle's space), a window's hop searches around each of its points,
+    the element lists of finite groups and their power scans all run on it.
     """
+
+    __slots__ = ("space", "budget", "reach", "refused", "seen", "frontier", "counts")
 
     def __init__(self, space: Any, budget: int, *, start: Any = None):
         start = space.identity_state() if start is None else start
@@ -1117,22 +1118,20 @@ def ball(
     decoded in one batch by ``ctx.decode_many``, which on wreath products
     has each lamp parsed once per run of shared leading lamps.  Otherwise
     the ball is ``LengthOracle(ctx, budget=budget).ball(r)``, saved with the
-    encodings its ordering computed.  Loads, like searches, run with the
-    cyclic garbage collector paused (``_collector_paused``), and the table
-    they leave goes straight into the collector's oldest generation: it
-    holds no reference cycle, so no young collection need scan it.  The
-    promotion is skipped for tables under the young threshold, with objects
-    frozen already, and with the collector off.
+    encodings its ordering computed.  A load runs with the cyclic garbage
+    collector paused (``_collector_paused``), as the oracle's search and
+    table build do, and the table it leaves, which holds no reference
+    cycle, goes straight into the collector's oldest generation unless
+    ``_collector_paused`` skips the promotion.
     """
     radius = as_radius(r)
-    with _collector_paused():
-        if store is not None:
+    if store is not None:
+        with _collector_paused():
             record = store.load(ctx.spec_hash, radius)
             if record is not None:
                 elements = tuple(ctx.decode_many(record.encodings))
-                lengths = dict(zip(elements, record.lengths))
-                return BallTable(ctx, radius, elements, lengths)
-        table, encodings = LengthOracle(ctx, budget=budget)._sorted_ball(radius)
+                return BallTable(ctx, radius, elements, dict(zip(elements, record.lengths)))
+    table, encodings = LengthOracle(ctx, budget=budget)._sorted_ball(radius)
     if store is not None:
         from .ballstore import BallRecord
 
@@ -1146,16 +1145,17 @@ def _sorted_table(
     """The ball of the states ``dist`` maps to their lengths, ordered by encoding.
 
     The space builds the elements and encodings in one batch (once per lamp
-    mask on wreath products), and the order does not depend on the ids
-    earlier searches handed out.  Returns the table, whose ``lengths``
-    follow the same order, and the elements' encodings in that order.
+    mask on wreath products), with the collector paused; the order does not
+    depend on the ids earlier searches handed out.  Returns the table, whose
+    ``lengths`` follow its order, and the encodings in that order.
     """
-    encodings, values = space.encoded_values(dist)
-    order = sorted(range(len(encodings)), key=encodings.__getitem__)
-    depths = list(dist.values())
-    elements = tuple(values[i] for i in order)
-    lengths = {values[i]: depths[i] for i in order}
-    return BallTable(ctx, radius, elements, lengths), [encodings[i] for i in order]
+    with _collector_paused():
+        encodings, values = space.encoded_values(dist)
+        order = sorted(range(len(encodings)), key=encodings.__getitem__)
+        depths = list(dist.values())
+        elements = tuple(values[i] for i in order)
+        lengths = {values[i]: depths[i] for i in order}
+        return BallTable(ctx, radius, elements, lengths), [encodings[i] for i in order]
 
 
 def word_length(
@@ -1297,8 +1297,8 @@ class LengthOracle:
     The oracle holds one BFS from the identity (``_BallSearch``), which each
     query resumes: ``growth(r)`` extends it to ``max_length_below(r)`` and
     counts its states by depth, and ``ball(r)`` builds the table of its
-    states to that depth, a prefix of the search, with the collector paused
-    as in ``ball()`` and cached per radius.  Lengths are keyed by the state
+    states to that depth, a prefix of the search, through ``_sorted_table``,
+    and caches it per radius.  Lengths are keyed by the state
     of the held search's space (``_state_length``): a query looks its state
     up in the search, one dict lookup with no element of the searched ball
     built; a miss with ``bound <= reach`` is past the bound, as the BFS is
@@ -1313,8 +1313,8 @@ class LengthOracle:
     smaller-frontier rule.  Distances use left-invariance:
     ``d(x, y) = word_length(x^-1 y)``.
 
-    A table the oracle builds goes to the collector's oldest generation when
-    its pause ends, as in ``ball()``; ``_collector_paused`` says when not.
+    Its search's levels and each table it builds run with the collector
+    paused (``_BallSearch.extend``, ``_sorted_table``).
 
     The public ``length``, ``length_at_most``, ``distance`` and
     ``distance_at_most`` canonicalize their input first, so a malformed
@@ -1343,11 +1343,10 @@ class LengthOracle:
     def _sorted_ball(self, radius: Fraction) -> tuple[BallTable, list[bytes]]:
         """Build and cache the ``radius``-ball; return it and its encodings in table order."""
         max_len, seen = max_length_below(radius), self._bfs.seen
-        with _collector_paused():
-            count = self._bfs.extend(max_len)
-            # BFS records states level by level, so the ball is a prefix of the search
-            held = seen if count == len(seen) else dict(itertools.islice(seen.items(), count))
-            table, encodings = _sorted_table(self.ctx, self._bfs.space, radius, held)
+        count = self._bfs.extend(max_len)
+        # BFS records states level by level, so the ball is a prefix of the search
+        held = seen if count == len(seen) else dict(itertools.islice(seen.items(), count))
+        table, encodings = _sorted_table(self.ctx, self._bfs.space, radius, held)
         self._tables[max_len] = table
         return table, encodings
 

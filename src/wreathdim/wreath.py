@@ -30,7 +30,6 @@ from .groups import (
     LengthOracle,
     MarkedGroup,
     VirtuallyZStructure,
-    _collector_paused,
     _oracle_for,
     _sorted_table,
     as_radius,
@@ -46,11 +45,7 @@ class WreathElement(NamedTuple):
 
     Instances stay tracked by the cyclic garbage collector for as long as
     they live, since CPython untracks only exact tuples, so tables of them
-    are built with the collector paused and then moved into its oldest
-    generation, where no young collection scans them again; they hold no
-    reference cycle.  Builds under the young threshold, or with objects
-    frozen already or the collector off, are left where they are
-    (``groups._collector_paused``).
+    are built with the collector paused (``groups._collector_paused``).
     """
 
     lamps: tuple[tuple[Element, Element], ...]
@@ -693,14 +688,13 @@ def kernel_window(
     the ball's depth, so levels it has searched already are read, not
     searched again.  Of that prefix of the search, only the kernel states,
     those whose cursor field holds id 0 (the base identity), become
-    elements, through ``_sorted_table`` with the collector paused; the rest
-    of the ball is never built.
+    elements, through ``_sorted_table``, which pauses the collector while
+    it builds them; the rest of the ball is never built.
     """
     bfs = _oracle_for(ctx, oracle)._bfs
     radius = as_radius(r)
     count = bfs.extend(max_length_below(radius))
     space = bfs.space
     low = space._low
-    with _collector_paused():
-        kernel = {s: n for s, n in itertools.islice(bfs.seen.items(), count) if not s & low}
-        return _sorted_table(ctx, space, radius, kernel)[0].elements
+    kernel = {s: n for s, n in itertools.islice(bfs.seen.items(), count) if not s & low}
+    return _sorted_table(ctx, space, radius, kernel)[0].elements

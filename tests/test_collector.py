@@ -1,8 +1,9 @@
 """Ball tables are built with the cyclic garbage collector paused, and only then.
 
 ``ball()``, ``LengthOracle.ball`` and ``kernel_window`` switch the collector
-off while they build, and must hand back the state they found, whether they
-return or raise.  The pause is safe because what they build holds no
+off while they search, build or load (``_BallSearch.extend``,
+``_sorted_table`` and ``ball()``'s store load pause it), and must hand back
+the state they found, whether they return or raise.  The pause is safe because what they build holds no
 reference cycle.  A build that leaves more young objects than the young
 threshold ends by promoting them to the oldest generation, so resuming the
 collector starts no young-generation scan of the new table; small builds, a
@@ -29,7 +30,6 @@ from wreathdim import (
     ball,
     kernel_window,
 )
-from wreathdim import groups
 
 
 @pytest.fixture
@@ -95,20 +95,23 @@ def test_oracle_ball_restores_the_collector_state(lamplighter, collector, enable
 
 
 def test_tables_are_built_with_the_collector_off(lamplighter, collector, monkeypatch, tmp_path):
+    """Recorded where the elements are made: ``_sorted_table`` pauses the
+    collector itself, so it is entered with the collector on."""
     collector(True)
     seen = []
-    build = groups._sorted_table
+    space = lamplighter._search_space()
+    build = space.encoded_values
     decode = lamplighter.decode_many
 
-    def recording_build(*args):
+    def recording_build(states):
         seen.append(("build", gc.isenabled()))
-        return build(*args)
+        return build(states)
 
     def recording_decode(encodings):
         seen.append(("decode", gc.isenabled()))
         return decode(encodings)
 
-    monkeypatch.setattr(groups, "_sorted_table", recording_build)
+    monkeypatch.setattr(space, "encoded_values", recording_build)
     monkeypatch.setattr(lamplighter, "decode_many", recording_decode)
     store = BallStore(tmp_path)
     ball(lamplighter, 5, store=store)

@@ -603,6 +603,44 @@ def test_certificate_pair_sample_is_seeded(plane_lamplighter):
     assert all(dist == l1(a, b) == sep for a, b, dist, sep in sample)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("n, count", [(2, 1176), (4, 32640)])
+def test_pair_sample_picks_what_sampling_the_listed_pairs_picks(plane_lamplighter, n, count, seed):
+    # lipschitz_pairs samples pair ranks and never lists the pairs
+    kcube = build_kernel_cube(plane_lamplighter, n, 3)
+    pairs = list(kcube.cube.vertex_pairs())
+    assert len(pairs) == count
+    ranks = sorted(random.Random(seed).sample(range(len(pairs)), cubes.PAIR_LIMIT))
+    sample = cubes.lipschitz_pairs(kcube, seed=seed)
+    assert [(a, b) for a, b, _, _ in sample] == [pairs[i] for i in ranks]
+
+
+def test_certificate_never_lists_the_vertex_pairs(plane_lamplighter, monkeypatch):
+    def listed(self):
+        raise AssertionError("the certificate listed every vertex pair")
+
+    monkeypatch.setattr(RCube, "vertex_pairs", listed)
+    cert = growth_lower_bound_certificate(plane_lamplighter, 4, 3)
+    assert (cert.kcube.cube.k, len(cert.pair_evidence)) == (3, cubes.PAIR_LIMIT)
+
+
+def test_kernel_cube_is_sized_against_the_budget_before_it_is_built(plane_lamplighter, monkeypatch):
+    def built(*args):
+        raise AssertionError("a vertex was built")
+
+    monkeypatch.setattr(cubes, "bulb_product", built)
+    # k = 45: 46^4 = 4,477,456 vertices fit the default budget, their edges do not
+    with pytest.raises(BudgetExceededError, match="17520480 edge bounds"):
+        build_kernel_cube(plane_lamplighter, 4, 10)
+    # k = 6: 49 vertices and 2 * 6 * 7 = 84 edge bounds
+    base = plane_lamplighter.base
+    with pytest.raises(BudgetExceededError, match="49 vertices and 84 edge bounds"):
+        build_kernel_cube(plane_lamplighter, 2, 3, base_oracle=LengthOracle(base, budget=83))
+    monkeypatch.undo()
+    kcube = build_kernel_cube(plane_lamplighter, 2, 3, base_oracle=LengthOracle(base, budget=84))
+    assert len(kcube.edge_bounds) == 84
+
+
 @pytest.mark.parametrize("fixture, n, r", [("lamplighter", 1, 3), ("plane_lamplighter", 2, 2)])
 def test_certificate_separates_every_vertex_pair_by_l1(request, fixture, n, r):
     cert = growth_lower_bound_certificate(request.getfixturevalue(fixture), n, r)
