@@ -25,7 +25,6 @@ under a content id.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import operator
@@ -42,6 +41,14 @@ from .groups import max_length_below
 MAGIC = b"WDIMBAL1"
 FORMAT_VERSION = 1
 HEADER = struct.Struct("<8sI32sQQQ32s")
+
+
+def _sha256(data: bytes):
+    """sha256 of ``data``; OpenSSL is mapped only once the store hashes."""
+    import hashlib
+
+    return hashlib.sha256(data)
+
 
 @dataclass(frozen=True)
 class BallRecord:
@@ -92,13 +99,13 @@ class BallRecord:
             self.radius.numerator,
             self.radius.denominator,
             self.count,
-            hashlib.sha256(body_bytes).digest(),
+            _sha256(body_bytes).digest(),
         )
         return header + body_bytes
 
     @property
     def content_id(self) -> str:
-        return hashlib.sha256(self.to_bytes()).hexdigest()
+        return _sha256(self.to_bytes()).hexdigest()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BallRecord":
@@ -112,7 +119,7 @@ class BallRecord:
         if den == 0:
             raise IntegrityError("radius denominator is zero")
         body = bytes(data[HEADER.size :])
-        if hashlib.sha256(body).digest() != body_sha:
+        if _sha256(body).digest() != body_sha:
             raise IntegrityError("body checksum mismatch")
         # a byte below 0x80 is a whole uvarint; any other goes to read_uvarint
         pos, end = 0, len(body)
@@ -199,7 +206,7 @@ class BallStore:
 
     def save(self, record: BallRecord) -> str:
         data = record.to_bytes()
-        content_id = hashlib.sha256(data).hexdigest()
+        content_id = _sha256(data).hexdigest()
         path = self.directory / f"{content_id}.ball"
         if path.exists():
             if path.read_bytes() != data:
@@ -242,7 +249,7 @@ class BallStore:
         if not path.exists():
             raise IntegrityError(f"manifest names missing cache file {path.name}")
         data = path.read_bytes()
-        if hashlib.sha256(data).hexdigest() != best["id"]:
+        if _sha256(data).hexdigest() != best["id"]:
             raise IntegrityError(f"cache file {path.name} fails its content hash")
         record = BallRecord.from_bytes(data)
         if record.spec_hash != spec_hash:

@@ -92,14 +92,16 @@ class GroupWindowView:
         self.oracle.growth(radius)
         return max_length_below(radius)
 
-    def _near(self, state: Any, members: dict[Any, Any], depth: int) -> list[Any]:
+    def _near(
+        self, search: _BallSearch, state: Any, members: dict[Any, Any], depth: int
+    ) -> list[Any]:
         """``members[s]`` for each state s within ``depth`` of ``state``, itself included.
 
-        A ``_BallSearch`` around ``state`` stepped ``depth`` levels, or until
-        a finite group's ball closes up; ``members`` is keyed by state.
-        ``_hop_depth`` sized the ball against the budget first.
+        ``search``, restarted at ``state``, stepped ``depth`` levels, or
+        until a finite group's ball closes up; ``members`` is keyed by
+        state.  ``_hop_depth`` sized the ball against the budget first.
         """
-        search = _BallSearch(self.space, self.oracle.budget, start=state)
+        search.restart(state)
         while search.reach < depth:
             stepped = search.step(search.budget)
             assert stepped  # the ball was sized against the budget
@@ -162,6 +164,7 @@ def r_components(
     if len(index) != len(pts):
         raise ValueError("subset contains repeated points")
     depth = view._hop_depth(radius) if pts else 0
+    search = _BallSearch(view.space, view.oracle.budget)  # restarted at each point
     assigned = [False] * len(pts)
     components = []
     for seed in range(len(pts)):
@@ -170,7 +173,7 @@ def r_components(
         assigned[seed] = True
         comp = [seed]
         for i in comp:  # grows as hops reach unassigned points
-            for j in view._near(states[i], index, depth):
+            for j in view._near(search, states[i], index, depth):
                 if not assigned[j]:
                     assigned[j] = True
                     comp.append(j)
@@ -199,8 +202,9 @@ def lebesgue_ok(view: GroupWindowView, cover: Cover, r: Radius) -> LebesgueCheck
     cover.require_covers(view.points)
     members = {state: x for x, state in view._states.items()}
     depth = view._hop_depth(radius) if members else 0
+    search = _BallSearch(view.space, view.oracle.budget)  # restarted at each point
     for state, x in members.items():
-        ball_pts = view._near(state, members, depth)
+        ball_pts = view._near(search, state, members, depth)
         if not any(all(y in part for y in ball_pts) for part in cover.parts):
             return LebesgueCheck(radius, False, x)
     return LebesgueCheck(radius, True, None)

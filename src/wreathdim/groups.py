@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import hashlib
 import itertools
 import math
 import re
@@ -242,6 +241,8 @@ class MarkedGroup:
     @property
     def spec_hash(self) -> str:
         if self._spec_hash is None:
+            import hashlib  # OpenSSL is mapped only where a hash is computed
+
             self._spec_hash = hashlib.sha256(self.spec_string().encode("utf-8")).hexdigest()
         return self._spec_hash
 
@@ -1061,15 +1062,20 @@ class _BallSearch:
     dropped a level that only its weight asked for (-1 before any).
     ``step`` is the BFS level loop of the package: balls, kernel windows,
     lengths, geodesics, coset closures (on the packed states of their
-    oracle's space), a window's hop searches around each of its points,
+    oracle's space), a window's hop searches (one search per window,
+    restarted at each of its points),
     the element lists of finite groups and their power scans all run on it.
     """
 
     __slots__ = ("space", "budget", "reach", "refused", "seen", "frontier", "counts")
 
     def __init__(self, space: Any, budget: int, *, start: Any = None):
-        start = space.identity_state() if start is None else start
-        self.space, self.budget, self.reach, self.refused = space, budget, 0, -1
+        self.space, self.budget = space, budget
+        self.restart(space.identity_state() if start is None else start)
+
+    def restart(self, start: Any) -> None:
+        """Search afresh from ``start``, which ``seen`` then holds alone, at depth 0."""
+        self.reach, self.refused = 0, -1
         self.seen, self.frontier, self.counts = {start: 0}, [start], [1]
 
     def step(self, budget: int) -> bool:
@@ -1311,15 +1317,18 @@ class LengthOracle:
     earlier misses would have paid for them.  A level that only the weight
     asks for stays within half the budget, or is left to the
     smaller-frontier rule.  Distances use left-invariance:
-    ``d(x, y) = word_length(x^-1 y)``.
+    ``d(x, y) = word_length(x^-1 y)``, computed on states:
+    ``_state_length`` of ``multiply_states(inverse_state(sx), sy)``, as
+    window views do, so no element product is built.
 
     Its search's levels and each table it builds run with the collector
     paused (``_BallSearch.extend``, ``_sorted_table``).
 
     The public ``length``, ``length_at_most``, ``distance`` and
-    ``distance_at_most`` canonicalize their input first, so a malformed
-    element raises ``EncodingError``.  ``_known_length`` trusts that its
-    element is canonical already, and ``_state_length`` that its state
+    ``distance_at_most`` canonicalize their input first, both arguments of
+    a distance, so a malformed element raises ``EncodingError``.
+    ``_known_length`` trusts that its element is canonical already, and
+    ``_state_length`` that its state
     belongs to the oracle's space (``_bfs.space``): window views and coset
     closures call it on products of their points' states, which
     ``multiply_states`` and ``inverse_state`` compute in that space.
@@ -1386,10 +1395,18 @@ class LengthOracle:
         return self._known_length(self.ctx.canonicalize(g), bound)
 
     def distance(self, x: Element, y: Element) -> int:
-        return self.length(self.ctx.multiply(self.ctx.inverse(x), y))
+        value = self._distance(x, y)
+        assert value is not None
+        return value
 
     def distance_at_most(self, x: Element, y: Element, bound: int) -> int | None:
-        return self.length_at_most(self.ctx.multiply(self.ctx.inverse(x), y), bound)
+        return self._distance(x, y, bound)
+
+    def _distance(self, x: Element, y: Element, bound: int | None = None) -> int | None:
+        """``_state_length`` of ``x^-1 y``, taken on the states of canonical ``x`` and ``y``."""
+        space, canonical = self._bfs.space, self.ctx.canonicalize
+        sx, sy = space.state_of(canonical(x)), space.state_of(canonical(y))
+        return self._state_length(space.multiply_states(space.inverse_state(sx), sy), bound)
 
 
 def _oracle_for(group: MarkedGroup, oracle: LengthOracle | None) -> LengthOracle:

@@ -487,15 +487,25 @@ def test_ball_is_stable_across_calls_and_cache_order(make_ctx, tmp_path):
 def test_oracle_distances_still_reject_malformed_elements(lamplighter):
     oracle = LengthOracle(lamplighter)
     oracle.ball(3)  # the memo now holds the lamp at 0 with value 1, which equals True
+    e = lamplighter.identity()
     bad = WreathElement(((0, True),), 0)
     for query in (
-        lambda: oracle.distance(lamplighter.identity(), bad),
-        lambda: oracle.distance_at_most(lamplighter.identity(), bad, 5),
+        lambda: oracle.distance(e, bad),
+        lambda: oracle.distance_at_most(e, bad, 5),
         lambda: oracle.length(bad),
         lambda: oracle.length_at_most(bad, 5),
     ):
         with pytest.raises(EncodingError):
             query()
+    # the first argument is canonicalized too: a bool lookalike, a repeated
+    # lamp position and a non-tuple are refused, not inverted as they stand
+    for first in (bad, WreathElement(((0, 1), (0, 1)), 0), "x"):
+        for query in (
+            lambda: oracle.distance(first, e),
+            lambda: oracle.distance_at_most(first, e, 5),
+        ):
+            with pytest.raises(EncodingError):
+                query()
 
 
 def test_generator_lookalikes_are_still_rejected(lamplighter):
