@@ -33,6 +33,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Any
 
 from .encoding import EncodingError, read_uvarint, write_uvarint
 from .errors import IntegrityError
@@ -41,6 +42,24 @@ from .groups import max_length_below
 MAGIC = b"WDIMBAL1"
 FORMAT_VERSION = 1
 HEADER = struct.Struct("<8sI32sQQQ32s")
+
+
+def _is_hex64(value: Any) -> bool:
+    return isinstance(value, str) and len(value) == 64 and all(c in "0123456789abcdef" for c in value)
+
+
+def _is_count(value: Any, least: int) -> bool:
+    return type(value) is int and value >= least
+
+
+#: Each manifest entry's required fields, with the check each value must pass.
+_ENTRY_FIELDS = {
+    "id": _is_hex64,
+    "spec_hash": _is_hex64,
+    "radius_num": lambda v: _is_count(v, 1),
+    "radius_den": lambda v: _is_count(v, 1),
+    "count": lambda v: _is_count(v, 0),
+}
 
 
 def _sha256(data: bytes):
@@ -60,7 +79,7 @@ class BallRecord:
     lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.spec_hash) != 64 or any(c not in "0123456789abcdef" for c in self.spec_hash):
+        if not _is_hex64(self.spec_hash):
             raise ValueError(f"spec hash must be 64 hex chars, got {self.spec_hash!r}")
         if self.radius <= 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
@@ -179,13 +198,20 @@ class BallStore:
 
     ``load`` returns the largest stored ball of radius >= the request for the
     same marked structure, filtered down, so repeated experiments at smaller
-    radii never re-enumerate.
+    radii never re-enumerate.  Every load re-reads the manifest and the file
+    and checks the file's sha256 against its content id.  ``ball(ctx, r,
+    store=...)`` loads through ``_load_table``, which holds the last table it
+    decoded (at most one, dropped with the store) and serves a later request
+    for the same file at a radius no larger by filtering that table, without
+    parsing or decoding the file again.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._manifest_path = self.directory / "manifest.json"
+        # (content id, spec hash, radius, elements, lengths) of the last decoded table
+        self._held: tuple[str, str, Fraction, tuple, tuple[int, ...]] | None = None
 
     def _read_manifest(self) -> list[dict]:
         if not self._manifest_path.exists():
@@ -196,7 +222,18 @@ class BallStore:
             raise IntegrityError(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(data, dict) or data.get("version") != 1:
             raise IntegrityError("manifest has an unsupported layout")
-        return list(data.get("balls", []))
+        entries = data.get("balls")
+        if not isinstance(entries, list):
+            raise IntegrityError("manifest field balls is not a list")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise IntegrityError(f"manifest entry {i} is not an object")
+            for key, valid in _ENTRY_FIELDS.items():
+                if key not in entry:
+                    raise IntegrityError(f"manifest entry {i} has no {key}")
+                if not valid(entry[key]):
+                    raise IntegrityError(f"manifest entry {i} has a bad {key}: {entry[key]!r}")
+        return entries
 
     def _write_manifest(self, entries: list[dict]) -> None:
         payload = json.dumps({"version": 1, "balls": entries}, sort_keys=True)
@@ -218,7 +255,7 @@ class BallStore:
             tmp.write_bytes(data)
             os.replace(tmp, path)
         entries = self._read_manifest()
-        if not any(e.get("id") == content_id for e in entries):
+        if not any(e["id"] == content_id for e in entries):
             entries.append(
                 {
                     "id": content_id,
@@ -232,11 +269,16 @@ class BallStore:
             self._write_manifest(entries)
         return content_id
 
-    def load(self, spec_hash: str, radius: Fraction) -> BallRecord | None:
+    def _read_ball(self, spec_hash: str, radius: Fraction) -> tuple[str, bytes] | None:
+        """(content id, bytes) of the largest stored ball of radius >= ``radius``.
+
+        The bytes hash to the content id, and the file's header agrees with
+        its manifest entry on spec hash, radius and count.
+        """
         best: dict | None = None
         best_radius: Fraction | None = None
         for entry in self._read_manifest():
-            if entry.get("spec_hash") != spec_hash:
+            if entry["spec_hash"] != spec_hash:
                 continue
             have = Fraction(entry["radius_num"], entry["radius_den"])
             if have < radius:
@@ -251,10 +293,50 @@ class BallStore:
         data = path.read_bytes()
         if _sha256(data).hexdigest() != best["id"]:
             raise IntegrityError(f"cache file {path.name} fails its content hash")
-        record = BallRecord.from_bytes(data)
-        if record.spec_hash != spec_hash:
-            raise IntegrityError(
-                f"cache file {path.name} stores a different marked structure"
-            )
-        return record.filter_to(radius)
+        if len(data) < HEADER.size:
+            raise IntegrityError(f"ball file truncated: {len(data)} bytes")
+        _, _, spec_raw, num, den, count, _ = HEADER.unpack_from(data, 0)
+        for field, got, want in (
+            ("spec hash", spec_raw.hex(), spec_hash),
+            ("radius", f"{num}/{den}", f"{best_radius.numerator}/{best_radius.denominator}"),
+            ("count", count, best["count"]),
+        ):
+            if got != want:
+                raise IntegrityError(
+                    f"cache file {path.name} has {field} {got}, its manifest entry {want}"
+                )
+        return best["id"], data
 
+    def load(self, spec_hash: str, radius: Fraction) -> BallRecord | None:
+        found = self._read_ball(spec_hash, radius)
+        if found is None:
+            return None
+        return BallRecord.from_bytes(found[1]).filter_to(radius)
+
+    def _load_table(self, ctx: Any, radius: Fraction) -> tuple[tuple, tuple[int, ...]] | None:
+        """The stored ball of radius ``radius`` as (elements, lengths), or None.
+
+        The file is read and verified as ``load`` does.  If it is the file of
+        the held table and ``radius`` is at most the held radius, the held
+        table is filtered down; otherwise the held table is dropped first, so
+        that it never lives alongside the next decode, and the file's record
+        is parsed, filtered to ``radius``, decoded by ``ctx.decode_many`` and
+        held.
+        """
+        spec_hash = ctx.spec_hash
+        found = self._read_ball(spec_hash, radius)
+        if found is None:
+            return None
+        content_id, data = found
+        held = self._held
+        if held is not None and held[:2] == (content_id, spec_hash) and radius <= held[2]:
+            elements, lengths = held[3:]
+            cutoff = max_length_below(radius)
+            keep = [l <= cutoff for l in lengths]
+            return tuple(itertools.compress(elements, keep)), tuple(itertools.compress(lengths, keep))
+        self._held = held = None
+        record = BallRecord.from_bytes(data).filter_to(radius)
+        del data, found  # the file's bytes are freed before the decode, as after load()
+        elements = tuple(ctx.decode_many(record.encodings))
+        self._held = (content_id, spec_hash, radius, elements, record.lengths)
+        return elements, record.lengths

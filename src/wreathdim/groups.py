@@ -1122,21 +1122,24 @@ def ball(
     With a ball store attached, a stored ball of radius >= r for the same
     marked structure is reused (filtered down): its sorted encodings are
     decoded in one batch by ``ctx.decode_many``, which on wreath products
-    has each lamp parsed once per run of shared leading lamps.  Otherwise
-    the ball is ``LengthOracle(ctx, budget=budget).ball(r)``, saved with the
-    encodings its ordering computed.  A load runs with the cyclic garbage
-    collector paused (``_collector_paused``), as the oracle's search and
-    table build do, and the table it leaves, which holds no reference
-    cycle, goes straight into the collector's oldest generation unless
+    has each lamp parsed once per run of shared leading lamps.  The store
+    holds the last table it decoded, at most one; a repeat load of the same
+    file at a radius no larger is served from that table, after the file is
+    re-read and its sha256 checked again.  Otherwise the ball is
+    ``LengthOracle(ctx, budget=budget).ball(r)``, saved with the encodings
+    its ordering computed.  A load runs with the cyclic garbage collector
+    paused (``_collector_paused``), as the oracle's search and table build
+    do, and the table it leaves, which holds no reference cycle, goes
+    straight into the collector's oldest generation unless
     ``_collector_paused`` skips the promotion.
     """
     radius = as_radius(r)
     if store is not None:
         with _collector_paused():
-            record = store.load(ctx.spec_hash, radius)
-            if record is not None:
-                elements = tuple(ctx.decode_many(record.encodings))
-                return BallTable(ctx, radius, elements, dict(zip(elements, record.lengths)))
+            loaded = store._load_table(ctx, radius)
+            if loaded is not None:
+                elements, lengths = loaded
+                return BallTable(ctx, radius, elements, dict(zip(elements, lengths)))
     table, encodings = LengthOracle(ctx, budget=budget)._sorted_ball(radius)
     if store is not None:
         from .ballstore import BallRecord

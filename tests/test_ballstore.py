@@ -12,6 +12,7 @@ from wreathdim import (
     BallRecord,
     BallStore,
     IntegrityError,
+    WreathContext,
     ball,
 )
 from wreathdim.ballstore import FORMAT_VERSION, HEADER, MAGIC
@@ -236,3 +237,149 @@ def test_stored_ball_matches_fresh_search(lamplighter, tmp_path):
     assert cached.elements == fresh.elements
     assert all(cached.lengths[g] == fresh.lengths[g] for g in fresh.elements)
 
+
+
+def _edit_manifest(directory, edit):
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        pytest.param(lambda m: m["balls"][0].pop("radius_num"), "no radius_num", id="missing-radius_num"),
+        pytest.param(lambda m: m["balls"][0].update(radius_den=0), "bad radius_den", id="zero-radius_den"),
+        pytest.param(lambda m: m["balls"][0].update(radius_num="4"), "bad radius_num", id="string-radius_num"),
+        pytest.param(lambda m: m["balls"][0].update(count=True), "bad count", id="bool-count"),
+        pytest.param(lambda m: m["balls"][0].pop("id"), "no id", id="missing-id"),
+        pytest.param(lambda m: m["balls"][0].update(spec_hash="Z"), "bad spec_hash", id="short-spec_hash"),
+        pytest.param(lambda m: m.update(balls={"b": m["balls"][0]}), "balls is not a list", id="balls-dict"),
+        pytest.param(lambda m: m["balls"].append("b"), "entry 1 is not an object", id="string-entry"),
+    ],
+)
+def test_malformed_manifest_entries_are_integrity_errors(z, tmp_path, edit, field):
+    store = BallStore(tmp_path)
+    store.save(make_record(z, 4))
+    _edit_manifest(tmp_path, edit)
+    with pytest.raises(IntegrityError, match=field):
+        store.load(z.spec_hash, Fraction(4))
+    with pytest.raises(IntegrityError, match=field):
+        ball(z, 4, store=store)
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        pytest.param("radius_num", 19, "radius 5/1", id="radius"),
+        pytest.param("count", 99, "count 9", id="count"),
+        pytest.param("spec_hash", "0" * 64, "spec hash", id="spec-hash"),
+    ],
+)
+def test_a_file_that_disagrees_with_its_manifest_entry_is_refused(z, tmp_path, key, value, field):
+    store = BallStore(tmp_path)
+    store.save(make_record(z, 5))
+    _edit_manifest(tmp_path, lambda m: m["balls"][0].update({key: value}))
+    with pytest.raises(IntegrityError, match=field):
+        store.load(z.spec_hash if key != "spec_hash" else value, Fraction(4))
+
+
+def test_a_manifest_radius_never_widens_the_held_table(z, tmp_path):
+    store = BallStore(tmp_path)
+    ball(z, 5, store=store)  # cold, then saved
+    ball(z, 5, store=store)  # loaded and held at the file's radius
+    _edit_manifest(tmp_path, lambda m: m["balls"][0].update(radius_num=19))
+    for r in (9, 4):
+        with pytest.raises(IntegrityError, match="radius 5/1, its manifest entry 19/1"):
+            ball(z, r, store=store)
+
+
+# -- the held table ---------------------------------------------------------------
+
+
+def _record_loads(monkeypatch, *contexts):
+    """Log each ``BallRecord.from_bytes`` call as "parse" and each ``decode_many`` as "decode"."""
+    log = []
+    from_bytes = BallRecord.from_bytes.__func__
+
+    def parse(cls, data):
+        log.append("parse")
+        return from_bytes(cls, data)
+
+    monkeypatch.setattr(BallRecord, "from_bytes", classmethod(parse))
+    for ctx in contexts:
+
+        def decode_many(encodings, decode=ctx.decode_many):
+            log.append("decode")
+            return decode(encodings)
+
+        monkeypatch.setattr(ctx, "decode_many", decode_many)
+    return log
+
+
+def _assert_same_table(got, want):
+    assert (got.context, got.radius, got.elements) == (want.context, want.radius, want.elements)
+    assert list(got.lengths.items()) == list(want.lengths.items())
+
+
+def test_a_smaller_load_of_the_held_file_parses_and_decodes_nothing(lamplighter, tmp_path, monkeypatch):
+    ball(lamplighter, 6, store=BallStore(tmp_path))  # cold, then saved
+    store = BallStore(tmp_path)
+    log = _record_loads(monkeypatch, lamplighter)
+    big = ball(lamplighter, 6, store=store)
+    small = ball(lamplighter, 4, store=store)
+    assert log == ["parse", "decode"]
+    _assert_same_table(big, ball(lamplighter, 6))
+    _assert_same_table(small, ball(lamplighter, 4))
+
+
+def test_a_load_served_from_the_held_table_hashes_the_file_again(lamplighter, tmp_path):
+    ball(lamplighter, 6, store=BallStore(tmp_path))
+    store = BallStore(tmp_path)
+    ball(lamplighter, 6, store=store)
+    path = next(tmp_path.glob("*.ball"))
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(IntegrityError, match="fails its content hash"):
+        ball(lamplighter, 4, store=store)
+
+
+def test_the_held_table_is_dropped_before_the_next_file_is_decoded(lamplighter, z, tmp_path, monkeypatch):
+    for ctx in (lamplighter, z):
+        ball(ctx, 5, store=BallStore(tmp_path))
+    store = BallStore(tmp_path)
+    held = []
+    for ctx in (lamplighter, z):
+
+        def decode_many(encodings, decode=ctx.decode_many):
+            held.append(store._held)
+            return decode(encodings)
+
+        monkeypatch.setattr(ctx, "decode_many", decode_many)
+    ball(lamplighter, 5, store=store)
+    ball(z, 4, store=store)
+    ball(lamplighter, 4, store=store)  # z's file is held now, so this decodes afresh
+    assert held == [None, None, None]
+    assert store._held is not None
+
+
+def test_a_load_above_the_held_radius_decodes_afresh(lamplighter, tmp_path, monkeypatch):
+    ball(lamplighter, 6, store=BallStore(tmp_path))
+    store = BallStore(tmp_path)
+    log = _record_loads(monkeypatch, lamplighter)
+    ball(lamplighter, 4, store=store)
+    wider = ball(lamplighter, 5, store=store)
+    assert log == ["parse", "decode"] * 2
+    _assert_same_table(wider, ball(lamplighter, 5))
+
+
+def test_contexts_never_serve_each_others_held_table(lamplighter, c3, z, tmp_path):
+    c3_wr_z = WreathContext(c3, z)
+    assert c3_wr_z.spec_hash != lamplighter.spec_hash
+    store = BallStore(tmp_path)
+    for ctx in (lamplighter, c3_wr_z):
+        ball(ctx, 5, store=store)
+    for ctx, r in ((lamplighter, 5), (c3_wr_z, 4), (lamplighter, 4), (c3_wr_z, 3), (lamplighter, 3)):
+        _assert_same_table(ball(ctx, r, store=store), ball(ctx, r))

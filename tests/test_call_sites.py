@@ -1,10 +1,13 @@
-"""Call-site gate: one BFS level loop, one table builder, three collector pauses.
+"""Call-site gate: one BFS level loop, one table builder, three collector pauses, one decoder.
 
 ``_BallSearch.step`` is the only loop that steps a search space's ``expand``
 (``minimal_word`` also lists one state's neighbours with it),
 ``_sorted_table`` the only code that turns states into an ordered table with
 ``encoded_values``, and ``_collector_paused`` is entered only around a
-search's levels, a table's build and a ball-store load.
+search's levels, a table's build and a ball-store load.  In the package,
+``decode_many`` is read only by the store's table load
+(``BallStore._load_table``, which holds the last table it decoded), and
+``BallRecord.from_bytes`` only by ``BallStore``'s two loads.
 """
 
 from __future__ import annotations
@@ -75,4 +78,17 @@ def test_search_and_table_primitives_have_one_home():
         ("encoded_values", "groups._sorted_table"),
         ("expand", "groups._BallSearch.step"),
         ("expand", "groups.minimal_word"),
+    ]
+
+
+def test_stored_balls_are_decoded_in_one_place():
+    found = sorted(
+        (name, f"{path.stem}.{scope}")
+        for path in PACKAGE
+        for name, scope in reference_sites(path.read_text(), {"decode_many", "from_bytes"}, set())
+    )
+    assert found == [
+        ("decode_many", "ballstore.BallStore._load_table"),
+        ("from_bytes", "ballstore.BallStore._load_table"),
+        ("from_bytes", "ballstore.BallStore.load"),
     ]
