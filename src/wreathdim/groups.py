@@ -1122,7 +1122,7 @@ def ball(
     With a ball store attached, a stored ball of radius >= r for the same
     marked structure is reused (filtered down): its sorted encodings are
     decoded in one batch by ``ctx.decode_many``, which on wreath products
-    has each lamp parsed once per run of shared leading lamps.  The store
+    parses each distinct lamp once per load.  The store
     holds the last table it decoded, at most one; a repeat load of the same
     file at a radius no larger is served from that table, after the file is
     re-read and its sha256 checked again.  Otherwise the ball is

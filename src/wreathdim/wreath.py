@@ -162,84 +162,74 @@ class WreathContext(MarkedGroup):
             out += value_bytes[val]
         out += keys[x.cursor]
 
-    def _decode_lamps(
-        self,
-        data: bytes | memoryview,
-        pos: int,
-        count: int,
-        ends: list[int],
-        keys: list[bytes],
-        pairs: list[tuple[Element, Element]],
-    ) -> int:
-        """Read lamps at ``pos`` until ``pairs`` holds ``count``; return the position after them.
-
-        Each lamp's position must follow the last of ``keys``.  Appends its
-        end offset, position key and (position, value) pair.
-        """
-        base_from, fiber_from = self.base.decode_from, self.fiber.decode_from
-        fiber_id = self._fiber_id
-        prev_key = keys[-1] if keys else None
-        for _ in range(count - len(pairs)):
-            start = pos
-            position, pos = base_from(data, pos)
-            # decoders accept only canonical bytes, so this is sort_key(position)
-            key = bytes(data[start:pos])
-            value, pos = fiber_from(data, pos)
-            if value == fiber_id:
-                raise EncodingError("identity fiber value stored as a lamp")
-            if prev_key is not None and key <= prev_key:
-                raise EncodingError("lamp positions not in strictly increasing canonical order")
-            prev_key = key
-            ends.append(pos)
-            keys.append(key)
-            pairs.append((position, value))
-        return pos
+    def _read_lamp(
+        self, data: bytes | memoryview, pos: int
+    ) -> tuple[int, bytes, tuple[Element, Element]]:
+        """The lamp at ``pos``: the offset after it, its position key and its
+        (position, value) pair."""
+        position, mid = self.base.decode_from(data, pos)
+        value, end = self.fiber.decode_from(data, mid)
+        if value == self._fiber_id:
+            raise EncodingError("identity fiber value stored as a lamp")
+        # decoders accept only canonical bytes, so this is sort_key(position)
+        return end, bytes(data[pos:mid]), (position, value)
 
     def decode_from(self, data: bytes | memoryview, pos: int) -> tuple[WreathElement, int]:
         count, pos = read_uvarint(data, pos)
         pairs: list[tuple[Element, Element]] = []
-        pos = self._decode_lamps(data, pos, count, [], [], pairs)
+        prev_key = b""  # every position key is nonempty, so it follows b""
+        for _ in range(count):
+            pos, key, pair = self._read_lamp(data, pos)
+            if key <= prev_key:
+                raise EncodingError("lamp positions not in strictly increasing canonical order")
+            prev_key = key
+            pairs.append(pair)
         cursor, pos = self.base.decode_from(data, pos)
         return WreathElement(tuple(pairs), cursor), pos
 
     def decode_many(self, encodings: Iterable[bytes]) -> list[WreathElement]:
-        """``[decode(e) for e in encodings]``, with each lamp parsed once per
-        run of shared leading lamps.
+        """``[decode(e) for e in encodings]``, with each distinct lamp parsed once per call.
 
-        Every kind's encoding is prefix-free and read left to right, so lamp
-        bytes at the same offset decode to the same pair and end at the
-        same place.  An encoding with the last parsed prefix's lamp-count
-        bytes keeps that prefix's leading lamps whose bytes it repeats and
-        parses from the first lamp that differs, whose position key must
-        follow the last kept lamp's.  An encoding that starts with the whole
-        prefix has its lamps; its tail must then decode as exactly one
-        cursor, memoized by its bytes.  Kept lamp pairs are shared.
+        Every kind's encoding is prefix-free and read left to right, so a
+        lamp *cell* (position bytes, then value bytes) decodes to the same
+        pair at any offset, and no two cells can both start at one offset.
+        A memo maps each cell met so far to its width, position key and
+        pair; a lamp is looked up by the bytes at its offset for each width
+        seen, and parsed only on a miss.  Each lamp's key must follow the
+        previous one's.  An encoding that starts with the last lamp prefix
+        shares its lamps tuple; its tail must then decode as exactly one
+        cursor, memoized by its bytes.
         """
-        base_decode, new = self.base.decode, tuple.__new__
+        base_decode, new, read_lamp = self.base.decode, tuple.__new__, self._read_lamp
         cursors: dict[bytes, Element] = {}
-        # the last parsed prefix, its count bytes, and per lamp its end
-        # offset, position key and (position, value) pair
+        cells: dict[bytes, tuple[int, bytes, tuple[Element, Element]]] = {}
+        widths: list[int] = []
         prefix: bytes | None = None
-        head = b""
-        ends: list[int] = []
-        keys: list[bytes] = []
-        pairs: list[tuple[Element, Element]] = []
         lamps: tuple[tuple[Element, Element], ...] = ()
         out = []
         for enc in encodings:
             if prefix is None or not enc.startswith(prefix):
-                kept = 0
-                if head and enc.startswith(head):
-                    # not the whole prefix, so some lamp differs
-                    count, pos = len(pairs), len(head)
-                    while enc.startswith(prefix[pos : ends[kept]], pos):
-                        pos = ends[kept]
-                        kept += 1
-                else:
-                    count, pos = read_uvarint(enc, 0)
-                    head = enc[:pos]
-                del ends[kept:], keys[kept:], pairs[kept:]
-                pos = self._decode_lamps(enc, pos, count, ends, keys, pairs)
+                count, pos = read_uvarint(enc, 0)
+                pairs = []
+                prev_key = b""  # every position key is nonempty, so it follows b""
+                for _ in range(count):
+                    for w in widths:
+                        cell = cells.get(enc[pos : pos + w])
+                        if cell is not None:
+                            break
+                    else:
+                        end, key, pair = read_lamp(enc, pos)
+                        cell = cells[enc[pos:end]] = (end - pos, key, pair)
+                        if end - pos not in widths:
+                            widths.append(end - pos)
+                    w, key, pair = cell
+                    if key <= prev_key:
+                        raise EncodingError(
+                            "lamp positions not in strictly increasing canonical order"
+                        )
+                    prev_key = key
+                    pos += w
+                    pairs.append(pair)
                 lamps = tuple(pairs)
                 prefix = enc[:pos]
             tail = enc[len(prefix) :]

@@ -7,7 +7,9 @@
 search's levels, a table's build and a ball-store load.  In the package,
 ``decode_many`` is read only by the store's table load
 (``BallStore._load_table``, which holds the last table it decoded), and
-``BallRecord.from_bytes`` only by ``BallStore``'s two loads.
+``BallRecord.from_bytes`` only by ``BallStore``'s two loads.  One function,
+``WreathContext._read_lamp``, reads the wreath lamp layout, for both wreath
+decoders.
 """
 
 from __future__ import annotations
@@ -91,4 +93,16 @@ def test_stored_balls_are_decoded_in_one_place():
         ("decode_many", "ballstore.BallStore._load_table"),
         ("from_bytes", "ballstore.BallStore._load_table"),
         ("from_bytes", "ballstore.BallStore.load"),
+    ]
+
+
+def test_wreath_lamps_are_read_in_one_place():
+    found = sorted(
+        (name, f"{path.stem}.{scope}")
+        for path in PACKAGE
+        for name, scope in reference_sites(path.read_text(), {"_read_lamp"}, set())
+    )
+    assert found == [
+        ("_read_lamp", "wreath.WreathContext.decode_from"),
+        ("_read_lamp", "wreath.WreathContext.decode_many"),
     ]

@@ -280,10 +280,8 @@ def _refused_or(decode, batch):
         return EncodingError
 
 
-@pytest.mark.parametrize("name", sorted(BATCHED))
-def test_decode_many_equals_decode_on_a_sorted_ball(name):
-    ctx, _ = BATCHED[name]
-    encs = ball_encodings(name)
+def _check_sorted_batch(ctx, encs):
+    """``decode_many(encs)`` is ``decode`` on each, and refuses each mutation after its source."""
     assert list(encs) == sorted(encs)
     assert ctx.decode_many(encs) == [ctx.decode(e) for e in encs]
     for enc in encs:
@@ -293,6 +291,35 @@ def test_decode_many_equals_decode_on_a_sorted_ball(name):
             # right after its source, a mutation shares the source's lamp prefix
             with pytest.raises(EncodingError):
                 ctx.decode_many([enc, bad])
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_decode_many_equals_decode_on_a_sorted_ball(name):
+    ctx, _ = BATCHED[name]
+    _check_sorted_batch(ctx, ball_encodings(name))
+
+
+# zigzag varints of 2, 1, 1, 1, 2 and 2 bytes; fiber values 1 and 150 take 1 and 2 bytes
+_MIXED_POSITIONS = (-70, -3, 0, 5, 64, 100)
+_MIXED_VALUES = (1, 150)
+_MIXED_CURSORS = (-65, 0, 3, 64)
+
+
+@pytest.mark.parametrize("order, widths", [(2, {2, 3}), (200, {2, 3, 4})], ids=["C2", "C200"])
+def test_decode_many_equals_decode_with_lamp_cells_of_mixed_widths(order, widths):
+    # every element lighting some of the positions, with values in the fiber
+    ctx = WreathContext(CyclicGroup(order), Z)
+    values = [v for v in _MIXED_VALUES if v < order]
+    elements = [
+        ctx.element(zip(positions, lit), cursor)
+        for k in range(len(_MIXED_POSITIONS) + 1)
+        for positions in itertools.combinations(_MIXED_POSITIONS, k)
+        for lit in itertools.product(values, repeat=k)
+        for cursor in _MIXED_CURSORS
+    ]
+    cells = {len(Z.encode(p)) + len(ctx.fiber.encode(v)) for x in elements for p, v in x.lamps}
+    assert cells == widths
+    _check_sorted_batch(ctx, sorted(ctx.encode(x) for x in elements))
 
 
 @settings(max_examples=200, deadline=None)
@@ -398,31 +425,24 @@ def test_free_encode_keeps_the_varint_bytes_of_any_letters(rank, letters):
     assert FreeGroup(rank).encode(tuple(letters)) == _free_bytes(letters)
 
 
-def _lamp_and_cursor_parses(elements):
-    """Base decodes a batch needs: per distinct lamps, those past the leading run it
-    shares with the previous distinct lamps of equal count; per distinct cursor, one."""
-    parses, prev = 0, ()
-    for lamps in dict.fromkeys(x.lamps for x in elements):
-        shared = 0
-        if len(lamps) == len(prev):
-            while shared < len(lamps) and lamps[shared] == prev[shared]:
-                shared += 1
-        parses += len(lamps) - shared
-        prev = lamps
-    return parses + len({x.cursor for x in elements})
-
-
-@pytest.mark.parametrize("fiber, r, parses", [(2, 12, 959), (3, 10, 2237)])
-def test_decode_many_parses_each_lamp_once_per_run_of_shared_leading_lamps(fiber, r, parses):
+@pytest.mark.parametrize("fiber, r, parses", [(2, 12, 44), (3, 10, 53)])
+def test_decode_many_parses_each_lamp_cell_and_cursor_once(fiber, r, parses):
     # a context of its own, so patching its base touches no other test's group
     ctx = WreathContext(CyclicGroup(fiber), IntegerGroup())
     elements = ball(ctx, r).elements
     encs = [ctx.encode(x) for x in elements]
     assert encs == sorted(encs)
-    base_decode_from = ctx.base.decode_from
-    with mock.patch.object(ctx.base, "decode_from", side_effect=base_decode_from) as calls:
+    lamps = {lamp for x in elements for lamp in x.lamps}
+    cursors = {x.cursor for x in elements}
+    with mock.patch.object(ctx.base, "decode_from", side_effect=ctx.base.decode_from) as calls:
         assert ctx.decode_many(encs) == list(elements)
-    assert calls.call_count == _lamp_and_cursor_parses(elements) == parses
+    assert calls.call_count == len(lamps) + len(cursors) == parses
+
+
+def test_decode_many_shares_one_pair_tuple_per_distinct_lamp():
+    decoded = L2.decode_many([L2.encode(x) for x in ball(L2, 12).elements])
+    pairs = [lamp for x in decoded for lamp in x.lamps]
+    assert len({id(lamp) for lamp in pairs}) == len(set(pairs)) == 21
 
 
 def _outcome(decode_from, data, pos):
