@@ -304,8 +304,15 @@ def coset_cover(
     it, stepping by ``multiply_states``), stepped until its frontier is
     empty; it raises ``BudgetExceededError`` exactly when it holds more than
     the budget.  ``_sorted_table`` orders the closure by encoding, with the
-    oracle's ``_state_length`` of each state, and a point lies in a coset
-    when its state times the inverse of its first point's lies in the closure.
+    oracle's ``_state_length`` of each state.
+
+    Cosets open in window order: the first point x that no coset holds
+    opens xK, K the closure, and at once places each later point that no
+    coset holds in or out of it.  A scan of each point against every coset
+    opened before it tests exactly those points against xK, one product
+    each.  So xK is listed as its states x k when K has fewer states than
+    there are such points, and otherwise each such point y is tested by
+    whether x^-1 y lies in K: never more products than that scan makes.
     """
     radius = as_radius(r)
     oracle = _oracle_for(ctx, oracle)
@@ -324,19 +331,21 @@ def coset_cover(
             raise BudgetExceededError(f"subgroup closure exceeded the node budget of {budget}")
     closure = search.seen
     table = _sorted_table(ctx, space, radius, {s: length(s) for s in closure})[0]
-    # each coset's representative is its first point, inverted once when it opens
-    rep_inverses: list[Any] = []
-    cosets: list[list[Element]] = []
+    # the first point not yet placed opens the next coset and places its members
+    cosets: list[tuple[Element, ...]] = []
     mul = space.multiply_states
-    for x, state in zip(window, states):
-        for inv, members in zip(rep_inverses, cosets):
-            if mul(inv, state) in closure:
-                members.append(x)
-                break
+    pending = list(zip(window, states))
+    while pending:
+        (x, state), rest = pending[0], pending[1:]
+        if len(closure) < len(rest):
+            coset = {mul(state, k) for k in closure}
+            inside = [t in coset for _, t in rest]
         else:
-            rep_inverses.append(space.inverse_state(state))
-            cosets.append([x])
-    return CosetCover(table.elements, tuple(map(tuple, cosets)), max(table.lengths.values()))
+            inv = space.inverse_state(state)
+            inside = [mul(inv, t) in closure for _, t in rest]
+        cosets.append((x, *(y for (y, _), lies in zip(rest, inside) if lies)))
+        pending = [point for point, lies in zip(rest, inside) if not lies]
+    return CosetCover(table.elements, tuple(cosets), max(table.lengths.values()))
 
 
 def vz_closure_constant(structure: VirtuallyZStructure) -> Fraction:

@@ -101,6 +101,7 @@ class MarkedGroup:
             raise StructureError(f"{self.kind}: duplicate generator in marking")
         self._generators = gens
         self._symmetric: tuple[Element, ...] | None = None
+        self._steps: dict[Element, int] | None = None
         self._spec_hash: str | None = None
         self._post_validate()
 
@@ -177,6 +178,12 @@ class MarkedGroup:
                     seen.append(inv)
             self._symmetric = tuple(seen)
         return self._symmetric
+
+    def _letter_steps(self) -> dict[Element, int]:
+        """Each symmetric generator's index, the step ``walk`` takes for it; built once."""
+        if self._steps is None:
+            self._steps = {g: i for i, g in enumerate(self.symmetric_generators())}
+        return self._steps
 
     def _post_validate(self) -> None:
         """Kind hook run after the marking is fixed (generation checks etc.)."""
@@ -975,21 +982,30 @@ class _CayleySpace:
         """Expand one BFS level: record each unseen neighbour in ``seen`` at ``depth``.
 
         Neighbours are the products with ``letters``, by default
-        ``ctx.symmetric_generators()``, in that order, state by state.  Returns the new states in discovery
-        order, or None as soon as ``seen`` holds more than ``budget`` states.
+        ``ctx.symmetric_generators()``, in that order, state by state.
+        Returns the new states in discovery order, or None as soon as a
+        state's neighbours leave ``seen`` holding more than ``budget``
+        states.  A state adds at most ``len(letters)`` of them, so the size
+        is tested only once a countdown of the states that cannot overrun
+        the budget runs out.
         """
         mul = self.multiply_states
         letters = self.letters
+        degree = max(len(letters), 1)
         nxt: list[Any] = []
         append = nxt.append
+        countdown = (budget - len(seen)) // degree
         for state in frontier:
             for g in letters:
                 other = mul(state, g)
                 if other not in seen:
                     seen[other] = depth
                     append(other)
-            if len(seen) > budget:
-                return None
+            countdown -= 1
+            if countdown < 0:
+                if len(seen) > budget:
+                    return None
+                countdown = (budget - len(seen)) // degree
         return nxt
 
 
@@ -1178,11 +1194,18 @@ def word_length(
 
     With ``at_most`` set, returns ``None`` as soon as the length is known to
     exceed it (the search never explores past that depth).  Each call
-    searches afresh: a new ``LengthOracle`` answers it, so its held BFS
-    holds only the identity and ``_meet`` searches back from ``g`` to it
-    with weight 1, stepping the smaller frontier as a one-off search does.
+    searches afresh: a forward ``_BallSearch`` from the identity and
+    ``_meet`` searching back from ``g`` with weight 1, stepping the
+    smaller frontier.
     """
-    return LengthOracle(ctx, budget=budget)._known_length(ctx.canonicalize(g), at_most)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    space = ctx._search_space()
+    target = space.state_of(ctx.canonicalize(g))
+    forward = _BallSearch(space, budget)
+    length = forward.seen.get(target)  # the identity, or a miss
+    if length is None:
+        length = _meet(forward, target, at_most, budget)
+    return length if length is None or at_most is None or length <= at_most else None
 
 
 def _meet(
@@ -1287,7 +1310,7 @@ def evaluate_word(ctx: Any, letters: Iterable[Element]) -> Element:
     at the end (``element_of``).  Any other letter is multiplied on.
     """
     space = ctx._search_space()
-    step_of = {g: i for i, g in enumerate(ctx.symmetric_generators())}
+    step_of = ctx._letter_steps()
     state, run = space.identity_state(), []
     for letter in letters:
         letter = ctx.canonicalize(letter)

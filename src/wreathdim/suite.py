@@ -8,6 +8,7 @@ means either a bug or a refutation of the statement on that instance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -76,6 +77,12 @@ class _Suite:
         self.oracle_Z2 = LengthOracle(self.Z2, budget=budget)
         self.oracle_F2 = LengthOracle(self.F2, budget=budget)
         self.oracle_W2 = LengthOracle(self.W2, budget=budget)
+
+    @functools.cached_property
+    def kernel_view(self) -> GroupWindowView:
+        """The L2 kernel window of radius 10 over ``oracle_L2``, shared by checks 4 and 7."""
+        window = kernel_window(self.L2, 10, oracle=self.oracle_L2)
+        return GroupWindowView._of_canonical(self.oracle_L2, window)  # kernel_window's are canonical
 
     # -- check 1 ------------------------------------------------------------
 
@@ -166,8 +173,7 @@ class _Suite:
     def check_kernel_component_control(self) -> tuple[bool, dict]:
         """Kernel window components stay inside the (2r+1)*growth(r) diameter bound."""
         ctx = self.L2
-        window = kernel_window(ctx, 10, oracle=self.oracle_L2)
-        view = GroupWindowView._of_canonical(self.oracle_L2, window)  # kernel_window's are canonical
+        view = self.kernel_view
         rows = []
         for r in (1, 2, 3):
             bound = kernel_control_bound(ctx, r, base_oracle=self.oracle_Z)
@@ -182,8 +188,8 @@ class _Suite:
                 }
             )
             if worst > bound:
-                return False, {"window": len(window), "rows": rows}
-        return True, {"window": len(window), "rows": rows}
+                return False, {"window": len(view.points), "rows": rows}
+        return True, {"window": len(view.points), "rows": rows}
 
     # -- check 5 ------------------------------------------------------------
 
@@ -235,14 +241,13 @@ class _Suite:
     def check_kernel_closure_cosets(self) -> tuple[bool, dict]:
         """Short-ball closures in the kernel stay below 8r and split components by coset."""
         ctx = self.L2
-        window = kernel_window(ctx, 10, oracle=self.oracle_L2)
-        view = GroupWindowView._of_canonical(self.oracle_L2, window)  # kernel_window's are canonical
+        view = self.kernel_view
         scale = vz_closure_constant(self.z_structure)
         if scale != 8:
             return False, {"reason": "closure constant for the line should be 8", "got": str(scale)}
         rows = []
         for r in (2, 3, 4):
-            cc = coset_cover(ctx, window, r, oracle=self.oracle_L2)
+            cc = coset_cover(ctx, view.points, r, oracle=self.oracle_L2)
             coset_index = {x: i for i, coset in enumerate(cc.cosets) for x in coset}
             split = all(
                 len({coset_index[x] for x in comp}) == 1

@@ -81,6 +81,10 @@ class WreathContext(MarkedGroup):
         )
         # the context holds its letters for its lifetime, so no other object has their ids
         self._own = {id(g): g for g in self.symmetric_generators()}
+        # the same letter objects by what they do: a lamp letter by its value,
+        # a cursor letter by its base generator
+        self._lamp_letters = {g.lamps[0][1]: g for g in self._own.values() if g.lamps}
+        self._cursor_letters = {g.cursor: g for g in self._own.values() if not g.lamps}
         # one search space for the context's lifetime, so searches share its ids
         self._space = _PackedLampSpace(self)
 
@@ -302,9 +306,10 @@ class _Translation(dict):
 #: position id; the lamp fields sit above it.
 _CURSOR_BITS = 32
 
-# A position's row: its lamp field's shift, the bits each lamp letter
-# toggles for each field value, and the ids of ``position * g`` per base move.
-_Row = tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]
+# A position's row: its lamp field's shift and, per value of that field, the
+# mask each neighbour XORs into the state: each lamp letter's toggle, then
+# ``id ^ id(position * g)`` per base move g, which swaps the cursor field.
+_Row = tuple[int, tuple[tuple[int, ...], ...]]
 
 
 class _PackedLampSpace:
@@ -316,10 +321,13 @@ class _PackedLampSpace:
     The field holds the index of the lamp's value in ``(identity, *lamp
     values)``, so an unlit lamp is field 0 and the identity is state 0.
 
-    Ids, and each position's row of moves, live as long as the space, and a
-    ``WreathContext`` keeps one space for its lifetime, so its searches share
-    them; a row is filled on the first expansion at that cursor.  Search
-    results and their order never depend on which ids were handed out.
+    Every neighbour of a state is that state XOR one mask: the cursor's
+    row holds, per value of its lamp field, one mask per letter, so a BFS
+    expansion is one loop of XORs.  Ids, and each position's row, live as
+    long as the space, and a ``WreathContext`` keeps one space for its
+    lifetime, so its searches share them; a row is filled on the first
+    expansion at that cursor.  Search results and their order never depend
+    on which ids were handed out.
 
     A ball's elements are built in one batch by ``encoded_values``: each
     distinct lamp mask is decoded once, and its states share one lamps tuple.
@@ -350,6 +358,7 @@ class _PackedLampSpace:
         )
         self._inverses = tuple(self._value_index[fiber.inverse(v)] for v in self._values)
         self._moves = ctx.base.symmetric_generators()
+        self._degree = max(len(self._flips) + len(self._moves), 1)
         self._ids: dict[Element, int] = {}
         self._positions: list[Element] = []
         self._rows: list[_Row | None] = []
@@ -373,13 +382,13 @@ class _PackedLampSpace:
 
     def _fill_row(self, idx: int) -> _Row:
         shift = _CURSOR_BITS + idx * self._width
-        toggles = tuple(
-            tuple(flip[field] << shift for flip in self._flips)
+        mul, pos = self.ctx.base.multiply, self._positions[idx]
+        moves = tuple(idx ^ self._id_of(mul(pos, g)) for g in self._moves)
+        xors = tuple(
+            tuple(flip[field] << shift for flip in self._flips) + moves
             for field in range(len(self._values))
         )
-        mul, pos = self.ctx.base.multiply, self._positions[idx]
-        steps = tuple(self._id_of(mul(pos, g)) for g in self._moves)
-        row = self._rows[idx] = (shift, toggles, steps)
+        row = self._rows[idx] = (shift, xors)
         return row
 
     def identity_state(self) -> int:
@@ -507,14 +516,11 @@ class _PackedLampSpace:
         """The state reached from ``state`` by taking, per index i, the step to
         ``expand``'s i-th neighbour: lamp letter i, or base move i minus the
         number of lamp letters."""
-        low, full, rows, lamp_letters = self._low, self._full, self._rows, len(self._flips)
+        low, full, rows = self._low, self._full, self._rows
         for i in steps:
             cursor = state & low
-            shift, toggles, moves = rows[cursor] or self._fill_row(cursor)
-            if i < lamp_letters:
-                state ^= toggles[(state >> shift) & full][i]
-            else:
-                state = (state ^ cursor) | moves[i - lamp_letters]
+            shift, xors = rows[cursor] or self._fill_row(cursor)
+            state ^= xors[(state >> shift) & full][i]
         return state
 
     def expand(
@@ -522,28 +528,28 @@ class _PackedLampSpace:
     ) -> list[int] | None:
         """Expand one BFS level; the contract of ``groups._CayleySpace.expand``.
 
-        A lamp letter XORs its toggle for the cursor's field value into the
-        state; a cursor move swaps the low field for the id in the row.
+        Each neighbour is the state XOR a mask of the cursor's row, picked
+        by the cursor's field value: lamp letters toggle that field, cursor
+        moves swap the low field's id.  The budget is tested as that
+        contract says.
         """
-        low, full, rows = self._low, self._full, self._rows
+        low, full, rows, degree = self._low, self._full, self._rows, self._degree
         nxt: list[int] = []
         append = nxt.append
+        countdown = (budget - len(seen)) // degree
         for state in frontier:
             cursor = state & low
-            shift, toggles, steps = rows[cursor] or self._fill_row(cursor)
-            for bits in toggles[(state >> shift) & full]:
+            shift, xors = rows[cursor] or self._fill_row(cursor)
+            for bits in xors[(state >> shift) & full]:
                 other = state ^ bits
                 if other not in seen:
                     seen[other] = depth
                     append(other)
-            rest = state ^ cursor
-            for step in steps:
-                other = rest | step
-                if other not in seen:
-                    seen[other] = depth
-                    append(other)
-            if len(seen) > budget:
-                return None
+            countdown -= 1
+            if countdown < 0:
+                if len(seen) > budget:
+                    return None
+                countdown = (budget - len(seen)) // degree
         return nxt
 
 
@@ -581,7 +587,7 @@ def bulb_decompose(
     component is the product of the cursor letters.  The input word must use
     only marked generators.
     """
-    allowed = set(ctx.symmetric_generators())
+    allowed = ctx._letter_steps()
     prefix = ctx._base_id
     pairs: list[tuple[Element, Element]] = []
     for letter in letters:
@@ -625,18 +631,17 @@ def bulb_word(
     base = ctx.base
     if not same_group(structure.group, base):
         raise StructureError("virtually-Z structure does not describe the wreath base group")
-    sym = set(base.symmetric_generators())
-    if structure.t not in sym:
+    # the context's own letter objects, which canonicalize passes through
+    moves, lamp_letters = ctx._cursor_letters, ctx._lamp_letters
+    if structure.t not in moves:
         raise StructureError("t of the virtually-Z structure must be a marked base generator")
     for rep in structure.coset_reps:
-        if rep != base.identity() and rep not in sym:
+        if rep != base.identity() and rep not in moves:
             raise StructureError(
                 f"coset representative {base.format_element(rep)} must be a marked base generator"
             )
-    # the context's own letter objects, which canonicalize passes through
-    own = {g: g for g in ctx.symmetric_generators()}
-    t_letter = own[WreathElement((), structure.t)]
-    t_inv_letter = own[WreathElement((), base.inverse(structure.t))]
+    t_letter = moves[structure.t]
+    t_inv_letter = moves[base.inverse(structure.t)]
 
     grouped: dict[int, list[tuple[int, Element]]] = {}
     max_abs_e = 0
@@ -649,17 +654,17 @@ def bulb_word(
         rep = structure.coset_reps[i - 1]
         runs = sorted(grouped[i])
         if rep != base.identity():
-            letters.append(own[WreathElement((), rep)])
+            letters.append(moves[rep])
         position = 0
         for e, value in runs:
             step = t_letter if e >= position else t_inv_letter
             letters.extend([step] * abs(e - position))
-            letters.append(own[WreathElement(((ctx._base_id, value),), ctx._base_id)])
+            letters.append(lamp_letters[value])
             position = e
         step = t_letter if position < 0 else t_inv_letter
         letters.extend([step] * abs(position))
         if rep != base.identity():
-            letters.append(own[WreathElement((), base.inverse(rep))])
+            letters.append(moves[base.inverse(rep)])
     bound = structure.index * (len(w.lamps) + 2 + 4 * max_abs_e)
     word = tuple(letters)
     assert len(word) <= bound

@@ -9,6 +9,7 @@ import pytest
 
 from wreathdim import (
     BudgetExceededError,
+    CosetCover,
     CyclicGroup,
     GroupWindowView,
     IntegerGroup,
@@ -33,6 +34,7 @@ from wreathdim import (
     r_components,
     vz_closure_constant,
 )
+from wreathdim.groups import _BallSearch, _CayleySpace, _sorted_table
 
 
 def line_view(n=10):
@@ -334,6 +336,78 @@ def test_coset_cover_parts_lie_in_single_cosets(lamplighter, oracle_lamplighter)
         rep = part[0]
         for g in part[1:]:
             assert lamplighter.multiply(lamplighter.inverse(rep), g) in closure
+
+
+def _scanned_coset_cover(ctx, window, r, oracle):
+    """``coset_cover`` as it was: each point tested against every coset opened so far."""
+    radius = as_radius(r)
+    budget, space, length = oracle.budget, oracle._bfs.space, oracle._state_length
+    cutoff = max_length_below(radius)
+    states, gens = [], []
+    for x in window:
+        state = space.state_of(ctx.canonicalize(x))
+        states.append(state)
+        if length(state, cutoff) is not None:
+            gens.append(state)
+    gens += [space.inverse_state(s) for s in gens]
+    search = _BallSearch(_CayleySpace(ctx, tuple(gens), over=space), budget)
+    while search.frontier:
+        assert search.step(budget)
+    closure = search.seen
+    table = _sorted_table(ctx, space, radius, {s: length(s) for s in closure})[0]
+    rep_inverses, cosets = [], []
+    for x, state in zip(window, states):
+        for inv, members in zip(rep_inverses, cosets):
+            if space.multiply_states(inv, state) in closure:
+                members.append(x)
+                break
+        else:
+            rep_inverses.append(space.inverse_state(state))
+            cosets.append([x])
+    return CosetCover(table.elements, tuple(map(tuple, cosets)), max(table.lengths.values()))
+
+
+def _multiplications(cover, ctx, radius, r):
+    """``cover`` of the kernel window of ``radius`` at ``r`` on a fresh oracle, and the
+    ``multiply_states`` calls it made, those of the closure search included."""
+    oracle = LengthOracle(ctx)
+    window = kernel_window(ctx, radius, oracle=oracle)
+    space = oracle._bfs.space
+    calls = 0
+    multiply = space.multiply_states
+
+    def counted(s, t):
+        nonlocal calls
+        calls += 1
+        return multiply(s, t)
+
+    space.multiply_states = counted
+    try:
+        return cover(ctx, window, r, oracle=oracle), calls
+    finally:
+        del space.multiply_states
+
+
+# name -> (kernel window radius, {r: (calls of the scan, calls of coset_cover)})
+COSET_CALLS = {
+    "L2": (10, {2: (393, 49), 3: (393, 49), 4: (198, 124), 5: (230, 156), 6: (573, 568)}),
+    "W2": (6, {2: (107, 31), 3: (107, 31)}),
+    "C3wrZ": (8, {2: (876, 92), 3: (876, 92), 4: (552, 498), 5: (984, 930), 6: (9306, 9306)}),
+}
+
+
+@pytest.mark.parametrize(
+    "name, r", [(name, r) for name, (_, calls) in COSET_CALLS.items() for r in calls]
+)
+def test_coset_cover_equals_the_scan_with_no_more_multiplications(name, r):
+    contexts = {**default_setup().wreaths, "C3wrZ": WreathContext(CyclicGroup(3), IntegerGroup())}
+    ctx = contexts[name]
+    radius, calls = COSET_CALLS[name]
+    want, scanned = _multiplications(_scanned_coset_cover, ctx, radius, r)
+    got, enumerated = _multiplications(coset_cover, ctx, radius, r)
+    assert got == want
+    assert enumerated <= scanned
+    assert (scanned, enumerated) == calls[r]
 
 
 def test_vz_closure_constant_values(z_structure, zxc2_structure, z):

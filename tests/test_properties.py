@@ -504,6 +504,94 @@ def test_expand_lists_the_products_with_the_symmetric_generators_in_order(name, 
     assert list(seen) == around and set(seen.values()) == {3}
 
 
+# packed lamp spaces, whose neighbours are XOR masks, over Z, Z^2, F2 and Z x C2
+# bases, with fibers C2, C3 and S3, and the radius each is searched to
+XOR_SPACES = {
+    "L2": (L2, 5),
+    "C3wrZ": (WREATHS["C3wrZ"], 4),
+    "S3wrZ": (WREATHS["S3wrZ"], 3),
+    "W2": (_C2wrZ2, 4),
+    "C2wrF2": (WREATHS["C2wrF2"], 3),
+    "C2wr(ZxC2)": (WreathContext(CyclicGroup(2), _ZxC2), 4),
+}
+
+
+def _searched(space, depth):
+    search = groups._BallSearch(space, DEFAULT_BUDGET)
+    search.extend(depth)
+    return search
+
+
+@pytest.mark.parametrize("name", sorted(XOR_SPACES))
+def test_walk_takes_the_steps_of_expand_on_every_state_of_a_small_ball(name):
+    ctx, r = XOR_SPACES[name]
+    space = ctx._search_space()
+    degree = len(ctx.symmetric_generators())
+    for state in _searched(space, r).seen:
+        around = space.expand([state], {}, 1, degree)
+        assert len(around) == degree
+        assert [space.walk(state, [i]) for i in range(degree)] == around
+
+
+@pytest.mark.parametrize("name", sorted(XOR_SPACES))
+def test_packed_balls_and_geodesics_equal_the_cayley_reference(name):
+    ctx, r = XOR_SPACES[name]
+    space = ctx._search_space()
+    packed = _searched(space, r).seen
+    reference = _searched(groups._CayleySpace(ctx), r).seen
+    # the same elements at the same depths, discovered in the same order
+    assert [(space.element_of(s), n) for s, n in packed.items()] == list(reference.items())
+    near = [g for g, n in reference.items() if n < r]
+    with mock.patch.object(ctx, "_search_space", return_value=groups._CayleySpace(ctx)):
+        expected = [minimal_word(ctx, g) for g in near]
+    assert [minimal_word(ctx, g) for g in near] == expected
+
+
+def _reference_expand(space, frontier, seen, depth, budget, degree):
+    """``expand`` as a loop over each state's ``walk`` steps, testing the budget after every state."""
+    nxt = []
+    for state in frontier:
+        for i in range(degree):
+            other = space.walk(state, [i])
+            if other not in seen:
+                seen[other] = depth
+                nxt.append(other)
+        if len(seen) > budget:
+            return None
+    return nxt
+
+
+# every packed lamp space above, and Cayley spaces of Z^2, F2 and Z x C2, with
+# the depth of the level expanded under budgets that fall inside it
+BUDGETED = {
+    **{name: (ctx, r - 1) for name, (ctx, r) in XOR_SPACES.items()},
+    "Z2": (Z2, 4),
+    "F2": (F2, 3),
+    "ZxC2": (_ZxC2, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETED))
+def test_expand_over_budget_fails_at_the_state_a_per_state_test_does(name):
+    ctx, depth = BUDGETED[name]
+    degree = len(ctx.symmetric_generators())
+    spaces = [ctx._search_space()]
+    if isinstance(ctx, WreathContext):
+        spaces.append(groups._CayleySpace(ctx))
+    for space in spaces:
+        search = _searched(space, depth)
+        held = len(search.seen)
+        added = len(_searched(space, depth + 1).seen) - held
+        for budget in range(held - 2, held + added + 2):
+            seen, want_seen = dict(search.seen), dict(search.seen)
+            got = space.expand(search.frontier, seen, depth + 1, budget)
+            want = _reference_expand(space, search.frontier, want_seen, depth + 1, budget, degree)
+            assert (got, list(seen.items())) == (want, list(want_seen.items()))
+            assert (got is None) == (held + added > budget)
+            if budget >= held:
+                assert len(seen) <= budget + degree
+
+
 # -- state arithmetic ------------------------------------------------------------------
 
 # packed lamp spaces over Z, Z^2, F2 and L2 bases, with a nonabelian fiber (S3,
