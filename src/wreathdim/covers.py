@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, StructureError
 from .groups import (
@@ -45,17 +45,20 @@ class GroupWindowView:
     searched, not scanned for among all pairs: the points y with
     d(x, y) <= n are the window's states in a BFS of depth n around x's
     state on that space.  That ball is x times the n-ball, so it has the
-    n-ball's size, and ``_hop_depth`` sizes it against the budget before
-    any search around a point starts.
+    n-ball's size, and ``_hops`` sizes it against the budget before any
+    search around a point starts.
 
-    The points are canonicalized once, here.  ``dist`` and ``dists_from``
-    trust their arguments to be canonical, as window points are; the
-    oracle's public methods are the checked entry points.
+    The points are canonicalized once, here, and may not repeat.  ``dist``
+    and ``dists_from`` trust their arguments to be canonical, as window
+    points are; the oracle's public methods are the checked entry points.
     """
 
     def __init__(self, ctx: Any, points: Iterable[Element], oracle: LengthOracle | None = None):
         points = tuple(ctx.canonicalize(x) for x in points)
         self._hold(ctx, points, _oracle_for(ctx, oracle))
+        if len(self._states) < len(points):
+            repeat = next(x for i, x in enumerate(points) if x in points[:i])
+            raise ValueError(f"window repeats the point {ctx.format_element(repeat)}")
 
     @classmethod
     def _of_canonical(cls, oracle: LengthOracle, points: tuple[Element, ...]) -> "GroupWindowView":
@@ -82,31 +85,29 @@ class GroupWindowView:
         inv, mul = space.inverse_state(state(a)), space.multiply_states
         return [length(mul(inv, state(b))) for b in others]
 
-    def _hop_depth(self, radius: Fraction) -> int:
-        """The largest length of a hop below ``radius``, once its ball fits the budget.
+    def _hops(self, radius: Fraction, members: dict[Any, Any]) -> Callable[[Any], list[Any]]:
+        """``near(state)``: ``members[s]`` (keyed by state) for each state s
+        with a hop below ``radius`` from ``state``, itself included.
 
-        ``oracle.growth`` raises ``BudgetExceededError`` when the open
-        ``radius``-ball holds more states than the budget; every search
-        around a point holds a ball of that size, so none goes over.
+        With members, ``oracle.growth`` first refuses a ``radius``-ball over
+        the budget, so no search around a point goes over.  ``near`` steps
+        one search, restarted at ``state``, ``max_length_below(radius)``
+        levels, or until a finite group's ball closes up.
         """
-        self.oracle.growth(radius)
-        return max_length_below(radius)
+        if members:
+            self.oracle.growth(radius)
+        depth = max_length_below(radius)
+        search = _BallSearch(self.space, self.oracle.budget)
 
-    def _near(
-        self, search: _BallSearch, state: Any, members: dict[Any, Any], depth: int
-    ) -> list[Any]:
-        """``members[s]`` for each state s within ``depth`` of ``state``, itself included.
+        def near(state: Any) -> list[Any]:
+            search.restart(state)
+            while search.reach < depth:
+                stepped = search.step(search.budget)
+                assert stepped  # the ball was sized against the budget
+            found = map(members.get, search.seen)
+            return [m for m in found if m is not None]
 
-        ``search``, restarted at ``state``, stepped ``depth`` levels, or
-        until a finite group's ball closes up; ``members`` is keyed by
-        state.  ``_hop_depth`` sized the ball against the budget first.
-        """
-        search.restart(state)
-        while search.reach < depth:
-            stepped = search.step(search.budget)
-            assert stepped  # the ball was sized against the budget
-        found = map(members.get, search.seen)
-        return [m for m in found if m is not None]
+        return near
 
 
 def ball_window(oracle: LengthOracle, radius: Radius) -> GroupWindowView:
@@ -152,7 +153,7 @@ def r_components(
     """Chain components of ``subset`` under hops of distance strictly below r.
 
     A point's hops are the subset's points in the BFS around it to depth
-    ``max_length_below(r)`` (``GroupWindowView._near``), keyed by search
+    ``max_length_below(r)`` (``GroupWindowView._hops``), keyed by search
     state, the view's stored one for each point.  Components are listed by
     first appearance in subset order, members in subset order, so the
     output is deterministic.
@@ -163,8 +164,7 @@ def r_components(
     index = {s: i for i, s in enumerate(states)}
     if len(index) != len(pts):
         raise ValueError("subset contains repeated points")
-    depth = view._hop_depth(radius) if pts else 0
-    search = _BallSearch(view.space, view.oracle.budget)  # restarted at each point
+    near = view._hops(radius, index)
     assigned = [False] * len(pts)
     components = []
     for seed in range(len(pts)):
@@ -173,7 +173,7 @@ def r_components(
         assigned[seed] = True
         comp = [seed]
         for i in comp:  # grows as hops reach unassigned points
-            for j in view._near(search, states[i], index, depth):
+            for j in near(states[i]):
                 if not assigned[j]:
                     assigned[j] = True
                     comp.append(j)
@@ -195,16 +195,15 @@ def lebesgue_ok(view: GroupWindowView, cover: Cover, r: Radius) -> LebesgueCheck
     """Whether each window point's open r-ball, within the window, fits inside one part.
 
     A point's ball is the window's points in the BFS around it to depth
-    ``max_length_below(r)`` (``GroupWindowView._near``); the witness is the
+    ``max_length_below(r)`` (``GroupWindowView._hops``); the witness is the
     first point, in window order, whose ball fits no part.
     """
     radius = as_radius(r)
     cover.require_covers(view.points)
     members = {state: x for x, state in view._states.items()}
-    depth = view._hop_depth(radius) if members else 0
-    search = _BallSearch(view.space, view.oracle.budget)  # restarted at each point
+    near = view._hops(radius, members)
     for state, x in members.items():
-        ball_pts = view._near(search, state, members, depth)
+        ball_pts = near(state)
         if not any(all(y in part for y in ball_pts) for part in cover.parts):
             return LebesgueCheck(radius, False, x)
     return LebesgueCheck(radius, True, None)

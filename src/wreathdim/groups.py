@@ -933,10 +933,12 @@ class VirtuallyZGroup(MarkedGroup):
 class _CayleySpace:
     """Default BFS state space: states are canonical element values.
 
-    Every search space has the same kernel, ``expand``; the searches below
-    call nothing else per state.  ``identity_state``, ``multiply_states``
-    and ``inverse_state`` are the context's ``identity``, ``multiply`` and
-    ``inverse``.
+    Every search space has the same kernel, ``expand(frontier, seen,
+    depth)``, which only expands, and ``degree``, the most states one
+    frontier state adds; the searches below call nothing else per state,
+    and ``_BallSearch.step`` alone tests the node budget.
+    ``identity_state``, ``multiply_states`` and ``inverse_state`` are the
+    context's ``identity``, ``multiply`` and ``inverse``.
 
     With ``over``, another search space, they are that space's, and
     ``letters`` are states of it: the search runs the Cayley graph of
@@ -945,11 +947,12 @@ class _CayleySpace:
     way, on the states of its oracle's space.
     """
 
-    __slots__ = ("ctx", "letters", "identity_state", "multiply_states", "inverse_state")
+    __slots__ = ("ctx", "letters", "degree", "identity_state", "multiply_states", "inverse_state")
 
     def __init__(self, ctx: Any, letters: tuple[Any, ...] | None = None, *, over: Any = None):
         self.ctx = ctx
         self.letters = ctx.symmetric_generators() if letters is None else letters
+        self.degree = max(len(self.letters), 1)
         if over is None:
             self.identity_state, self.multiply_states = ctx.identity, ctx.multiply
             self.inverse_state = ctx.inverse
@@ -976,36 +979,22 @@ class _CayleySpace:
             state = mul(state, letters[i])
         return state
 
-    def expand(
-        self, frontier: list[Any], seen: dict[Any, int], depth: int, budget: int
-    ) -> list[Any] | None:
+    def expand(self, frontier: list[Any], seen: dict[Any, int], depth: int) -> list[Any]:
         """Expand one BFS level: record each unseen neighbour in ``seen`` at ``depth``.
 
         Neighbours are the products with ``letters``, by default
         ``ctx.symmetric_generators()``, in that order, state by state.
-        Returns the new states in discovery order, or None as soon as a
-        state's neighbours leave ``seen`` holding more than ``budget``
-        states.  A state adds at most ``len(letters)`` of them, so the size
-        is tested only once a countdown of the states that cannot overrun
-        the budget runs out.
+        Returns the new states in discovery order.
         """
-        mul = self.multiply_states
-        letters = self.letters
-        degree = max(len(letters), 1)
+        mul, letters = self.multiply_states, self.letters
         nxt: list[Any] = []
         append = nxt.append
-        countdown = (budget - len(seen)) // degree
         for state in frontier:
             for g in letters:
                 other = mul(state, g)
                 if other not in seen:
                     seen[other] = depth
                     append(other)
-            countdown -= 1
-            if countdown < 0:
-                if len(seen) > budget:
-                    return None
-                countdown = (budget - len(seen)) // degree
         return nxt
 
 
@@ -1098,20 +1087,38 @@ class _BallSearch:
         """Search one more level while ``seen`` holds at most ``budget`` states.
 
         Returns False, with the level dropped, when it would hold more.
+        Spaces only expand, and this is the one test of a level against the
+        budget.  A level that cannot overrun it is one ``expand`` call;
+        otherwise the frontier goes in runs of ``(budget - len(seen)) //
+        degree + 1`` states, one more than surely fit, and ``seen`` is
+        tested after each, so it holds at most ``budget + degree`` states.
         """
-        seen, counts = self.seen, self.counts
-        frontier = None
+        seen, counts, frontier = self.seen, self.counts, self.frontier
+        expand, degree, depth = self.space.expand, self.space.degree, self.reach + 1
+        nxt: list[Any] | None = None
         try:
-            frontier = self.space.expand(self.frontier, seen, self.reach + 1, budget)
+            if len(frontier) * degree <= budget - len(seen):
+                nxt = expand(frontier, seen, depth)
+            else:
+                level: list[Any] = []
+                start = 0
+                while start < len(frontier):
+                    end = start + max((budget - len(seen)) // degree, 0) + 1
+                    level += expand(frontier[start:end], seen, depth)
+                    if len(seen) > budget:
+                        break
+                    start = end
+                else:
+                    nxt = level
         finally:
-            if frontier is None:  # keep only complete levels
+            if nxt is None:  # keep only complete levels
                 while len(seen) > counts[-1]:
                     seen.popitem()
-        if frontier is None:
+        if nxt is None:
             return False
-        self.frontier = frontier
+        self.frontier = nxt
         counts.append(len(seen))
-        self.reach = self.reach + 1 if frontier else math.inf
+        self.reach = depth if nxt else math.inf
         return True
 
     def extend(self, max_len: int) -> int:
@@ -1289,7 +1296,7 @@ def minimal_word(ctx: Any, g: Element, *, budget: int | None = None) -> tuple[El
     state = target
     for depth in range(seen[target] - 1, -1, -1):
         level = order[starts[depth] : starts[depth + 1]]
-        around = space.expand([state], {}, depth, len(letters))
+        around = space.expand([state], {}, depth)
         i = min(
             (i for i, other in enumerate(around) if seen.get(other) == depth),
             key=lambda i: level.index(around[i]),

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .encoding import EncodingError, encode_uvarint, read_uvarint, write_uvarint
 from .errors import BudgetExceededError, StructureError
@@ -72,8 +72,8 @@ class WreathContext(MarkedGroup):
         self._base_id = base.identity()
         self._lamp_values = tuple(h for h in fiber.elements() if h != self._fiber_id)
         # lamps sort by this; every base kind's sort_key is its encoding
-        self._position_bytes = _EncodingCache(base)
-        self._value_bytes = _EncodingCache(fiber)
+        self._position_bytes = _Memo(base.encode)
+        self._value_bytes = _Memo(fiber.encode)
         self._own: dict[int, WreathElement] = {}
         super().__init__(
             [WreathElement(((self._base_id, h),), self._base_id) for h in self._lamp_values]
@@ -276,30 +276,16 @@ class WreathContext(MarkedGroup):
         return self._space
 
 
-class _EncodingCache(dict):
-    """Element -> ``group.encode(element)``, each computed on first use."""
+class _Memo(dict):
+    """Key -> ``make(key)``, each computed on first use."""
 
-    def __init__(self, group: MarkedGroup):
+    def __init__(self, make: Callable[[Any], Any]):
         super().__init__()
-        self._encode = group.encode
+        self._make = make
 
-    def __missing__(self, x: Element) -> bytes:
-        data = self[x] = self._encode(x)
-        return data
-
-
-class _Translation(dict):
-    """Position id -> id of ``left * position`` in a packed lamp space, each
-    computed on first use through ``base.multiply`` and ``_id_of``."""
-
-    def __init__(self, space: "_PackedLampSpace", cursor: int):
-        super().__init__()
-        self._space, self._left = space, space._positions[cursor]
-
-    def __missing__(self, idx: int) -> int:
-        space = self._space
-        moved = self[idx] = space._id_of(space.ctx.base.multiply(self._left, space._positions[idx]))
-        return moved
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self._make(key)
+        return value
 
 
 #: Width of the low field of a packed lamp state that holds the cursor's
@@ -340,30 +326,28 @@ class _PackedLampSpace:
 
     def __init__(self, ctx: WreathContext):
         self.ctx = ctx
-        fiber = ctx.fiber
+        fiber, base = ctx.fiber, ctx.base
         self._values = (ctx._fiber_id, *ctx._lamp_values)
         self._value_index = {v: i for i, v in enumerate(self._values)}
         self._width = (len(self._values) - 1).bit_length()
         self._full = (1 << self._width) - 1
         self._low = (1 << _CURSOR_BITS) - 1
-        # the k-th lamp letter turns field i into i ^ _flips[k][i]
-        self._flips = tuple(
-            tuple(i ^ self._value_index[fiber.multiply(v, h)] for i, v in enumerate(self._values))
-            for h in ctx._lamp_values
-        )
         # field i times field j is field _products[i][j]; field i's inverse is _inverses[i]
         self._products = tuple(
             tuple(self._value_index[fiber.multiply(v, w)] for w in self._values)
             for v in self._values
         )
         self._inverses = tuple(self._value_index[fiber.inverse(v)] for v in self._values)
-        self._moves = ctx.base.symmetric_generators()
-        self._degree = max(len(self._flips) + len(self._moves), 1)
+        self._moves = base.symmetric_generators()
+        self.degree = max(len(ctx._lamp_values) + len(self._moves), 1)
         self._ids: dict[Element, int] = {}
         self._positions: list[Element] = []
         self._rows: list[_Row | None] = []
-        # per cursor id, the ids of ``cursor * position`` met so far, by position id
-        self._translated: dict[int, _Translation] = {}
+        # _translate[c][i]: the id of position c times position i, each met on first use
+        positions = self._positions
+        self._translate = _Memo(
+            lambda c: _Memo(lambda i: self._id_of(base.multiply(positions[c], positions[i])))
+        )
         self._id_of(ctx._base_id)
 
     def _id_of(self, pos: Element) -> int:
@@ -384,9 +368,10 @@ class _PackedLampSpace:
         shift = _CURSOR_BITS + idx * self._width
         mul, pos = self.ctx.base.multiply, self._positions[idx]
         moves = tuple(idx ^ self._id_of(mul(pos, g)) for g in self._moves)
+        # the lamp letter of value j turns field i into _products[i][j]
         xors = tuple(
-            tuple(flip[field] << shift for flip in self._flips) + moves
-            for field in range(len(self._values))
+            tuple((field ^ product) << shift for product in products[1:]) + moves
+            for field, products in enumerate(self._products)
         )
         row = self._rows[idx] = (shift, xors)
         return row
@@ -400,9 +385,16 @@ class _PackedLampSpace:
             state |= self._value_index[val] << (_CURSOR_BITS + self._id_of(pos) * self._width)
         return state
 
-    def lamp_mask(self, state: int) -> int:
-        """The lamp fields of ``state``; field ``id`` sits at bit ``id * width``."""
-        return state >> _CURSOR_BITS
+    def _lit(self, state: int) -> list[tuple[int, int]]:
+        """(position id, field) of each lit lamp of ``state``, by position id."""
+        width, full = self._width, self._full
+        lit, rest = [], state >> _CURSOR_BITS
+        while rest:
+            idx = ((rest & -rest).bit_length() - 1) // width
+            field = (rest >> (idx * width)) & full
+            rest ^= field << (idx * width)
+            lit.append((idx, field))
+        return lit
 
     def encoded_values(self, states: Iterable[int]) -> tuple[list[bytes], list[WreathElement]]:
         """Each state's ``ctx.encode`` and element, in the order given.
@@ -435,7 +427,7 @@ class _PackedLampSpace:
             entry = by_mask.get(lit)
             if entry is None:
                 cells = []
-                rest = self.lamp_mask(lit)
+                rest = lit >> _CURSOR_BITS
                 while rest:
                     idx = ((rest & -rest).bit_length() - 1) // width
                     field = (rest >> (idx * width)) & full
@@ -455,22 +447,9 @@ class _PackedLampSpace:
     def element_of(self, state: int) -> WreathElement:
         """The element of one state, its lit fields' lamps put in order by
         ``ctx._from_lamps``."""
-        width, full, values, positions = self._width, self._full, self._values, self._positions
-        lamps: dict[Element, Element] = {}
-        rest = self.lamp_mask(state)
-        while rest:
-            idx = ((rest & -rest).bit_length() - 1) // width
-            field = (rest >> (idx * width)) & full
-            rest ^= field << (idx * width)
-            lamps[positions[idx]] = values[field]
+        values, positions = self._values, self._positions
+        lamps = {positions[idx]: values[field] for idx, field in self._lit(state)}
         return self.ctx._from_lamps(lamps, positions[state & self._low])
-
-    def _moved(self, cursor: int) -> "_Translation":
-        """Position id -> id of the cursor's position times that position."""
-        moved = self._translated.get(cursor)
-        if moved is None:
-            moved = self._translated[cursor] = _Translation(self, cursor)
-        return moved
 
     def multiply_states(self, s: int, t: int) -> int:
         """The state of ``x y``, for ``s`` the state of x and ``t`` that of y.
@@ -482,13 +461,9 @@ class _PackedLampSpace:
         """
         low, width, full, products = self._low, self._width, self._full, self._products
         cursor = s & low
-        moved = self._moved(cursor)
+        moved = self._translate[cursor]
         state = s ^ cursor
-        rest = self.lamp_mask(t)
-        while rest:
-            idx = ((rest & -rest).bit_length() - 1) // width
-            field = (rest >> (idx * width)) & full
-            rest ^= field << (idx * width)
+        for idx, field in self._lit(t):
             shift = _CURSOR_BITS + moved[idx] * width
             held = (state >> shift) & full
             state ^= (held ^ products[held][field]) << shift
@@ -500,15 +475,11 @@ class _PackedLampSpace:
         ``(f, b)^-1 = (b^-1.f^-1, b^-1)``: each lamp moves by ``b^-1`` and
         its field becomes that of its value's inverse.
         """
-        width, full, inverses = self._width, self._full, self._inverses
+        width, inverses = self._width, self._inverses
         back = self._id_of(self.ctx.base.inverse(self._positions[s & self._low]))
-        moved = self._moved(back)
+        moved = self._translate[back]
         state = back
-        rest = self.lamp_mask(s)
-        while rest:
-            idx = ((rest & -rest).bit_length() - 1) // width
-            field = (rest >> (idx * width)) & full
-            rest ^= field << (idx * width)
+        for idx, field in self._lit(s):
             state |= inverses[field] << (_CURSOR_BITS + moved[idx] * width)
         return state
 
@@ -523,20 +494,16 @@ class _PackedLampSpace:
             state ^= xors[(state >> shift) & full][i]
         return state
 
-    def expand(
-        self, frontier: list[int], seen: dict[int, int], depth: int, budget: int
-    ) -> list[int] | None:
+    def expand(self, frontier: list[int], seen: dict[int, int], depth: int) -> list[int]:
         """Expand one BFS level; the contract of ``groups._CayleySpace.expand``.
 
         Each neighbour is the state XOR a mask of the cursor's row, picked
         by the cursor's field value: lamp letters toggle that field, cursor
-        moves swap the low field's id.  The budget is tested as that
-        contract says.
+        moves swap the low field's id.
         """
-        low, full, rows, degree = self._low, self._full, self._rows, self._degree
+        low, full, rows = self._low, self._full, self._rows
         nxt: list[int] = []
         append = nxt.append
-        countdown = (budget - len(seen)) // degree
         for state in frontier:
             cursor = state & low
             shift, xors = rows[cursor] or self._fill_row(cursor)
@@ -545,11 +512,6 @@ class _PackedLampSpace:
                 if other not in seen:
                     seen[other] = depth
                     append(other)
-            countdown -= 1
-            if countdown < 0:
-                if len(seen) > budget:
-                    return None
-                countdown = (budget - len(seen)) // degree
         return nxt
 
 

@@ -51,6 +51,15 @@ def test_explicit_view_distances():
     assert view.dist(2, 2) == 0
 
 
+def test_group_window_view_refuses_a_repeated_point(lamplighter):
+    with pytest.raises(ValueError, match=r"^window repeats the point 1$"):
+        GroupWindowView(IntegerGroup(), [0, 1, 1, 5])
+    x = lamplighter.element([(2, 1)], -1)
+    # a point equal to an earlier one once canonicalized is a repeat too
+    with pytest.raises(ValueError, match=re.escape("window repeats the point {2:1}|-1")):
+        GroupWindowView(lamplighter, [lamplighter.identity(), x, (((2, 1),), -1)])
+
+
 def test_group_window_view_matches_word_metric(lamplighter, oracle_lamplighter):
     window = oracle_lamplighter.ball(4).elements
     view = GroupWindowView(lamplighter, window, oracle_lamplighter)

@@ -498,7 +498,7 @@ def test_expand_lists_the_products_with_the_symmetric_generators_in_order(name, 
     g = data.draw(wreath_elements(ctx) if far else elements(ctx))
     space = ctx._search_space()
     seen = {}
-    around = space.expand([space.state_of(g)], seen, 3, DEFAULT_BUDGET)
+    around = space.expand([space.state_of(g)], seen, 3)
     products = [ctx.multiply(g, s) for s in ctx.symmetric_generators()]
     assert space.encoded_values(around) == ([ctx.encode(x) for x in products], products)
     assert list(seen) == around and set(seen.values()) == {3}
@@ -528,7 +528,7 @@ def test_walk_takes_the_steps_of_expand_on_every_state_of_a_small_ball(name):
     space = ctx._search_space()
     degree = len(ctx.symmetric_generators())
     for state in _searched(space, r).seen:
-        around = space.expand([state], {}, 1, degree)
+        around = space.expand([state], {}, 1)
         assert len(around) == degree
         assert [space.walk(state, [i]) for i in range(degree)] == around
 
@@ -571,6 +571,21 @@ BUDGETED = {
 }
 
 
+class _Spy:
+    """A search space's ``expand``, recording ``len(seen)`` after each call."""
+
+    def __init__(self, space):
+        self.space, self.degree, self.sizes = space, space.degree, []
+
+    def identity_state(self):
+        return self.space.identity_state()
+
+    def expand(self, frontier, seen, depth):
+        nxt = self.space.expand(frontier, seen, depth)
+        self.sizes.append(len(seen))
+        return nxt
+
+
 @pytest.mark.parametrize("name", sorted(BUDGETED))
 def test_expand_over_budget_fails_at_the_state_a_per_state_test_does(name):
     ctx, depth = BUDGETED[name]
@@ -578,18 +593,31 @@ def test_expand_over_budget_fails_at_the_state_a_per_state_test_does(name):
     spaces = [ctx._search_space()]
     if isinstance(ctx, WreathContext):
         spaces.append(groups._CayleySpace(ctx))
-    for space in spaces:
-        search = _searched(space, depth)
-        held = len(search.seen)
-        added = len(_searched(space, depth + 1).seen) - held
+    # from depth 0 every neighbour is new, so a level can add exactly its bound
+    for space, level in itertools.product(spaces, (0, depth)):
+        assert space.degree == degree
+        spy = _Spy(space)
+        held = len(_searched(spy, level).seen)
+        added = len(_searched(space, level + 1).seen) - held
         for budget in range(held - 2, held + added + 2):
-            seen, want_seen = dict(search.seen), dict(search.seen)
-            got = space.expand(search.frontier, seen, depth + 1, budget)
-            want = _reference_expand(space, search.frontier, want_seen, depth + 1, budget, degree)
-            assert (got, list(seen.items())) == (want, list(want_seen.items()))
-            assert (got is None) == (held + added > budget)
+            search = _searched(spy, level)
+            before, frontier = list(search.seen.items()), search.frontier
+            want_seen = dict(search.seen)
+            want = _reference_expand(space, frontier, want_seen, level + 1, budget, degree)
+            spy.sizes.clear()
+            stepped = search.step(budget)
+            assert stepped == (want is not None) == (held + added <= budget)
             if budget >= held:
-                assert len(seen) <= budget + degree
+                assert max(spy.sizes) <= budget + degree
+            if stepped:
+                assert search.frontier == want
+                assert list(search.seen.items()) == list(want_seen.items())
+            else:
+                # the search tested the state the reference failed at, then
+                # dropped the level
+                assert spy.sizes[-1] == len(want_seen)
+                assert list(search.seen.items()) == before
+                assert search.frontier is frontier and search.reach == level
 
 
 # -- state arithmetic ------------------------------------------------------------------
@@ -643,6 +671,42 @@ def test_state_products_and_inverses_of_elements_with_many_lamps(name, data):
     _check_state_arithmetic(ctx, a, b)
     # lamps of b land on lit lamps of a
     _check_state_arithmetic(ctx, a, ctx.multiply(ctx.inverse(a), b))
+
+
+# lamp positions past +-30, where a search from the identity hands out ids above 64
+_FAR = (-44, -37, -31, 0, 3, 33, 41, 47)
+
+
+@pytest.mark.parametrize("name", ["L2", "C3wrZ", "S3wrZ"])
+def test_state_arithmetic_past_64_position_ids(name):
+    # a fresh space over Z: position p gets id 2p - 1 for p > 0 and 2|p| for
+    # p < 0, and S3's 3-bit fields cross 64-bit word boundaries
+    ctx = WreathContext(STATE_GROUPS[name].fiber, Z)
+    space = ctx._search_space()
+    moves = tuple(space.state_of(ctx.element([], t)) for t in (1, -1))
+    search = groups._BallSearch(groups._CayleySpace(ctx, moves, over=space), DEFAULT_BUDGET)
+    search.extend(40)
+    assert len(space._positions) > 64
+    values = ctx._lamp_values
+    far = [
+        ctx.element(
+            [(p, values[(i + k) % len(values)]) for i, p in enumerate(_FAR) if (i + k) % 3],
+            cursor,
+        )
+        for k, cursor in enumerate((-39, 0, 35, 44))
+    ]
+    states = list(search.seen)
+    for a in far:
+        sa = space.state_of(a)
+        assert space.element_of(sa) == a
+        assert space.element_of(space.inverse_state(sa)) == ctx.inverse(a)
+        states.append(space.inverse_state(sa))
+        for b in far:
+            states.append(space.multiply_states(sa, space.state_of(b)))
+            assert space.element_of(states[-1]) == ctx.multiply(a, b)
+    assert any(idx > 64 for s in states for idx, _ in space._lit(s))
+    for s in states:
+        assert space.state_of(space.element_of(s)) == s
 
 
 # -- word metric -----------------------------------------------------------------

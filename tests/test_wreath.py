@@ -361,7 +361,7 @@ def test_packed_space_matches_cayley_bfs(make_ctx, r, small_r):
         assert space.encoded_values([state]) == ([ctx.encode(g)], [g])
         # the i-th neighbour is the product with the i-th symmetric letter
         products = [ctx.multiply(g, s) for s in ctx.symmetric_generators()]
-        others = space.expand([state], {}, 1, DEFAULT_BUDGET)
+        others = space.expand([state], {}, 1)
         assert space.encoded_values(others) == ([ctx.encode(h) for h in products], products)
 
 
@@ -375,9 +375,9 @@ def test_packed_encoded_values_build_each_mask_once(make_ctx, r, small_r):
     for data, x in zip(encodings, elements):
         assert data == _reference_encoding(ctx, x) == ctx.encode(x)
         assert ctx.canonicalize(x) == x
-    lamps_of: dict[int, list[WreathElement]] = {}
+    lamps_of: dict[tuple, list[WreathElement]] = {}
     for state, x in zip(states, elements):
-        lamps_of.setdefault(space.lamp_mask(state), []).append(x)
+        lamps_of.setdefault(tuple(space._lit(state)), []).append(x)
     assert len(lamps_of) < len(states)
     shared = [xs for xs in lamps_of.values() if len({x.cursor for x in xs}) > 1]
     assert shared
@@ -415,7 +415,7 @@ def test_walk_expand_and_minimal_word_share_the_step_order(make_ctx, r):
         steps = [space.walk(state, [i]) for i in range(len(letters))]
         assert steps == [space.state_of(ctx.multiply(g, s)) for s in letters]
         # the neighbour search finds them in that order
-        assert space.expand([state], {}, 1, DEFAULT_BUDGET) == steps
+        assert space.expand([state], {}, 1) == steps
         word = minimal_word(ctx, g)
         indices = [letters.index(s) for s in word]
         assert space.walk(space.identity_state(), indices) == state
