@@ -41,7 +41,12 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "out": {"default": "-", "help": "output path, - for stdout"},
     "format": {"choices": ("json", "csv"), "default": "json", "help": "report format"},
     "budget": {"type": int, "default": DEFAULT_BUDGET, "help": "search node budget"},
-    "seed": {"type": int, "default": 0, "help": "seed for the certificate's vertex-pair sample"},
+}
+
+#: Each control mode's own flags with their defaults; the other mode refuses them.
+_CONTROL_FLAGS: dict[str, dict[str, Any]] = {
+    "kernel": {"--radii": "1..6"},
+    "pullback": {"--r": "2", "--sub-window": 20, "--cover-period": 8, "--cover-length": 11},
 }
 
 
@@ -80,18 +85,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, help="a declared wreath name")
     p.add_argument("--mode", choices=("kernel", "pullback"), default="kernel")
     p.add_argument("--window-radius", required=True)
-    p.add_argument("--radii", default="1..6", help="scales (kernel mode)")
-    p.add_argument("--r", help="scale (pullback mode)", default="2")
-    p.add_argument("--sub-window", type=int, default=20, help="base window half-width")
-    p.add_argument("--cover-period", type=int, default=8, help="interval cover offset")
-    p.add_argument("--cover-length", type=int, default=11, help="interval cover diameter")
+    p.add_argument("--radii", help="scales (kernel mode; default 1..6)")
+    p.add_argument("--r", help="scale (pullback mode; default 2)")
+    p.add_argument("--sub-window", type=int, help="base window half-width (pullback; default 20)")
+    p.add_argument("--cover-period", type=int, help="interval cover offset (pullback; default 8)")
+    p.add_argument("--cover-length", type=int, help="interval cover diameter (pullback; default 11)")
     _flags(p, "config", "out", "format", "budget")
 
     p = commands.add_parser("cube", help="growth-driven kernel cube certificate")
     p.add_argument("--name", required=True, help="a declared wreath name")
     p.add_argument("--n", type=int, required=True, help="cube dimension")
     p.add_argument("--r", required=True, help="base ball radius")
-    _flags(p, "config", "out", "budget", "seed")
+    _flags(p, "config", "out", "budget")
 
     p = commands.add_parser("lattice", help="sweep lattice covers for the spread witness")
     p.add_argument("--n", type=int, required=True)
@@ -206,6 +211,13 @@ def _cmd_components(args: argparse.Namespace) -> int:
 
 
 def _cmd_control(args: argparse.Namespace) -> int:
+    for mode, flags in _CONTROL_FLAGS.items():
+        for flag, default in flags.items():
+            dest = flag[2:].replace("-", "_")
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif mode != args.mode:
+                raise ConfigError(f"{flag} applies only to --mode {mode}")
     ctx = _setup(args).context(args.name)
     if not isinstance(ctx, WreathContext):
         raise ConfigError(f"control needs a wreath context, and {args.name!r} is not one")
@@ -284,7 +296,7 @@ def _cmd_cube(args: argparse.Namespace) -> int:
         raise ConfigError(f"cube needs a wreath context, and {args.name!r} is not one")
     oracle = LengthOracle(ctx.base, budget=args.budget)
     r = _radius_flag("--r", args.r)
-    cert = growth_lower_bound_certificate(ctx, args.n, r, base_oracle=oracle, seed=args.seed)
+    cert = growth_lower_bound_certificate(ctx, args.n, r, base_oracle=oracle)
     payload = _report("cube", {"name": args.name, "n": args.n, "r": str(r)}, cert.to_json_dict())
     _write(args.out, payload)
     return 0

@@ -163,7 +163,8 @@ def r_components(
     states = [view._state(x) for x in pts]
     index = {s: i for i, s in enumerate(states)}
     if len(index) != len(pts):
-        raise ValueError("subset contains repeated points")
+        repeat = next(x for i, (x, s) in enumerate(zip(pts, states)) if index[s] != i)
+        raise ValueError(f"subset repeats the point {view.ctx.format_element(repeat)}")
     near = view._hops(radius, index)
     assigned = [False] * len(pts)
     components = []

@@ -22,7 +22,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 from .covers import Cover, GroupWindowView, lebesgue_ok
 from .errors import BudgetExceededError
 from .groups import DEFAULT_BUDGET, Element, LengthOracle, _oracle_for, as_radius
-from .wreath import WreathContext, bulb_product
+from .wreath import WreathContext
 
 Point = tuple[int, ...]
 
@@ -452,8 +452,7 @@ class RCube:
     vertices: Mapping[Point, Element]
 
     def __post_init__(self) -> None:
-        expected = lattice_points(self.n, self.k)
-        if set(self.vertices) != set(expected):
+        if set(self.vertices) != set(lattice_points(self.n, self.k)):
             raise ValueError(f"cube needs exactly the vertex set of {{0..{self.k}}}^{self.n}")
         self.scale = as_radius(self.scale)
 
@@ -461,8 +460,7 @@ class RCube:
         for x in lattice_points(self.n, self.k):
             for i in range(self.n):
                 if x[i] < self.k:
-                    y = x[:i] + (x[i] + 1,) + x[i + 1 :]
-                    yield x, y
+                    yield x, x[:i] + (x[i] + 1,) + x[i + 1 :]
 
     def vertex_pairs(self) -> Iterator[tuple[Point, Point]]:
         pts = lattice_points(self.n, self.k)
@@ -499,10 +497,7 @@ def cube_obstruction(view: GroupWindowView, cover: Cover, cube: RCube) -> CubeOb
         raise ValueError(
             f"cover has Lebesgue number below {scale}; obstruction needs it at least n*scale"
         )
-    image_index = {x: cube.vertices[x] for x in cube.vertices}
-    parts = [
-        {x for x, g in image_index.items() if g in part} for part in cover.parts
-    ]
+    parts = [{x for x, g in cube.vertices.items() if g in part} for part in cover.parts]
     outcome = lattice_cover_witness(cube.n, cube.k, parts)
     if not outcome.hypothesis_ok:
         raise ValueError(
@@ -522,11 +517,12 @@ def cube_obstruction(view: GroupWindowView, cover: Cover, cube: RCube) -> CubeOb
 
 @dataclass
 class KernelCube:
-    """An r-cube of bulb products in a wreath kernel, with certified edge bounds.
+    """An r-cube in a wreath kernel read off its index table, with certified edge bounds.
 
     ``index_table[(j, i)]`` is the base element whose bulb is switched on when
-    coordinate i passes level j; all indices are distinct, so vertex supports
-    are exactly readable and the inverse map is 1-Lipschitz by index counting.
+    coordinate i passes level j, so vertex x lights its index set, the (j, i)
+    with j <= x_i; all indices are distinct, so vertex supports are exactly
+    readable and the inverse map is 1-Lipschitz by index counting.
     """
 
     ctx: WreathContext
@@ -540,18 +536,17 @@ def build_kernel_cube(
     ctx: WreathContext,
     n: int,
     r: int | Fraction,
-    k: int | None = None,
     *,
     base_oracle: LengthOracle | None = None,
 ) -> KernelCube:
-    """Build the standard (3r)-cube of bulb products over the base r-ball.
+    """Build the standard (3r)-cube over the base r-ball, k = growth(r) // n.
 
     The base ball is enumerated in canonical order and assigned row-major to
-    the index table; ``k`` defaults to the largest value the growth allows
-    (``growth(r) // n``).  Edge bounds are the constructive word bounds
-    ``2 * length(index) + 1``, each strictly below 3r.  A cube with more
-    vertices, (k+1)^n, or edges, n*k*(k+1)^(n-1), than the base oracle's
-    budget is refused before any vertex is built.
+    the n*k-entry index table.  Each index has one bound, the constructive word
+    bound ``2 * length(index) + 1``, and the largest must lie below 3r; each
+    edge takes the bound of the index it crosses.  A cube with more vertices,
+    (k+1)^n, or edges, n*k*(k+1)^(n-1), than the base oracle's budget is
+    refused before any vertex is built.
     """
     if n < 1:
         raise ValueError(f"cube dimension must be >= 1, got {n}")
@@ -559,12 +554,9 @@ def build_kernel_cube(
     oracle = _oracle_for(ctx.base, base_oracle)
     table = oracle.ball(radius)
     gamma = len(table)
-    if k is None:
-        k = gamma // n
-    if k < 1 or n * k > gamma:
-        raise ValueError(
-            f"cube needs {n}*{max(k, 1)} distinct indices but the r-ball only has {gamma} elements"
-        )
+    k = gamma // n
+    if k < 1:
+        raise ValueError(f"cube needs {n} distinct indices but the r-ball has {gamma} elements")
     vertex_count, edge_count = (k + 1) ** n, n * k * (k + 1) ** (n - 1)
     if max(vertex_count, edge_count) > oracle.budget:
         raise BudgetExceededError(
@@ -579,27 +571,25 @@ def build_kernel_cube(
     u = ctx._lamp_values[0] if ctx._lamp_values else None
     if u is None:
         raise ValueError("kernel cube needs a nontrivial fiber")
+    bounds = {index: 2 * table.lengths[g] + 1 for index, g in index_table.items()}
     scale = 3 * radius
-    vertices: dict[Point, Element] = {}
-    for x in lattice_points(n, k):
-        pairs = [
-            (index_table[(j, i)], u)
-            for i in range(1, n + 1)
-            for j in range(1, x[i - 1] + 1)
-        ]
-        vertices[x] = bulb_product(ctx, pairs)
+    if not max(bounds.values()) < scale:
+        raise ValueError(
+            f"edge bound {max(bounds.values())} is not below the cube scale {scale}; "
+            "the base ball is too shallow"
+        )
+    vertices = {
+        x: ctx._from_lamps(
+            {index_table[(j, i)]: u for i in range(1, n + 1) for j in range(1, x[i - 1] + 1)},
+            ctx._base_id,
+        )
+        for x in lattice_points(n, k)
+    }
     cube = RCube(n, k, scale, vertices)
     edge_bounds: dict[tuple[Point, Point], int] = {}
     for x, y in cube.edges():
         axis = next(i for i in range(n) if x[i] != y[i])
-        g = index_table[(max(x[axis], y[axis]), axis + 1)]
-        bound = 2 * table.lengths[g] + 1
-        if not bound < scale:
-            raise ValueError(
-                f"edge bound {bound} is not below the cube scale {scale}; "
-                "the base ball is too shallow for this k"
-            )
-        edge_bounds[(x, y)] = bound
+        edge_bounds[(x, y)] = bounds[(y[axis], axis + 1)]
     return KernelCube(ctx, cube, index_table, u, edge_bounds)
 
 
@@ -643,8 +633,7 @@ class KernelCubeCertificate:
     pair_evidence: list[tuple[Point, Point, int, int]]
 
     def to_json_dict(self) -> dict[str, Any]:
-        ctx = self.kcube.ctx
-        cube = self.kcube.cube
+        ctx, cube = self.kcube.ctx, self.kcube.cube
         return {
             "schema": "kernel-cube-certificate/1",
             "spec": ctx.spec_string(),
@@ -656,11 +645,7 @@ class KernelCubeCertificate:
             "growth_at_r": self.growth_at_r,
             "lamp_value": ctx.fiber.format_element(self.kcube.lamp_value),
             "index_table": [
-                {
-                    "row": j,
-                    "axis": i,
-                    "element": ctx.base.format_element(g),
-                }
+                {"row": j, "axis": i, "element": ctx.base.format_element(g)}
                 for (j, i), g in sorted(self.kcube.index_table.items())
             ],
             "edge_bounds": [
@@ -698,7 +683,5 @@ def growth_lower_bound_certificate(
     evidence = lipschitz_pairs(kcube, seed=seed)
     for a, b, want, got in evidence:
         if got < want:
-            raise ValueError(
-                f"vertex pair {a}, {b} separates only {got} indices; needs {want}"
-            )
+            raise ValueError(f"vertex pair {a}, {b} separates only {got} indices; needs {want}")
     return KernelCubeCertificate(kcube, oracle.growth(as_radius(r)), evidence)

@@ -251,6 +251,61 @@ def test_bad_flags_are_config_errors_naming_the_flag(capsys, args, message):
     assert message in captured.err
 
 
+KERNEL = ["control", "--name", "L2", "--mode", "kernel", "--window-radius", "4"]
+
+
+@pytest.mark.parametrize(
+    "args, flag, mode",
+    [
+        ([*KERNEL, "--cover-period", "3"], "--cover-period", "pullback"),
+        ([*KERNEL, "--r", "9"], "--r", "pullback"),
+        ([*KERNEL, "--sub-window", "20"], "--sub-window", "pullback"),
+        ([*KERNEL, "--cover-length", "11"], "--cover-length", "pullback"),
+        ([*PULLBACK, "--radii", "1..3"], "--radii", "kernel"),
+        (["control", "--name", "L2", "--window-radius", "4", "--r", "2"], "--r", "pullback"),
+    ],
+)
+def test_control_refuses_the_other_modes_flags(capsys, args, flag, mode):
+    rc = main(args)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"config error: {flag} applies only to --mode {mode}\n"
+
+
+def test_control_reports_only_its_own_modes_flags(capsys):
+    assert run_json(capsys, [*KERNEL, "--radii", "1"])["params"] == {
+        "name": "L2",
+        "mode": "kernel",
+        "window_radius": "4",
+    }
+    params = run_json(capsys, PULLBACK)["params"]
+    assert params == {
+        "name": "L2",
+        "mode": "pullback",
+        "window_radius": "5",
+        "sub_window": 20,
+        "cover_period": 8,
+        "cover_length": 11,
+    }
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["components", "--name", "Z", "--window-radius", "3", "--kernel"], "--kernel only applies"),
+        (["control", "--name", "Z", "--window-radius", "3"], "control needs a wreath context"),
+        (["cube", "--name", "Z", "--n", "1", "--r", "2"], "cube needs a wreath context"),
+    ],
+)
+def test_wreath_commands_refuse_a_plain_group(capsys, args, message):
+    rc = main(args)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {message}")
+
+
 def test_control_pullback_sub_window_at_the_cursor_bound(capsys):
     # window radius 5 reaches cursors -4..4, so a half-width of 4 covers it
     payload = run_json(capsys, [*PULLBACK, "--sub-window", "4"])
@@ -375,6 +430,7 @@ def test_out_writes_file(tmp_path, capsys):
         (["lattice", "--n", "2", "--k", "2", "--parts", "2", "--workers", "2"], "--workers"),
         (["lattice", "--n", "2", "--k", "2", "--parts", "2", "--samples", "40"], "--samples"),
         (["lattice", "--n", "2", "--k", "2", "--parts", "2", "--seed", "1"], "--seed"),
+        (["cube", "--name", "W2", "--n", "2", "--r", "2", "--seed", "1"], "--seed"),
     ],
 )
 def test_commands_refuse_flags_they_do_not_read(capsys, monkeypatch, args, flag):

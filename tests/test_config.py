@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from wreathdim import ConfigError, default_setup, load_config, parse_config
+from wreathdim import ConfigError, LengthOracle, default_setup, load_config, parse_config
 from wreathdim.config import MAX_RADII, parse_radii
 
 
@@ -186,6 +186,29 @@ def test_parse_config_table_kind():
     setup = parse_config("[group T]\nkind = table\ntable = 0 1;1 0\ngenerators = 1\n")
     assert setup.groups["T"].spec_string() == "table(rows=0.1;1.0|gens=1)"
     assert setup.groups["T"].order() == 2
+
+
+@pytest.mark.parametrize(
+    "text, spec, growth",
+    [
+        (
+            "[group F]\nkind = free\nrank = 2\ngenerators = a ab\n",
+            "free(rank=2|gens=a,ab)",
+            [1, 5, 17, 53, 161],
+        ),
+        (
+            "[group Z]\nkind = integers\n"
+            "[group F]\nkind = product\nleft = Z\nright = Z\ngenerators = (1|0) (0|1) (1|1)\n",
+            "product(left=integers(gens=1)|right=integers(gens=1)|gens=(1|0),(0|1),(1|1))",
+            [1, 7, 19, 37, 61],
+        ),
+    ],
+)
+def test_parse_config_generators_mark_free_and_product_groups(text, spec, growth):
+    group = parse_config(text).groups["F"]
+    assert group.spec_string() == spec
+    oracle = LengthOracle(group)
+    assert [oracle.growth(r) for r in range(1, 6)] == growth
 
 
 def test_parse_config_vz_wrapper_kind():

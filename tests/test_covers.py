@@ -60,6 +60,15 @@ def test_group_window_view_refuses_a_repeated_point(lamplighter):
         GroupWindowView(lamplighter, [lamplighter.identity(), x, (((2, 1),), -1)])
 
 
+def test_r_components_refuses_a_subset_that_repeats_a_point(lamplighter):
+    with pytest.raises(ValueError, match=r"^subset repeats the point 1$"):
+        r_components(line_view(6), [0, 1, 1, 5], 2)
+    x = lamplighter.element([(2, 1)], -1)
+    view = GroupWindowView(lamplighter, [lamplighter.identity(), x])
+    with pytest.raises(ValueError, match=re.escape("subset repeats the point {2:1}|-1")):
+        r_components(view, [x, lamplighter.identity(), x], 3)
+
+
 def test_group_window_view_matches_word_metric(lamplighter, oracle_lamplighter):
     window = oracle_lamplighter.ball(4).elements
     view = GroupWindowView(lamplighter, window, oracle_lamplighter)

@@ -20,6 +20,7 @@ from wreathdim import (
     ProductGroup,
     RCube,
     StructureError,
+    WreathContext,
     build_kernel_cube,
     cover_of,
     cube_obstruction,
@@ -525,18 +526,20 @@ def test_kernel_cube_edges_within_bound(lamplighter):
         assert bound < kcube.cube.scale
 
 
-def test_build_kernel_cube_k_override(lamplighter):
-    kcube = build_kernel_cube(lamplighter, 1, 2, k=2)
-    assert kcube.cube.k == 2
-    assert len(kcube.cube.vertices) == 3
-
-
 def test_build_kernel_cube_rejects_oversized_k(lamplighter):
-    with pytest.raises(ValueError):
-        build_kernel_cube(lamplighter, 1, 2, k=5)
-    # n = 4 forces the default k to zero: nothing to certify.
+    # n = 4 forces k to zero: nothing to certify.
     with pytest.raises(ValueError):
         build_kernel_cube(lamplighter, 4, 2)
+
+
+def test_build_kernel_cube_refuses_a_ball_too_shallow_for_its_scale(lamplighter, monkeypatch):
+    def built(*args):
+        raise AssertionError("a vertex was built")
+
+    monkeypatch.setattr(WreathContext, "_from_lamps", built)
+    # the 1/4-ball is the identity alone: k = 1, whose one index has bound 1 >= 3/4
+    with pytest.raises(ValueError, match=r"^edge bound 1 is not below the cube scale 3/4; "):
+        build_kernel_cube(lamplighter, 1, Fraction(1, 4))
 
 
 def test_build_kernel_cube_exact_fit(lamplighter):
@@ -628,7 +631,7 @@ def test_kernel_cube_is_sized_against_the_budget_before_it_is_built(plane_lampli
     def built(*args):
         raise AssertionError("a vertex was built")
 
-    monkeypatch.setattr(cubes, "bulb_product", built)
+    monkeypatch.setattr(WreathContext, "_from_lamps", built)
     # k = 45: 46^4 = 4,477,456 vertices fit the default budget, their edges do not
     with pytest.raises(BudgetExceededError, match="17520480 edge bounds"):
         build_kernel_cube(plane_lamplighter, 4, 10)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
 from unittest import mock
 
 import pytest
@@ -33,6 +34,7 @@ from wreathdim import (
     bulb_lower_bound,
     bulb_product,
     bulb_word,
+    default_setup,
     evaluate_word,
     kernel_window,
     max_length_below,
@@ -849,6 +851,35 @@ def test_bulb_word_evaluates_and_respects_bound(lamplighter, z_structure):
     assert bw.bound == 16
     assert len(bw.letters) == 8
     assert evaluate_word(ctx, bw.letters) == p
+
+
+def test_bulb_word_over_a_base_with_two_cosets():
+    setup = default_setup()
+    ctx = WreathContext(CyclicGroup(2), setup.groups["ZxC2"])
+    structure = setup.structures["ZxC2"]
+    oracle = LengthOracle(ctx)
+    positions = [(e, c) for e in range(-2, 3) for c in (0, 1)]
+    slack = []
+    for size in (1, 2, 3):
+        for support in itertools.combinations(positions, size):
+            p = bulb_product(ctx, [(pos, 1) for pos in support])
+            bw = bulb_word(ctx, structure, p)
+            assert evaluate_word(ctx, bw.letters) == p
+            assert oracle.length(p) <= len(bw.letters) <= bw.bound
+            # the (0|1) coset is entered and left through its representative
+            crossings = sum(letter.cursor == (0, 1) for letter in bw.letters)
+            assert crossings == 2 * any(c == 1 for _, c in support)
+            slack.append(len(bw.letters) - oracle.length(p))
+    assert (len(slack), max(slack)) == (175, 4)
+
+
+def test_bulb_word_requires_marked_coset_representatives():
+    base = ProductGroup(IntegerGroup(), CyclicGroup(2), ((1, 0), (1, 1)))
+    structure = VirtuallyZStructure(base, (1, 0), ((0, 0), (0, 1)))
+    ctx = WreathContext(CyclicGroup(2), base)
+    p = bulb_product(ctx, [((0, 1), 1)])
+    with pytest.raises(StructureError, match=re.escape("coset representative (0|1) must be")):
+        bulb_word(ctx, structure, p)
 
 
 def test_bulb_word_rejects_foreign_structure(lamplighter, zxc2_structure):
