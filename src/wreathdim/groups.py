@@ -934,9 +934,10 @@ class _CayleySpace:
     """Default BFS state space: states are canonical element values.
 
     Every search space has the same kernel, ``expand(frontier, seen,
-    depth)``, which only expands, and ``degree``, the most states one
-    frontier state adds; the searches below call nothing else per state,
-    and ``_BallSearch.step`` alone tests the node budget.
+    depth, goal)``, which only expands and stops at the first new state in
+    ``goal``, and ``degree``, the most states one frontier state adds; the
+    searches below call nothing else per state, and ``_BallSearch.step``
+    alone tests the node budget.
     ``identity_state``, ``multiply_states`` and ``inverse_state`` are the
     context's ``identity``, ``multiply`` and ``inverse``.
 
@@ -979,12 +980,15 @@ class _CayleySpace:
             state = mul(state, letters[i])
         return state
 
-    def expand(self, frontier: list[Any], seen: dict[Any, int], depth: int) -> list[Any]:
+    def expand(
+        self, frontier: list[Any], seen: dict[Any, int], depth: int, goal: Any = ()
+    ) -> list[Any]:
         """Expand one BFS level: record each unseen neighbour in ``seen`` at ``depth``.
 
         Neighbours are the products with ``letters``, by default
         ``ctx.symmetric_generators()``, in that order, state by state.
-        Returns the new states in discovery order.
+        Returns the new states in discovery order.  The level stops at the
+        first new state that ``goal`` holds, which then ends the list.
         """
         mul, letters = self.multiply_states, self.letters
         nxt: list[Any] = []
@@ -995,6 +999,8 @@ class _CayleySpace:
                 if other not in seen:
                     seen[other] = depth
                     append(other)
+                    if other in goal:
+                        return nxt
         return nxt
 
 
@@ -1065,6 +1071,8 @@ class _BallSearch:
     the budget is dropped again, so a resumed search holds, and fails at,
     what a fresh one does.  ``refused`` is the reach at which ``_meet`` last
     dropped a level that only its weight asked for (-1 before any).
+    ``goal``, empty unless ``_meet`` sets it on a half it throws away, holds
+    the states at which ``step`` ends a level early.
     ``step`` is the BFS level loop of the package: balls, kernel windows,
     lengths, geodesics, coset closures (on the packed states of their
     oracle's space), a window's hop searches (one search per window,
@@ -1072,10 +1080,10 @@ class _BallSearch:
     the element lists of finite groups and their power scans all run on it.
     """
 
-    __slots__ = ("space", "budget", "reach", "refused", "seen", "frontier", "counts")
+    __slots__ = ("space", "budget", "reach", "refused", "seen", "frontier", "counts", "goal")
 
     def __init__(self, space: Any, budget: int, *, start: Any = None):
-        self.space, self.budget = space, budget
+        self.space, self.budget, self.goal = space, budget, ()
         self.restart(space.identity_state() if start is None else start)
 
     def restart(self, start: Any) -> None:
@@ -1088,17 +1096,22 @@ class _BallSearch:
 
         Returns False, with the level dropped, when it would hold more.
         Spaces only expand, and this is the one test of a level against the
-        budget.  A level that cannot overrun it is one ``expand`` call;
-        otherwise the frontier goes in runs of ``(budget - len(seen)) //
+        budget.  A level that cannot overrun it is one ``expand`` call.
+        Otherwise the frontier goes in runs of ``(budget - len(seen)) //
         degree + 1`` states, one more than surely fit, and ``seen`` is
         tested after each, so it holds at most ``budget + degree`` states.
+
+        Either way a level ends at its first new state in the search's
+        ``goal``, if any.  ``expand`` stops there; a level in runs is
+        searched whole, so that it is refused exactly where it would be
+        with no goal, and then cut after that state.
         """
         seen, counts, frontier = self.seen, self.counts, self.frontier
         expand, degree, depth = self.space.expand, self.space.degree, self.reach + 1
         nxt: list[Any] | None = None
         try:
             if len(frontier) * degree <= budget - len(seen):
-                nxt = expand(frontier, seen, depth)
+                nxt = expand(frontier, seen, depth, self.goal)
             else:
                 level: list[Any] = []
                 start = 0
@@ -1110,6 +1123,12 @@ class _BallSearch:
                     start = end
                 else:
                     nxt = level
+                    goal = self.goal
+                    if goal:
+                        for i, state in enumerate(level):
+                            if state in goal:
+                                del level[i + 1 :]
+                                break
         finally:
             if nxt is None:  # keep only complete levels
                 while len(seen) > counts[-1]:
@@ -1203,7 +1222,8 @@ def word_length(
     exceed it (the search never explores past that depth).  Each call
     searches afresh: a forward ``_BallSearch`` from the identity and
     ``_meet`` searching back from ``g`` with weight 1, stepping the
-    smaller frontier.
+    smaller frontier.  Neither half outlives the call, so each stops at the
+    first state the two share, whose depths sum to the length (``_meet``).
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     space = ctx._search_space()
@@ -1211,40 +1231,58 @@ def word_length(
     forward = _BallSearch(space, budget)
     length = forward.seen.get(target)  # the identity, or a miss
     if length is None:
-        length = _meet(forward, target, at_most, budget)
+        length = _meet(forward, target, at_most, budget, held=False)
     return length if length is None or at_most is None or length <= at_most else None
 
 
 def _meet(
-    forward: _BallSearch, target: Any, at_most: int | None, budget: int, weight: int = 1
+    forward: _BallSearch,
+    target: Any,
+    at_most: int | None,
+    budget: int,
+    weight: int = 1,
+    *,
+    held: bool = True,
 ) -> int | None:
     """Length of the state ``target``, which ``forward`` has not found, or None past ``at_most``.
 
     A second ``_BallSearch``, started at ``target``, searches back and
-    meets the forward search, whose levels are kept: each round steps one
-    half and checks its new states against the other.  The forward half
-    steps while its frontier is at most ``weight`` times the backward one
-    (Pohl's smaller-frontier rule at weight 1; ties go forward).  A kept
-    level serves every later query, so an oracle passes its running miss
-    count as ``weight``, and buys a level once the misses so far would have
-    paid for it.  Both halves hold at most ``budget`` states together, and a
-    level over it is dropped: one the smaller-frontier rule takes raises
-    ``BudgetExceededError``.  One that only the weight asks for may hold the
-    forward half to half the budget, leaving later misses room to search
-    back; over that it is dropped, the round searches back instead, and
-    ``forward.refused`` keeps later rounds from expanding it again.  A half
-    whose frontier empties has an infinite reach: it has met the other half,
-    or ``target`` lies off the subgroup that the space's letters generate.
+    meets the forward search: each round steps one half, and the first
+    state the halves share gives the length d.  Before a round they share
+    none, and each half is complete to its reach, so d > ``forward.reach +
+    backward.reach``: else a geodesic would pass a state both hold.  A
+    state the stepping half finds at its new depth a, one past its old
+    reach, which the other half holds at depth c, then gives d <= a + c <=
+    a + other.reach <= d, so a + c is the length, and the search ends
+    there; no later state could give less.  A half that the call
+    throws away, every backward half and, with ``held`` False, the forward
+    one, ends its level at that state (``step``'s goal), so only its last
+    state is looked up in the other half.  With ``held``, the forward half
+    is an oracle's held BFS and finishes every level it takes, since later
+    misses start from it; each level it takes is looked up whole.
+
+    The forward half steps while its frontier is at most ``weight`` times
+    the backward one (Pohl's smaller-frontier rule at weight 1; ties go
+    forward).  A held level serves every later query, so an oracle passes
+    its running miss count as ``weight``, and buys a level once the misses
+    so far would have paid for it.  Both halves hold at most ``budget``
+    states together, and a level over it is dropped: one the
+    smaller-frontier rule takes raises ``BudgetExceededError``.  One that
+    only the weight asks for may hold the forward half to half the budget,
+    leaving later misses room to search back; over that it is dropped, the
+    round searches back instead, and ``forward.refused`` keeps later rounds
+    from expanding it again.  A half whose frontier empties has an infinite
+    reach: it holds all it can reach and shares no state with the other,
+    so ``target`` lies off the subgroup that the space's letters generate.
     """
     backward = _BallSearch(forward.space, budget, start=target)
-    best: int | None = None
+    backward.goal = forward.seen
+    if not held:
+        forward.goal = backward.seen
     while True:
-        reach = forward.reach + backward.reach
-        if best is not None and reach >= best:
-            return best
         if not forward.frontier and not backward.frontier:
             raise StructureError("element is not generated by the declared marking")
-        if at_most is not None and best is None and reach >= at_most:
+        if at_most is not None and forward.reach + backward.reach >= at_most:
             return None
         ahead, behind = len(forward.frontier), len(backward.frontier)
         ours, theirs, stepped = backward, forward, False
@@ -1261,11 +1299,14 @@ def _meet(
                 forward.refused = forward.reach
         if not stepped and not ours.step(budget - len(theirs.seen)):
             raise BudgetExceededError(f"word-length search exceeded the node budget of {budget}")
-        met = theirs.seen.keys() & ours.frontier
-        if met:
-            found = ours.reach + min(map(theirs.seen.__getitem__, met))
-            if best is None or found < best:
-                best = found
+        frontier = ours.frontier
+        if ours.goal:  # its level ends at the first state the other half holds
+            if frontier and frontier[-1] in theirs.seen:
+                return ours.reach + theirs.seen[frontier[-1]]
+        else:
+            met = theirs.seen.keys() & frontier
+            if met:
+                return ours.reach + theirs.seen[met.pop()]
 
 
 def minimal_word(ctx: Any, g: Element, *, budget: int | None = None) -> tuple[Element, ...]:
@@ -1344,9 +1385,13 @@ class LengthOracle:
     complete to its reach.  Other misses search back from their state until
     that search meets the held BFS (``_meet``), and the memo holds their
     lengths, by state; it holds misses only, since the searched states
-    answer every hit.  The n-th miss weighs the held BFS's next level by n:
-    it extends the held BFS while its frontier is at most n times the
-    miss's own, so the levels later misses start from are bought once
+    answer every hit.  The first state the two share gives the length, as
+    neither shared one before the round that found it, so the search back
+    stops there; the held BFS finishes every level it takes, since later
+    misses start from it, and never keeps part of one.  The n-th miss
+    weighs the held BFS's next level by n: it extends the held BFS while
+    its frontier is at most n times the miss's own, so the levels later
+    misses start from are bought once
     earlier misses would have paid for them.  A level that only the weight
     asks for stays within half the budget, or is left to the
     smaller-frontier rule.  Distances use left-invariance:

@@ -77,12 +77,23 @@ class _Suite:
         self.oracle_Z2 = LengthOracle(self.Z2, budget=budget)
         self.oracle_F2 = LengthOracle(self.F2, budget=budget)
         self.oracle_W2 = LengthOracle(self.W2, budget=budget)
+        self._kernel_components: dict[int, tuple[tuple[WreathElement, ...], ...]] = {}
 
     @functools.cached_property
     def kernel_view(self) -> GroupWindowView:
         """The L2 kernel window of radius 10 over ``oracle_L2``, shared by checks 4 and 7."""
         window = kernel_window(self.L2, 10, oracle=self.oracle_L2)
         return GroupWindowView._of_canonical(self.oracle_L2, window)  # kernel_window's are canonical
+
+    def kernel_components(self, r: int) -> tuple[tuple[WreathElement, ...], ...]:
+        """The r-components of ``kernel_view``, computed once per suite for checks 4 and 7.
+
+        The memo lives on the suite, so it dies with the pass that built it.
+        """
+        comps = self._kernel_components.get(r)
+        if comps is None:
+            comps = self._kernel_components[r] = r_components(self.kernel_view, None, r)
+        return comps
 
     # -- check 1 ------------------------------------------------------------
 
@@ -177,7 +188,7 @@ class _Suite:
         rows = []
         for r in (1, 2, 3):
             bound = kernel_control_bound(ctx, r, base_oracle=self.oracle_Z)
-            comps = r_components(view, None, r)
+            comps = self.kernel_components(r)
             worst = max_diameter(view, comps)
             rows.append(
                 {
@@ -251,7 +262,7 @@ class _Suite:
             coset_index = {x: i for i, coset in enumerate(cc.cosets) for x in coset}
             split = all(
                 len({coset_index[x] for x in comp}) == 1
-                for comp in r_components(view, None, r)
+                for comp in self.kernel_components(r)
             )
             rows.append(
                 {

@@ -97,15 +97,28 @@ class WreathContext(MarkedGroup):
         return self.canonicalize(WreathElement(tuple(lamps), cursor))
 
     def canonicalize(self, x: Element) -> WreathElement:
-        """Validate ``x`` and return its canonical value; the context's own
-        symmetric-generator objects come back unchanged."""
-        if self._own.get(id(x)) is x:
+        """Validate ``x`` and return its canonical value.
+
+        The context's own symmetric-generator objects come back unchanged,
+        and so does a canonical ``WreathElement``: a tuple of lamp entries,
+        each a canonical position and a canonical nonidentity value, in
+        strictly increasing order of position bytes, and a canonical
+        cursor.  Any other input is rebuilt, or refused with the error
+        that names its first malformed part.
+        """
+        if self._own.get(id(x)) is x or self._is_canonical(x):
             return x
         if not isinstance(x, tuple) or len(x) != 2:
             raise EncodingError(f"wreath element must be (lamps, cursor), got {x!r}")
         raw_lamps, cursor = x
+        try:
+            entries = iter(raw_lamps)
+        except TypeError:
+            raise EncodingError(
+                f"wreath lamps must be an iterable of (position, value) entries, got {raw_lamps!r}"
+            ) from None
         lamps: dict[Element, Element] = {}
-        for entry in raw_lamps:
+        for entry in entries:
             if not isinstance(entry, tuple) or len(entry) != 2:
                 raise EncodingError(f"lamp entry must be (position, value), got {entry!r}")
             pos = self.base.canonicalize(entry[0])
@@ -117,13 +130,39 @@ class WreathContext(MarkedGroup):
                 lamps[pos] = val
         return self._from_lamps(lamps, self.base.canonicalize(cursor))
 
+    def _is_canonical(self, x: Element) -> bool:
+        """Whether ``x`` is a ``WreathElement`` that ``canonicalize`` would
+        rebuild equal to itself.
+
+        The entries before the one tested are canonical and at distinct
+        positions, so a position, value or cursor that the fiber or base
+        refuses raises here the error the rebuild would raise.
+        """
+        if type(x) is not WreathElement or type(x.lamps) is not tuple:
+            return False
+        base, fiber, keys, fiber_id = self.base, self.fiber, self._position_bytes, self._fiber_id
+        prev = b""  # every position key is nonempty, so it follows b""
+        for entry in x.lamps:
+            if type(entry) is not tuple or len(entry) != 2:
+                return False
+            pos, val = entry
+            if base.canonicalize(pos) != pos or fiber.canonicalize(val) != val:
+                return False
+            key = keys[pos]
+            if val == fiber_id or key <= prev:
+                return False
+            prev = key
+        return base.canonicalize(x.cursor) == x.cursor
+
     def _from_lamps(self, lamps: dict[Element, Element], cursor: Element) -> WreathElement:
         """``lamps`` (canonical position -> fiber value) and ``cursor`` as an
-        element: identity values dropped, the rest sorted by position bytes.
-        Every computed element but a ball table's (``encoded_values``) is built here."""
+        element: identity values dropped, the rest sorted by position bytes
+        when more than one is lit.  Every computed element but a ball
+        table's (``encoded_values``) is built here."""
         keys, fiber_id = self._position_bytes, self._fiber_id
         lit = [lamp for lamp in lamps.items() if lamp[1] != fiber_id]
-        lit.sort(key=lambda lamp: keys[lamp[0]])
+        if len(lit) > 1:
+            lit.sort(key=lambda lamp: keys[lamp[0]])
         return WreathElement(tuple(lit), cursor)
 
     def multiply(self, x: WreathElement, y: WreathElement) -> WreathElement:
@@ -494,7 +533,9 @@ class _PackedLampSpace:
             state ^= xors[(state >> shift) & full][i]
         return state
 
-    def expand(self, frontier: list[int], seen: dict[int, int], depth: int) -> list[int]:
+    def expand(
+        self, frontier: list[int], seen: dict[int, int], depth: int, goal: Any = ()
+    ) -> list[int]:
         """Expand one BFS level; the contract of ``groups._CayleySpace.expand``.
 
         Each neighbour is the state XOR a mask of the cursor's row, picked
@@ -512,6 +553,8 @@ class _PackedLampSpace:
                 if other not in seen:
                     seen[other] = depth
                     append(other)
+                    if other in goal:
+                        return nxt
         return nxt
 
 

@@ -522,6 +522,24 @@ def test_meet_drops_a_weighted_level_over_half_the_budget_once(f2, monkeypatch):
     assert expanded == [(1, True), (2, True), (3, True), (4, True), (4, False)]
 
 
+def test_a_level_in_runs_ends_at_its_first_goal_state_as_one_expand_does(f2):
+    # F2 to depth 2 holds 17 words and level 3 adds 36: budgets of 53 to 64
+    # take the level in runs, 65 and more in one expand call, and 52 refuses it
+    goal = {(2, 1, 2), (1, 1, 1)}
+    frontiers = []
+    for budget in (52, 53, 64, 65, 10**6):
+        search = _BallSearch(_CayleySpace(f2), budget)
+        search.extend(2)
+        search.goal = goal
+        if budget == 52:
+            assert not search.step(budget) and len(search.seen) == 17
+            continue
+        assert search.step(budget)
+        frontiers.append(search.frontier)
+    assert all(frontier == frontiers[0] for frontier in frontiers)
+    assert frontiers[0][-1] in goal and not goal & set(frontiers[0][:-1])
+
+
 def test_minimal_word_round_trip(z, f2):
     for ctx in (z, f2):
         for g in ball(ctx, 4).elements:

@@ -215,6 +215,51 @@ def test_wreath_arithmetic_sorts_lamps_by_base_sort_key(name, data):
     assert ctx.inverse(x) == _reference_inverse(ctx, x)
 
 
+def _spoil(ctx, lamps, cursor, how):
+    """``(lamps, cursor)`` of a canonical element, spoiled one way."""
+    lamps = list(lamps)
+    if how == "swap" and len(lamps) > 1:
+        lamps[0], lamps[1] = lamps[1], lamps[0]
+    elif how == "duplicate" and lamps:
+        lamps.append(lamps[0])
+    elif how == "identity value" and lamps:
+        lamps.insert(0, (lamps[0][0], ctx.fiber.identity()))
+    elif how == "True position" and lamps:
+        lamps[-1] = (True, lamps[-1][1])
+    elif how == "value past the order" and lamps:
+        lamps[0] = (lamps[0][0], lamps[0][1] + ctx.fiber.order())
+    elif how == "True cursor":
+        cursor = True
+    return (lamps if how == "list" else tuple(lamps)), cursor
+
+
+def _canonical_or_error(call):
+    """The value ``call`` returns, or the message of the EncodingError it raises."""
+    try:
+        return call()
+    except EncodingError as exc:
+        return str(exc)
+
+
+SPOILS = ["none", "swap", "duplicate", "identity value", "True position"]
+SPOILS += ["value past the order", "True cursor", "list"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(WREATHS)), st.sampled_from(SPOILS), st.data())
+def test_canonicalize_answers_a_wreath_element_as_the_pair_it_holds(name, how, data):
+    # a plain pair is always rebuilt, so it is the reference for the
+    # WreathElement that canonicalize may return as it is
+    ctx = WREATHS[name]
+    x = data.draw(wreath_elements(ctx))
+    lamps, cursor = _spoil(ctx, x.lamps, x.cursor, how)
+    given_element = WreathElement(lamps, cursor)
+    got = _canonical_or_error(lambda: ctx.canonicalize(given_element))
+    assert got == _canonical_or_error(lambda: ctx.canonicalize((lamps, cursor)))
+    if how == "none":
+        assert got is given_element
+
+
 # -- batch decoding -------------------------------------------------------------------
 
 _C2 = CyclicGroup(2)
@@ -580,8 +625,8 @@ class _Spy:
     def identity_state(self):
         return self.space.identity_state()
 
-    def expand(self, frontier, seen, depth):
-        nxt = self.space.expand(frontier, seen, depth)
+    def expand(self, frontier, seen, depth, goal=()):
+        nxt = self.space.expand(frontier, seen, depth, goal)
         self.sizes.append(len(seen))
         return nxt
 
@@ -862,6 +907,31 @@ def test_a_long_run_of_misses_answers_as_fresh_word_lengths(name, data):
     fresh = groups._BallSearch(ctx._search_space(), DEFAULT_BUDGET)
     fresh.extend(held.reach)
     assert list(held.seen.items()) == list(fresh.seen.items())
+
+
+# the radius of each ball whose one-directional lengths are the reference
+REFERENCE_BALLS = {
+    "L2": (L2, 9),
+    "C3wrZ": (WREATHS["C3wrZ"], 7),
+    "S3wrZ": (WREATHS["S3wrZ"], 5),
+    "W2": (_C2wrZ2, 6),
+    "ZxC2": (_ZxC2, 10),
+    "C3": (C3, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_BALLS))
+def test_bidirectional_lengths_equal_the_one_directional_ball(name):
+    # ball() steps one BFS from the identity, so its lengths never pass
+    # through _meet; word_length and each fresh oracle's miss both do
+    ctx, r = REFERENCE_BALLS[name]
+    table = ball(ctx, r)
+    reach = max(table.lengths.values())
+    for g, n in table.lengths.items():
+        for bound in [None, *range(reach + 3)]:
+            want = n if bound is None or n <= bound else None
+            assert word_length(ctx, g, at_most=bound) == want
+            assert LengthOracle(ctx)._known_length(g, bound) == want
 
 
 # -- bulbs ------------------------------------------------------------------------

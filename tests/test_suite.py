@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from wreathdim import CHECKS, ConfigError, default_setup, parse_config, run_suite
+from wreathdim import CHECKS, ConfigError, LengthOracle, default_setup, parse_config, run_suite
+from wreathdim import suite as suite_module
 from wreathdim.suite import CheckResult
 
 EXPECTED_CHECKS = [
@@ -53,3 +57,20 @@ def test_check_results_carry_details():
     (result,) = run_suite(checks=["bulb-word-bound"])
     assert result.details["products"] == 127
     assert isinstance(result.details["max_letters"], int)
+
+
+def test_a_pass_keeps_no_suite_or_oracle_alive(monkeypatch):
+    # a memo that outlives its pass would hold the suite and its oracles
+    refs = []
+
+    class Watched(suite_module._Suite):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            oracles = [v for v in vars(self).values() if isinstance(v, LengthOracle)]
+            refs.extend(weakref.ref(x) for x in [self, *oracles])
+
+    monkeypatch.setattr(suite_module, "_Suite", Watched)
+    assert all(result.passed for result in run_suite())
+    gc.collect()
+    assert len(refs) == 6
+    assert [ref() for ref in refs] == [None] * 6

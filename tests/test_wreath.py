@@ -152,6 +152,52 @@ def test_canonicalize_rejects_malformed_entries(lamplighter):
         lamplighter.canonicalize("nope")
 
 
+@pytest.mark.parametrize("bad", [(5, 0), (None, 0), (1, None)])
+def test_canonicalize_names_the_lamps_field_when_they_are_not_iterable(
+    lamplighter, plane_lamplighter, bad
+):
+    for ctx in (lamplighter, plane_lamplighter):
+        with pytest.raises(EncodingError, match="^wreath lamps must be an iterable"):
+            ctx.canonicalize(bad)
+    with pytest.raises(EncodingError, match="^wreath lamps must be an iterable"):
+        word_length(lamplighter, bad)
+
+
+# WreathElements given to L2's canonicalize: (lamps, cursor), and the canonical
+# lamps or the error it gives; -1 sorts before 2, whose position byte is larger
+CANONICAL_CASES = {
+    "canonical": (((-1, 1), (2, 1)), 3, ((-1, 1), (2, 1))),
+    "no lamps": ((), -4, ()),
+    "unsorted": (((2, 1), (-1, 1)), 3, ((-1, 1), (2, 1))),
+    "duplicate position": (((2, 1), (2, 1)), 0, "^duplicate lamp position 2$"),
+    "identity value": (((-1, 0), (2, 1)), 0, ((2, 1),)),
+    "True as a position": (((True, 1),), 0, "^integers element must be an int, got True$"),
+    "C2 value of 3": (((2, 3),), 0, ((2, 1),)),
+    "list entry": (([2, 1],), 0, "^lamp entry must be"),
+    "True as the cursor": (((2, 1),), True, "^integers element must be an int, got True$"),
+    "lamps as a list": ([(-1, 1), (2, 1)], 0, ((-1, 1), (2, 1))),
+    "lamps as a set": ({(2, 1), (-1, 1)}, 0, ((-1, 1), (2, 1))),
+}
+
+
+@pytest.mark.parametrize("case", list(CANONICAL_CASES))
+def test_canonicalize_returns_a_canonical_element_as_it_is(lamplighter, case):
+    ctx = lamplighter
+    lamps, cursor, want = CANONICAL_CASES[case]
+    x = WreathElement(lamps, cursor)
+    if isinstance(want, str):
+        with pytest.raises(EncodingError, match=want):
+            ctx.canonicalize(x)
+        # a plain pair is never returned as it is, and fails the same way
+        with pytest.raises(EncodingError, match=want):
+            ctx.canonicalize((lamps, cursor))
+        return
+    got = ctx.canonicalize(x)
+    assert got == ctx.canonicalize((lamps, cursor)) == WreathElement(want, cursor)
+    assert type(got.lamps) is tuple
+    assert (got is x) == (case in ("canonical", "no lamps"))
+
+
 # -- multiplication -----------------------------------------------------------
 
 
