@@ -10,6 +10,8 @@ r-component is a chain-connectedness class under hops of distance < r).
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
@@ -39,7 +41,10 @@ class GroupWindowView:
     (``oracle._bfs.space``), which on wreath products are packed lamp
     states: state ids belong to one space, and the oracle may measure an
     equal-spec group built from another context object.  Each point's state
-    is stored once.  Distances use left-invariance: ``dist(a, b)`` is the
+    is computed once and stored in point order (``_point_states``), which
+    r-components, Lebesgue checks and component diameters read; the map
+    from points to states (``_states``) is built on the first lookup by
+    element.  Distances use left-invariance: ``dist(a, b)`` is the
     oracle's ``_state_length`` of ``multiply_states(inverse_state(a), b)``
     on those states, so no element product is built.  Near neighbours are
     searched, not scanned for among all pairs: the points y with
@@ -56,7 +61,7 @@ class GroupWindowView:
     def __init__(self, ctx: Any, points: Iterable[Element], oracle: LengthOracle | None = None):
         points = tuple(ctx.canonicalize(x) for x in points)
         self._hold(ctx, points, _oracle_for(ctx, oracle))
-        if len(self._states) < len(points):
+        if len(set(self._point_states)) < len(points):
             repeat = next(x for i, x in enumerate(points) if x in points[:i])
             raise ValueError(f"window repeats the point {ctx.format_element(repeat)}")
 
@@ -70,7 +75,12 @@ class GroupWindowView:
     def _hold(self, ctx: Any, points: tuple[Element, ...], oracle: LengthOracle) -> None:
         self.ctx, self.points, self.oracle = ctx, points, oracle
         self.space = oracle._bfs.space
-        self._states = dict(zip(points, map(self.space.state_of, points)))
+        self._point_states = tuple(map(self.space.state_of, points))
+
+    @functools.cached_property
+    def _states(self) -> dict[Element, Any]:
+        """Each point's state, by point."""
+        return dict(zip(self.points, self._point_states))
 
     def _state(self, x: Element) -> Any:
         """The state of a canonical ``x`` in the view's space, stored for window points."""
@@ -154,13 +164,25 @@ def r_components(
 
     A point's hops are the subset's points in the BFS around it to depth
     ``max_length_below(r)`` (``GroupWindowView._hops``), keyed by search
-    state, the view's stored one for each point.  Components are listed by
-    first appearance in subset order, members in subset order, so the
-    output is deterministic.
+    state, the view's stored one for each point (with no subset, the
+    view's states in point order, so no point is looked up).  Components
+    are listed by first appearance in subset order, members in subset
+    order, so the output is deterministic.
     """
     radius = as_radius(r)
-    pts = tuple(view.points if subset is None else subset)
-    states = [view._state(x) for x in pts]
+    if subset is None:
+        pts, states = view.points, view._point_states
+    else:
+        pts = tuple(subset)
+        states = tuple(map(view._state, pts))
+    comps = _components(view, pts, states, radius)
+    return tuple(tuple(pts[i] for i in comp) for comp in comps)
+
+
+def _components(
+    view: GroupWindowView, pts: Sequence[Element], states: Sequence[Any], radius: Fraction
+) -> list[list[int]]:
+    """``r_components`` of the points ``pts`` with these states, as sorted index lists."""
     index = {s: i for i, s in enumerate(states)}
     if len(index) != len(pts):
         repeat = next(x for i, (x, s) in enumerate(zip(pts, states)) if index[s] != i)
@@ -179,8 +201,8 @@ def r_components(
                     assigned[j] = True
                     comp.append(j)
         comp.sort()
-        components.append(tuple(pts[i] for i in comp))
-    return tuple(components)
+        components.append(comp)
+    return components
 
 
 @dataclass(frozen=True)
@@ -201,7 +223,7 @@ def lebesgue_ok(view: GroupWindowView, cover: Cover, r: Radius) -> LebesgueCheck
     """
     radius = as_radius(r)
     cover.require_covers(view.points)
-    members = {state: x for x, state in view._states.items()}
+    members = dict(zip(view._point_states, view.points))
     near = view._hops(radius, members)
     for state, x in members.items():
         ball_pts = near(state)
@@ -226,11 +248,19 @@ def max_diameter(view: GroupWindowView, components: Iterable[Sequence[Element]])
     A pair (a, b) is measured only while d(a, p) + d(p, b) exceeds the largest
     distance found so far: by the triangle inequality, no skipped pair does.
     """
+    return _diameter(view, (list(map(view._state, comp)) for comp in components if len(comp) > 1))
+
+
+def _diameter(view: GroupWindowView, components: Iterable[Sequence[Any]]) -> int:
+    """``max_diameter`` of components given as lists of the view's states."""
+    space, length = view.space, view.oracle._state_length
+    inv, mul = space.inverse_state, space.multiply_states
     worst = 0
     for comp in components:
         if len(comp) < 2:
             continue
-        radii = view.dists_from(comp[0], comp)
+        pivot = inv(comp[0])
+        radii = [length(mul(pivot, s)) for s in comp]
         worst = max(worst, *radii)
         ranked = sorted(zip(radii, comp), key=lambda item: item[0], reverse=True)
         for i, (ra, a) in enumerate(ranked[:-1]):
@@ -241,17 +271,30 @@ def max_diameter(view: GroupWindowView, components: Iterable[Sequence[Element]])
                 if ra + rb <= worst:
                     break
                 partners.append(b)
-            worst = max(worst, *view.dists_from(a, partners))
+            row = inv(a)
+            worst = max(worst, *[length(mul(row, b)) for b in partners])
     return worst
 
 
 def component_diameters(view: GroupWindowView, cover: Cover, r: Radius) -> ControlMeasurement:
+    """The largest r-component diameter of each part's window points, and of all.
+
+    Each window point is tested once against each part; a point no part
+    holds is refused first, as ``Cover.require_covers`` refuses it.  The
+    r-components and their pivot rows run on the view's stored states.
+    """
     radius = as_radius(r)
-    cover.require_covers(view.points)
+    points, states = view.points, view._point_states
+    members = [[i for i, x in enumerate(points) if x in part] for part in cover.parts]
+    covered = set(itertools.chain.from_iterable(members))
+    if len(covered) < len(points):
+        missed = next(x for i, x in enumerate(points) if i not in covered)
+        raise ValueError(f"cover misses the point {missed!r}")
     per_part = []
-    for part in cover.parts:
-        part_pts = [x for x in view.points if x in part]
-        per_part.append(max_diameter(view, r_components(view, part_pts, radius)))
+    for row in members:
+        part_states = [states[i] for i in row]
+        comps = _components(view, [points[i] for i in row], part_states, radius)
+        per_part.append(_diameter(view, ([part_states[j] for j in comp] for comp in comps)))
     value = max(per_part) if per_part else 0
     return ControlMeasurement(radius, tuple(per_part), value)
 

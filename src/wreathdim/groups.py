@@ -101,7 +101,7 @@ class MarkedGroup:
             raise StructureError(f"{self.kind}: duplicate generator in marking")
         self._generators = gens
         self._symmetric: tuple[Element, ...] | None = None
-        self._steps: dict[Element, int] | None = None
+        self._steps: tuple[dict[int, tuple[Element, int]], dict[Element, int]] | None = None
         self._spec_hash: str | None = None
         self._post_validate()
 
@@ -179,10 +179,22 @@ class MarkedGroup:
             self._symmetric = tuple(seen)
         return self._symmetric
 
-    def _letter_steps(self) -> dict[Element, int]:
-        """Each symmetric generator's index, the step ``walk`` takes for it; built once."""
+    def _letter_steps(self) -> tuple[dict[int, tuple[Element, int]], dict[Element, int]]:
+        """Each symmetric generator's index, the step ``walk`` takes for it,
+        by the generator object's id and by its value; built once.
+
+        The id table holds each generator object with its step, and the
+        group holds the objects for its lifetime, so a letter found there
+        that ``is`` the object held is that generator, known with no hash
+        and no ``canonicalize``.  The value table serves equal letters that
+        are other objects, once canonicalized.
+        """
         if self._steps is None:
-            self._steps = {g: i for i, g in enumerate(self.symmetric_generators())}
+            letters = self.symmetric_generators()
+            self._steps = (
+                {id(g): (g, i) for i, g in enumerate(letters)},
+                {g: i for i, g in enumerate(letters)},
+            )
         return self._steps
 
     def _post_validate(self) -> None:
@@ -1083,8 +1095,11 @@ class _BallSearch:
     __slots__ = ("space", "budget", "reach", "refused", "seen", "frontier", "counts", "goal")
 
     def __init__(self, space: Any, budget: int, *, start: Any = None):
+        if start is None:
+            start = space.identity_state()
         self.space, self.budget, self.goal = space, budget, ()
-        self.restart(space.identity_state() if start is None else start)
+        self.reach, self.refused = 0, -1
+        self.seen, self.frontier, self.counts = {start: 0}, [start], [1]
 
     def restart(self, start: Any) -> None:
         """Search afresh from ``start``, which ``seen`` then holds alone, at depth 0."""
@@ -1219,8 +1234,9 @@ def word_length(
     """Exact word length of ``g`` by bidirectional BFS with early exit.
 
     With ``at_most`` set, returns ``None`` as soon as the length is known to
-    exceed it (the search never explores past that depth).  Each call
-    searches afresh: a forward ``_BallSearch`` from the identity and
+    exceed it (the search never explores past that depth).  The identity
+    has length 0 and is answered with no search.  Any other element is
+    searched afresh: a forward ``_BallSearch`` from the identity and
     ``_meet`` searching back from ``g`` with weight 1, stepping the
     smaller frontier.  Neither half outlives the call, so each stops at the
     first state the two share, whose depths sum to the length (``_meet``).
@@ -1228,10 +1244,10 @@ def word_length(
     budget = DEFAULT_BUDGET if budget is None else budget
     space = ctx._search_space()
     target = space.state_of(ctx.canonicalize(g))
-    forward = _BallSearch(space, budget)
-    length = forward.seen.get(target)  # the identity, or a miss
-    if length is None:
-        length = _meet(forward, target, at_most, budget, held=False)
+    if target == space.identity_state():
+        length: int | None = 0
+    else:
+        length = _meet(_BallSearch(space, budget), target, at_most, budget, held=False)
     return length if length is None or at_most is None or length <= at_most else None
 
 
@@ -1259,7 +1275,10 @@ def _meet(
     one, ends its level at that state (``step``'s goal), so only its last
     state is looked up in the other half.  With ``held``, the forward half
     is an oracle's held BFS and finishes every level it takes, since later
-    misses start from it; each level it takes is looked up whole.
+    misses start from it; each level it takes is looked up whole.  Each
+    round reads the two frontiers once, to choose the half that steps, and
+    the two ``seen`` dicts are read once per call, since stepping fills
+    them in place.
 
     The forward half steps while its frontier is at most ``weight`` times
     the backward one (Pohl's smaller-frontier rule at weight 1; ties go
@@ -1276,37 +1295,39 @@ def _meet(
     so ``target`` lies off the subgroup that the space's letters generate.
     """
     backward = _BallSearch(forward.space, budget, start=target)
-    backward.goal = forward.seen
+    fseen, bseen = forward.seen, backward.seen  # stepping fills them in place
+    backward.goal = fseen
     if not held:
-        forward.goal = backward.seen
+        forward.goal = bseen
     while True:
-        if not forward.frontier and not backward.frontier:
+        ahead, behind = len(forward.frontier), len(backward.frontier)
+        if not ahead and not behind:
             raise StructureError("element is not generated by the declared marking")
         if at_most is not None and forward.reach + backward.reach >= at_most:
             return None
-        ahead, behind = len(forward.frontier), len(backward.frontier)
-        ours, theirs, stepped = backward, forward, False
         if ahead and (not behind or ahead <= behind):
-            ours, theirs = forward, backward
-        elif 0 < ahead <= weight * behind and forward.refused != forward.reach:
-            # Only the weight asks for this level, and it may fill half the
-            # budget.  Over that it is dropped and remembered, and the round
-            # searches back instead.
-            stepped = forward.step(min(budget - len(backward.seen), budget // 2))
-            if stepped:
-                ours, theirs = forward, backward
-            else:
-                forward.refused = forward.reach
-        if not stepped and not ours.step(budget - len(theirs.seen)):
+            ours, theirs, limit = forward, bseen, budget - len(bseen)
+        else:
+            ours, theirs, limit = backward, fseen, budget - len(fseen)
+            if 0 < ahead <= weight * behind and forward.refused != forward.reach:
+                # Only the weight asks for this level, and it may fill half the
+                # budget.  Over that it is dropped and remembered, and the round
+                # searches back instead.
+                if forward.step(min(budget - len(bseen), budget // 2)):
+                    ours, theirs, limit = forward, bseen, None
+                else:
+                    forward.refused = forward.reach
+        if limit is not None and not ours.step(limit):
             raise BudgetExceededError(f"word-length search exceeded the node budget of {budget}")
         frontier = ours.frontier
         if ours.goal:  # its level ends at the first state the other half holds
-            if frontier and frontier[-1] in theirs.seen:
-                return ours.reach + theirs.seen[frontier[-1]]
+            depth = theirs.get(frontier[-1]) if frontier else None
+            if depth is not None:
+                return ours.reach + depth
         else:
-            met = theirs.seen.keys() & frontier
+            met = theirs.keys() & frontier
             if met:
-                return ours.reach + theirs.seen[met.pop()]
+                return ours.reach + theirs[met.pop()]
 
 
 def minimal_word(ctx: Any, g: Element, *, budget: int | None = None) -> tuple[Element, ...]:
@@ -1351,16 +1372,24 @@ def minimal_word(ctx: Any, g: Element, *, budget: int | None = None) -> tuple[El
 def evaluate_word(ctx: Any, letters: Iterable[Element]) -> Element:
     """Product of a word's letters, left to right.
 
-    Each letter is canonicalized first, so a malformed one raises
-    ``EncodingError``.  A run of symmetric generators is walked on the
+    A letter that is one of the context's own symmetric-generator objects
+    is recognised by identity: its id, then ``is`` against the object the
+    context holds (``_letter_steps``), with no ``canonicalize`` and no hash.
+    Any other letter is canonicalized first, so a malformed one raises
+    ``EncodingError``, and one equal to a symmetric generator takes that
+    generator's step.  A run of symmetric generators is walked on the
     context's search space (``walk``), the i-th generator taking the step to
     the i-th neighbour of ``expand``, and the state becomes an element once,
     at the end (``element_of``).  Any other letter is multiplied on.
     """
     space = ctx._search_space()
-    step_of = ctx._letter_steps()
+    own, step_of = ctx._letter_steps()
     state, run = space.identity_state(), []
     for letter in letters:
+        mine = own.get(id(letter))
+        if mine is not None and mine[0] is letter:
+            run.append(mine[1])
+            continue
         letter = ctx.canonicalize(letter)
         i = step_of.get(letter)
         if i is None:

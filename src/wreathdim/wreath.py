@@ -52,6 +52,11 @@ class WreathElement(NamedTuple):
     cursor: Element
 
 
+#: Computed elements are built as ``_new(WreathElement, (lamps, cursor))``,
+#: which skips the NamedTuple constructor's Python frame.
+_new = tuple.__new__
+
+
 class WreathContext(MarkedGroup):
     """Group operations, encodings, and search spaces for one wreath product.
 
@@ -74,24 +79,26 @@ class WreathContext(MarkedGroup):
         # lamps sort by this; every base kind's sort_key is its encoding
         self._position_bytes = _Memo(base.encode)
         self._value_bytes = _Memo(fiber.encode)
-        self._own: dict[int, WreathElement] = {}
+        # one search space for the context's lifetime, so searches share its
+        # ids; built first, since canonicalize reads the positions it registers
+        self._space = _PackedLampSpace(self)
+        self._own: dict[int, tuple[WreathElement, int]] = {}
         super().__init__(
             [WreathElement(((self._base_id, h),), self._base_id) for h in self._lamp_values]
             + [WreathElement((), g) for g in base.generators]
         )
         # the context holds its letters for its lifetime, so no other object has their ids
-        self._own = {id(g): g for g in self.symmetric_generators()}
+        self._own = self._letter_steps()[0]
         # the same letter objects by what they do: a lamp letter by its value,
         # a cursor letter by its base generator
-        self._lamp_letters = {g.lamps[0][1]: g for g in self._own.values() if g.lamps}
-        self._cursor_letters = {g.cursor: g for g in self._own.values() if not g.lamps}
-        # one search space for the context's lifetime, so searches share its ids
-        self._space = _PackedLampSpace(self)
+        letters = self.symmetric_generators()
+        self._lamp_letters = {g.lamps[0][1]: g for g in letters if g.lamps}
+        self._cursor_letters = {g.cursor: g for g in letters if not g.lamps}
 
     # -- group structure ----------------------------------------------------
 
     def identity(self) -> WreathElement:
-        return WreathElement((), self._base_id)
+        return _new(WreathElement, ((), self._base_id))
 
     def element(self, lamps: Iterable[tuple[Element, Element]], cursor: Element) -> WreathElement:
         return self.canonicalize(WreathElement(tuple(lamps), cursor))
@@ -100,13 +107,15 @@ class WreathContext(MarkedGroup):
         """Validate ``x`` and return its canonical value.
 
         The context's own symmetric-generator objects come back unchanged,
-        and so does a canonical ``WreathElement``: a tuple of lamp entries,
-        each a canonical position and a canonical nonidentity value, in
-        strictly increasing order of position bytes, and a canonical
-        cursor.  Any other input is rebuilt, or refused with the error
-        that names its first malformed part.
+        recognised by id and ``is``, and so does a canonical
+        ``WreathElement``: a tuple of lamp entries, each a canonical
+        position and a canonical nonidentity value, in strictly increasing
+        order of position bytes, and a canonical cursor
+        (``_is_canonical``).  Any other input is rebuilt, or refused with
+        the error that names its first malformed part.
         """
-        if self._own.get(id(x)) is x or self._is_canonical(x):
+        own = self._own.get(id(x))
+        if own is not None and own[0] is x or self._is_canonical(x):
             return x
         if not isinstance(x, tuple) or len(x) != 2:
             raise EncodingError(f"wreath element must be (lamps, cursor), got {x!r}")
@@ -134,36 +143,63 @@ class WreathContext(MarkedGroup):
         """Whether ``x`` is a ``WreathElement`` that ``canonicalize`` would
         rebuild equal to itself.
 
-        The entries before the one tested are canonical and at distinct
-        positions, so a position, value or cursor that the fiber or base
-        refuses raises here the error the rebuild would raise.
+        A position or cursor that is the very object the packed space
+        registered for its value (``positions[ids[p]] is p``), and a value
+        that is the space's own object for it, is canonical with no
+        ``canonicalize`` call: the space registers only canonical objects,
+        and elements it builds hold those.  An equal object that is not the
+        registered one, such as ``True`` for ``1``, goes to the base's or
+        fiber's ``canonicalize``.  The entries before the one tested are
+        canonical and at distinct positions, so a position, value or cursor
+        that the fiber or base refuses raises here the error the rebuild
+        would raise; an unhashable one leaves the rebuild to raise it.
         """
         if type(x) is not WreathElement or type(x.lamps) is not tuple:
             return False
-        base, fiber, keys, fiber_id = self.base, self.fiber, self._position_bytes, self._fiber_id
+        base, fiber, keys, space = self.base, self.fiber, self._position_bytes, self._space
+        ids, positions, value_index, values = (
+            space._ids, space._positions, space._value_index, space._values
+        )
         prev = b""  # every position key is nonempty, so it follows b""
-        for entry in x.lamps:
-            if type(entry) is not tuple or len(entry) != 2:
-                return False
-            pos, val = entry
-            if base.canonicalize(pos) != pos or fiber.canonicalize(val) != val:
-                return False
-            key = keys[pos]
-            if val == fiber_id or key <= prev:
-                return False
-            prev = key
-        return base.canonicalize(x.cursor) == x.cursor
+        try:
+            for entry in x.lamps:
+                if type(entry) is not tuple or len(entry) != 2:
+                    return False
+                pos, val = entry
+                idx = ids.get(pos)
+                if (idx is None or positions[idx] is not pos) and base.canonicalize(pos) != pos:
+                    return False
+                field = value_index.get(val)
+                if field is None or values[field] is not val:
+                    if fiber.canonicalize(val) != val:
+                        return False
+                    field = value_index[val]
+                key = keys[pos]
+                if not field or key <= prev:  # field 0 is the fiber's identity
+                    return False
+                prev = key
+            cursor = x.cursor
+            idx = ids.get(cursor)
+        except TypeError:  # unhashable
+            return False
+        return idx is not None and positions[idx] is cursor or base.canonicalize(cursor) == cursor
 
     def _from_lamps(self, lamps: dict[Element, Element], cursor: Element) -> WreathElement:
         """``lamps`` (canonical position -> fiber value) and ``cursor`` as an
-        element: identity values dropped, the rest sorted by position bytes
-        when more than one is lit.  Every computed element but a ball
+        element: identity values dropped, the rest put in order by
+        ``_from_lit``."""
+        fiber_id = self._fiber_id
+        return self._from_lit([lamp for lamp in lamps.items() if lamp[1] != fiber_id], cursor)
+
+    def _from_lit(self, lit: list[tuple[Element, Element]], cursor: Element) -> WreathElement:
+        """Lit lamps (canonical position, nonidentity value), at distinct
+        positions, and ``cursor`` as an element: the lamps sorted by position
+        bytes when more than one is lit.  Every computed element but a ball
         table's (``encoded_values``) is built here."""
-        keys, fiber_id = self._position_bytes, self._fiber_id
-        lit = [lamp for lamp in lamps.items() if lamp[1] != fiber_id]
         if len(lit) > 1:
+            keys = self._position_bytes
             lit.sort(key=lambda lamp: keys[lamp[0]])
-        return WreathElement(tuple(lit), cursor)
+        return _new(WreathElement, (tuple(lit), cursor))
 
     def multiply(self, x: WreathElement, y: WreathElement) -> WreathElement:
         """The product ``x y`` of canonical elements, itself canonical.
@@ -174,7 +210,7 @@ class WreathContext(MarkedGroup):
         # (f1, b1)(f2, b2) = (f1 * (b1.f2), b1 b2), where (b1.f2)(p) = f2(b1^-1 p).
         cursor = self.base.multiply(x.cursor, y.cursor)
         if not y.lamps:
-            return WreathElement(x.lamps, cursor)
+            return _new(WreathElement, (x.lamps, cursor))
         lamps = dict(x.lamps)
         for pos, val in y.lamps:
             p = self.base.multiply(x.cursor, pos)
@@ -186,7 +222,8 @@ class WreathContext(MarkedGroup):
         """``(f, b)^-1 = (b^-1.f^-1, b^-1)``: each lamp moved by ``b^-1`` and inverted."""
         c = self.base.inverse(x.cursor)
         mul, inv = self.base.multiply, self.fiber.inverse
-        return self._from_lamps({mul(c, pos): inv(val) for pos, val in x.lamps}, c)
+        # a canonical x lights distinct positions with nonidentity values
+        return self._from_lit([(mul(c, pos), inv(val)) for pos, val in x.lamps], c)
 
     def order(self) -> int | None:
         fo, bo = self.fiber.order(), self.base.order()
@@ -243,7 +280,7 @@ class WreathContext(MarkedGroup):
         shares its lamps tuple; its tail must then decode as exactly one
         cursor, memoized by its bytes.
         """
-        base_decode, new, read_lamp = self.base.decode, tuple.__new__, self._read_lamp
+        base_decode, new, read_lamp = self.base.decode, _new, self._read_lamp
         cursors: dict[bytes, Element] = {}
         cells: dict[bytes, tuple[int, bytes, tuple[Element, Element]]] = {}
         widths: list[int] = []
@@ -279,7 +316,6 @@ class WreathContext(MarkedGroup):
             cursor = cursors.get(tail)
             if cursor is None:
                 cursor = cursors[tail] = base_decode(tail)
-            # tuple.__new__ skips the NamedTuple constructor's Python frame
             out.append(new(WreathElement, (lamps, cursor)))
         return out
 
@@ -390,8 +426,15 @@ class _PackedLampSpace:
         self._id_of(ctx._base_id)
 
     def _id_of(self, pos: Element) -> int:
+        """The id of base position ``pos``, handed out on first use.
+
+        A new position must be canonical, since ``ctx._is_canonical`` takes
+        the registered objects as canonical with no check.
+        """
         idx = self._ids.get(pos)
         if idx is None:
+            if self.ctx.base.canonicalize(pos) != pos:
+                raise EncodingError(f"base position {pos!r} is not canonical")
             idx = len(self._positions)
             if idx > self._low:
                 raise BudgetExceededError(
@@ -457,7 +500,7 @@ class _PackedLampSpace:
             cell_bytes += [keys[idx] + value_bytes[value] for value in values]
             cell_lamps += [(pos, value) for value in values]
         by_mask: dict[int, tuple[bytes, tuple[tuple[Element, Element], ...]]] = {}
-        new = tuple.__new__
+        new = _new
         encodings: list[bytes] = []
         elements: list[WreathElement] = []
         for state in states:
@@ -479,16 +522,15 @@ class _PackedLampSpace:
                 )
             prefix, lamps = entry
             encodings.append(prefix + keys[cursor])
-            # tuple.__new__ skips the NamedTuple constructor's Python frame
             elements.append(new(WreathElement, (lamps, positions[cursor])))
         return encodings, elements
 
     def element_of(self, state: int) -> WreathElement:
-        """The element of one state, its lit fields' lamps put in order by
-        ``ctx._from_lamps``."""
+        """The element of one state, its lit fields' lamps (no field is the
+        identity's 0) put in order by ``ctx._from_lit``."""
         values, positions = self._values, self._positions
-        lamps = {positions[idx]: values[field] for idx, field in self._lit(state)}
-        return self.ctx._from_lamps(lamps, positions[state & self._low])
+        lit = [(positions[idx], values[field]) for idx, field in self._lit(state)]
+        return self.ctx._from_lit(lit, positions[state & self._low])
 
     def multiply_states(self, s: int, t: int) -> int:
         """The state of ``x y``, for ``s`` the state of x and ``t`` that of y.
@@ -590,20 +632,31 @@ def bulb_decompose(
 
     Each lamp letter at prefix x becomes the bulb ``(x, value)``; the second
     component is the product of the cursor letters.  The input word must use
-    only marked generators.
+    only marked generators.  A letter that is one of the context's own
+    generator objects is recognised by id and ``is`` (``_letter_steps``),
+    with no ``canonicalize`` and no hash; any other letter is canonicalized
+    and must equal a marked generator.  Bulbs at one prefix merge as they
+    come, by fiber multiplication in word order, and ``ctx._from_lamps``
+    drops identity values and sorts the rest, as ``bulb_product`` does:
+    prefixes and values are canonical already, so none is canonicalized.
     """
-    allowed = ctx._letter_steps()
+    own, allowed = ctx._letter_steps()
+    move, merge = ctx.base.multiply, ctx.fiber.multiply
     prefix = ctx._base_id
-    pairs: list[tuple[Element, Element]] = []
+    merged: dict[Element, Element] = {}
     for letter in letters:
-        letter = ctx.canonicalize(letter)
-        if letter not in allowed:
-            raise ValueError(f"letter {ctx.format_element(letter)} is not a marked generator")
+        mine = own.get(id(letter))
+        if mine is None or mine[0] is not letter:
+            letter = ctx.canonicalize(letter)
+            if letter not in allowed:
+                raise ValueError(f"letter {ctx.format_element(letter)} is not a marked generator")
         if letter.lamps:
-            pairs.append((prefix, letter.lamps[0][1]))
+            value = letter.lamps[0][1]
+            held = merged.get(prefix)
+            merged[prefix] = value if held is None else merge(held, value)
         else:
-            prefix = ctx.base.multiply(prefix, letter.cursor)
-    return bulb_product(ctx, pairs), prefix
+            prefix = move(prefix, letter.cursor)
+    return ctx._from_lamps(merged, ctx._base_id), prefix
 
 
 @dataclass(frozen=True)

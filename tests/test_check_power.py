@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from wreathdim import groups, run_suite
+from wreathdim import suite as suite_module
 
 
 def _meet_one_long(monkeypatch):
@@ -43,8 +44,47 @@ def _meet_one_sided(monkeypatch):
     monkeypatch.setattr(groups, "_meet", faulty)
 
 
+def _own_letter_step_swapped(monkeypatch):
+    """``evaluate_word`` takes the step of the last own letter for the one
+    before it and the other way round: the id table, which recognises the
+    context's own letter objects, holds their steps swapped (on L2, the
+    cursor moves t and t^-1)."""
+    letter_steps = groups.MarkedGroup._letter_steps
+
+    def faulty(ctx):
+        own, by_value = letter_steps(ctx)
+        letters = ctx.symmetric_generators()
+        swapped = dict(own)
+        a, b = id(letters[-2]), id(letters[-1])
+        swapped[a], swapped[b] = (letters[-2], own[b][1]), (letters[-1], own[a][1])
+        return swapped, by_value
+
+    monkeypatch.setattr(groups.MarkedGroup, "_letter_steps", faulty)
+
+
+def _bulb_at_the_previous_prefix(monkeypatch):
+    """``bulb_decompose`` merges the first lamp letter that follows a cursor
+    letter at the prefix before that cursor letter."""
+    decompose = suite_module.bulb_decompose
+
+    def faulty(ctx, letters):
+        word = list(letters)
+        for i in range(1, len(word)):
+            if word[i].lamps and not word[i - 1].lamps:
+                word[i - 1], word[i] = word[i], word[i - 1]
+                break
+        return decompose(ctx, word)
+
+    monkeypatch.setattr(suite_module, "bulb_decompose", faulty)
+
+
 # (fault, the checks that fail under it)
 FAULTS = {
+    "own-letter-step-swapped": (
+        _own_letter_step_swapped,
+        {"bulb-word-bound", "word-bulb-decomposition"},
+    ),
+    "bulb-at-the-previous-prefix": (_bulb_at_the_previous_prefix, {"word-bulb-decomposition"}),
     "meet-one-long": (
         _meet_one_long,
         {

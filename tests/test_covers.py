@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 
@@ -256,6 +257,48 @@ def test_component_diameters_on_interval_cover():
     assert meas.per_part == (5, 5)
     assert meas.value == 5
 
+
+
+def _brute_force_control(view, cover, r):
+    """Per part: the largest all-pairs ``view.dist`` within one chain component
+    of the part's window points, the components grown from all-pairs hops < r."""
+    per_part = []
+    for part in cover.parts:
+        pts = [x for x in view.points if x in part]
+        unplaced, worst = set(pts), 0
+        while unplaced:
+            comp = [unplaced.pop()]
+            for a in comp:
+                hops = {b for b in unplaced if view.dist(a, b) < r}
+                unplaced -= hops
+                comp += hops
+            worst = max([worst] + [view.dist(a, b) for a in comp for b in comp])
+        per_part.append(worst)
+    return tuple(per_part)
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("window", ["L2 6-ball", "W2 4-ball"])
+def test_component_diameters_equal_the_all_pairs_brute_force(
+    lamplighter, plane_lamplighter, window, parts
+):
+    ctx, radius = (lamplighter, 6) if window == "L2 6-ball" else (plane_lamplighter, 4)
+    view = ball_window(LengthOracle(ctx), radius)
+    rng = random.Random(f"{window} {parts}")
+    # each point in one part, and a quarter of them in a second one too
+    members = [set() for _ in range(parts)]
+    for x in view.points:
+        first, second = rng.randrange(parts), rng.randrange(parts)
+        members[first].add(x)
+        if rng.random() < 0.25:
+            members[second].add(x)
+    cover = cover_of(members)
+    for r in (2, 3):
+        measured = component_diameters(view, cover, r)
+        want = _brute_force_control(view, cover, r)
+        assert measured.per_part == want
+        assert measured.value == max(want)
+        assert measured.radius == r
 
 def test_control_sample_combines_lebesgue_and_diameter():
     view = line_view()

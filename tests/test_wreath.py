@@ -583,6 +583,120 @@ def test_canonicalize_passes_own_letters_through(lamplighter, z_structure):
     assert all(id(letter) in own for letter in bulb_word(ctx, z_structure, p).letters)
 
 
+
+# -- the context's own objects, recognised by identity -------------------------
+
+
+def _identity_contexts():
+    """L2, W2 (tuple positions) and C2xC3 wr Z (tuple fiber values), built fresh."""
+    z = IntegerGroup()
+    return {
+        "L2": WreathContext(CyclicGroup(2), z),
+        "W2": WreathContext(CyclicGroup(2), ProductGroup(z, z)),
+        "LP": WreathContext(ProductGroup(CyclicGroup(2), CyclicGroup(3)), z),
+    }
+
+
+def _fresh(v):
+    """``v``, rebuilt as another object if it is a tuple (small ints are shared)."""
+    return tuple(list(v)) if isinstance(v, tuple) else v
+
+
+def _copy(x):
+    """An element equal to ``x`` whose tuple positions and values are other objects."""
+    return WreathElement(tuple((_fresh(p), _fresh(v)) for p, v in x.lamps), _fresh(x.cursor))
+
+
+@pytest.mark.parametrize("name", ["L2", "W2", "LP"])
+def test_equal_copies_of_own_letters_give_the_own_letters_results(name):
+    ctx = _identity_contexts()[name]
+    letters = ctx.symmetric_generators()
+    copies = [_copy(g) for g in letters]
+    assert all(c == g and c is not g for c, g in zip(copies, letters))
+    for n in range(4):
+        for word in itertools.product(range(len(letters)), repeat=n):
+            own = [letters[i] for i in word]
+            other = [copies[i] for i in word]
+            value = evaluate_word(ctx, own)
+            folded = ctx.identity()
+            for g in own:
+                folded = ctx.multiply(folded, g)
+            assert value == folded == evaluate_word(ctx, other)
+            assert bulb_decompose(ctx, other) == bulb_decompose(ctx, own)
+
+
+@pytest.mark.parametrize("name", ["L2", "W2", "LP"])
+def test_equal_copies_of_searched_elements_give_the_same_lengths(name):
+    ctx = _identity_contexts()[name]
+    oracle = LengthOracle(ctx)
+    table = oracle.ball(4)
+    for x in table.elements:
+        y = _copy(x)
+        assert ctx.canonicalize(x) is x and ctx.canonicalize(y) is y
+        assert word_length(ctx, y) == word_length(ctx, x) == table.lengths[x]
+        assert oracle.length(y) == table.lengths[x]
+
+
+# (wreath, lamps, cursor) with True where a search has registered the position
+# or value 1 (or a tuple holding it)
+TRUE_FOR_ONE = {
+    "L2 position": ("L2", ((True, 1),), 0),
+    "L2 value": ("L2", ((1, True),), 0),
+    "L2 cursor": ("L2", (), True),
+    "W2 position": ("W2", (((True, 0), 1),), (0, 0)),
+    "W2 cursor": ("W2", (), (0, True)),
+    "LP value": ("LP", ((1, (True, 0)),), 0),
+}
+
+
+@pytest.mark.parametrize("case", list(TRUE_FOR_ONE))
+def test_true_for_one_is_refused_after_a_search_registered_one(case):
+    name, lamps, cursor = TRUE_FOR_ONE[case]
+    ctx = _identity_contexts()[name]
+    oracle = LengthOracle(ctx)
+    oracle.growth(4)
+    space = ctx._search_space()
+    position, value = ((1, 0), 1) if name == "W2" else (1, (1, 0)) if name == "LP" else (1, 1)
+    assert position in space._ids and value in space._value_index
+    x = WreathElement(lamps, cursor)
+    calls = {
+        "evaluate_word": lambda: evaluate_word(ctx, [x]),
+        "bulb_decompose": lambda: bulb_decompose(ctx, [x]),
+        "word_length": lambda: word_length(ctx, x),
+        "LengthOracle.length": lambda: oracle.length(x),
+    }
+    for call in calls.values():
+        with pytest.raises(EncodingError, match="must be an int, got True$"):
+            call()
+
+
+def test_an_id_table_entry_is_trusted_only_for_its_own_object(c2, z):
+    # the id table holds its letters, so no other live object has their ids;
+    # an entry planted under another object's id must still not be taken
+    ctx = WreathContext(c2, z)
+    own, _ = ctx._letter_steps()
+    t = ctx._cursor_letters[1]
+    far = ctx.element([], 5)
+    unsorted = WreathElement(((2, 1), (-1, 1)), 0)
+    for x in (far, unsorted):
+        own[id(x)] = own[id(t)]
+    assert evaluate_word(ctx, [far]) == far
+    assert ctx.canonicalize(unsorted) == evaluate_word(ctx, [unsorted])
+    assert ctx.canonicalize(unsorted) == WreathElement(((-1, 1), (2, 1)), 0)
+    with pytest.raises(ValueError, match="is not a marked generator"):
+        bulb_decompose(ctx, [far])
+
+
+def test_a_position_the_space_has_not_met_must_be_canonical(c2, z):
+    # registered positions are taken as canonical unchecked, so the space
+    # never registers one that is not
+    ctx = WreathContext(c2, z)
+    space = ctx._search_space()
+    assert 1 not in space._ids
+    with pytest.raises(EncodingError, match="got True$"):
+        space.state_of(WreathElement(((True, 1),), 0))
+    assert True not in space._ids and space._positions == [0]
+
 def test_minimal_word_round_trip(lamplighter):
     ctx = lamplighter
     for g in ball(ctx, 5).elements:
